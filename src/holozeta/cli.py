@@ -1,18 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success or verified, 1 verification failure (with a
-single-line witness record on stdout), 2 input error.  Report lines are
+Exit codes: 0 success or verified, 1 verification failure (stdout then
+ends with a one-line JSON witness), 2 input error.  Report lines are
 `key: value`; all iteration orders are fixed, so identical inputs give
 byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
 
-from .laurent import LaurentPoly, series_det_inverse
+from .laurent import LaurentPoly, content_lines, series_det_inverse
 from .freegroup import parse_word
 from .presentation import (
     TietzeMove,
@@ -47,6 +48,11 @@ def _read(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc))
 
 
+def _print_witness(fields: dict):
+    """The exit-1 witness: one line of JSON, ending stdout."""
+    print(json.dumps(fields, ensure_ascii=False))
+
+
 def _seed() -> int:
     return int(os.environ.get("HOLOZETA_SEED", "20240901"))
 
@@ -74,10 +80,7 @@ def parse_tietze_script(text: str):
     remove_generator <name>
     Words are resolved against the presentation at replay time."""
     moves = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split(None, 2)
         kind = parts[0]
         if kind == "invert" and len(parts) == 2:
@@ -91,7 +94,7 @@ def parse_tietze_script(text: str):
         elif kind == "remove_generator" and len(parts) == 2:
             moves.append(("remove_generator", parts[1], None))
         else:
-            raise InputError("bad script line %r" % raw)
+            raise InputError("bad script line %r" % line)
     return moves
 
 
@@ -121,10 +124,7 @@ def parse_graph_script(text: str):
     hub_unresolve <id> <src> <tgt> <matrix> <removed>:<out> ... |
     reverse_all"""
     steps = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split()
         kind = parts[0]
         try:
@@ -206,7 +206,7 @@ def parse_graph_script(text: str):
         except (IndexError, ValueError) as exc:
             if isinstance(exc, InputError):
                 raise
-            raise InputError("bad script line %r: %s" % (raw, exc))
+            raise InputError("bad script line %r: %s" % (line, exc))
     return steps
 
 
@@ -223,7 +223,7 @@ def _cmd_zeta(args) -> int:
         agree = lhs == rhs
         print("euler-agrees: %s" % ("true" if agree else "false"))
         if not agree:
-            print('{"witness": "euler-product mismatch at order %d"}' % order)
+            _print_witness({"witness": "euler-product mismatch at order %d" % order})
             return 1
     return 0
 
@@ -246,10 +246,8 @@ def _cmd_alexander(args) -> int:
         )
         print("routes-agree: %s" % ("true" if agree else "false"))
         if not agree:
-            print(
-                '{"witness": "route mismatch", "graph": "%s", "direct": "%s"}'
-                % (results[0].numerator, results[1].numerator)
-            )
+            _print_witness({"witness": "route mismatch", "graph": str(results[0].numerator),
+                            "direct": str(results[1].numerator)})
             return 1
     return 0
 
@@ -262,14 +260,14 @@ def _cmd_tietze_verify(args) -> int:
         final = replay_tietze_script(p, moves)
     except InvalidMove as exc:
         print("verified: false")
-        print('{"witness": "invalid move", "detail": "%s"}' % exc)
+        _print_witness({"witness": "invalid move", "detail": str(exc)})
         return 1
     ok = presentations_equal(final, expect)
     print("verified: %s" % ("true" if ok else "false"))
     if not ok:
         names = final.names()
         got = "; ".join(r.display(names) for r in final.relations)
-        print('{"witness": "final presentation differs", "got": "%s"}' % got)
+        _print_witness({"witness": "final presentation differs", "got": got})
         return 1
     return 0
 
@@ -284,10 +282,7 @@ def _cmd_graph_verify(args) -> int:
         print("zeta-left: %s" % report.zeta_left)
         print("zeta-right: %s" % report.zeta_right)
     if not report.ok:
-        print(
-            '{"witness": "%s", "failing-step": %s}'
-            % (report.message, "null" if report.failing_step is None else report.failing_step)
-        )
+        _print_witness({"witness": report.message, "failing-step": report.failing_step})
         return 1
     return 0
 
@@ -297,7 +292,7 @@ def _cmd_quandle_check(args) -> int:
         q = qmod.parse_quandle(_read(args.quandle))
     except qmod.QuandleError as exc:
         print("valid: false")
-        print('{"witness": "%s", "at": "%s"}' % (exc, exc.witness))
+        _print_witness({"witness": str(exc), "at": str(exc.witness)})
         return 1
     print("valid: true")
     print("size: %d" % q.n)
@@ -312,7 +307,8 @@ def _cmd_pair_check(args) -> int:
         print("valid: false")
         names = ("a", "b", "c")
         at = ", ".join("%s=%d" % (n, v) for n, v in zip(names, exc.witness))
-        print("witness: (cond=%s, %s)" % (exc.condition, at))
+        _print_witness({"witness": "alexander pair condition fails",
+                        "at": "(cond=%s, %s)" % (exc.condition, at)})
         return 1
     print("valid: true")
     return 0
@@ -338,10 +334,7 @@ def _cmd_holonomy_check(args) -> int:
         print("perturbations-rejected: %d/%d" % (failed, args.perturb))
     if not report.ok:
         cond, witness, detail = report.failures[0]
-        print(
-            '{"witness": "condition %s fails", "at": "%s", "detail": "%s"}'
-            % (cond, witness, detail)
-        )
+        _print_witness({"witness": "condition %s fails" % cond, "at": str(witness), "detail": detail})
         return 1
     return 0
 

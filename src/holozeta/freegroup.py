@@ -223,26 +223,6 @@ class GroupRingElt:
         return "GroupRingElt(%s)" % {w: str(c) for w, c in self.terms.items()}
 
 
-def word_ops(a: Word, b: Word = None, op: str = "mul") -> Word:
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "reduce":
-        return Word(a.letters)
-    raise ValueError("unknown op %r" % op)
-
-
-def ring_ops(a: GroupRingElt, b, op: str = "add") -> GroupRingElt:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scalar":
-        return a.scale(b)
-    raise ValueError("unknown op %r" % op)
-
-
 def fox_derivative(w, i: int) -> GroupRingElt:
     """The Fox derivative d(w)/dx_i, linearly extended to ring elements."""
     if isinstance(w, GroupRingElt):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyMatrix
+from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_fraction, split_matrix_literal
 from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
 from .wgraph import zeta_reciprocal
@@ -86,14 +86,6 @@ class Representation:
             exp += s * self.exps[g]
         return mat, exp
 
-    def phi_of_word(self, w: Word) -> PolyMatrix:
-        mat, exp = self.image_of_word(w)
-        return PolyMatrix(
-            self.dim,
-            self.dim,
-            [LaurentPoly.monomial(x, exp) if x else LaurentPoly.zero() for x in mat],
-        )
-
 
 def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
     if set(r1.mats) != set(r2.mats):
@@ -118,20 +110,9 @@ def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
 def rep_conjugate(r: Representation, p) -> Representation:
     """Conjugate every rho(x_i) by a constant invertible matrix P."""
     k = r.dim
-    if isinstance(p, PolyMatrix):
-        flat = []
-        for entry in p.entries:
-            if entry.is_zero():
-                flat.append(Fraction(0))
-            elif set(entry.terms) <= {0}:
-                flat.append(entry.coeff(0))
-            else:
-                raise ValueError("conjugating matrix must be constant")
-        if (p.rows, p.cols) != (k, k):
-            raise ValueError("conjugating matrix must be %dx%d" % (k, k))
-        flat = tuple(flat)
-    else:
-        flat = tuple(Fraction(x) for row in p for x in row)
+    if len(p) != k or any(len(row) != k for row in p):
+        raise ValueError("conjugating matrix must be %dx%d" % (k, k))
+    flat = tuple(Fraction(x) for row in p for x in row)
     pinv = _rmat_inv(flat, k)
     mats = {i: _rmat_mul(_rmat_mul(flat, m, k), pinv, k) for i, m in r.mats.items()}
     return Representation(k, mats, r.exps)
@@ -142,18 +123,12 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
     generator not otherwise listed."""
     entries = {}
     default = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         m = re.match(r"(\S+)\s*:\s*(\[\[.*\]\])\s*(?:exp=([+-]?\d+))?$", line)
         if not m:
-            raise ValueError("bad representation line %r" % raw)
+            raise ValueError("bad representation line %r" % line)
         name, mattext, exptext = m.groups()
-        rows = re.split(r"\]\s*,\s*\[", mattext.strip()[2:-2])
-        flat = []
-        for row in rows:
-            flat.extend(Fraction(cell.strip()) for cell in row.split(","))
+        flat = [parse_fraction(cell.strip()) for row in split_matrix_literal(mattext) for cell in row]
         exp = int(exptext) if exptext else 1
         if name == "all":
             default = (flat, exp)
@@ -297,7 +272,7 @@ def parse_pd(text: str) -> KnotDiagram:
     over strand runs b -> d (positive crossing) or d -> b (negative),
     decided by which pair is consecutive in the edge numbering.
     """
-    body = text.strip()
+    body = " ".join(content_lines(text))
     if not body:
         raise ValueError("empty PD input")
     if body.lower() == "unknot":
@@ -332,7 +307,7 @@ def parse_pd(text: str) -> KnotDiagram:
 
 def parse_gauss(text: str) -> KnotDiagram:
     """Parse a signed Gauss code like `O1+ U2+ O3+ U1+ O2+ U3+`."""
-    body = text.strip()
+    body = " ".join(content_lines(text))
     if not body:
         raise ValueError("empty Gauss code")
     if body.lower() == "unknot":
@@ -436,7 +411,7 @@ def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph")
     if not report.all_certified:
         raise ValueError("presentation not certified: %s" % report.entries)
     k = rep.dim
-    denom_raw = (PolyMatrix.identity(k) - rep.phi_of_word(Word.gen(0))).det()
+    denom_raw = (PolyMatrix.identity(k) - apply_phi(GroupRingElt.from_word(Word.gen(0)), rep)).det()
     if route == "graph":
         graph = build_group_weighted_graph(p)
         num_raw = zeta_reciprocal(graph, rep)

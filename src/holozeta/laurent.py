@@ -214,6 +214,30 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self
 
 
+def content_lines(text: str):
+    """The non-blank lines of a text format, stripped, with `#` comments removed."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
+def split_matrix_literal(text: str):
+    """The cell texts of a `[[a,b],[c,d]]` literal, one list per row."""
+    text = text.strip()
+    if not (text.startswith("[[") and text.endswith("]]")):
+        raise ValueError("matrix literal must look like [[...],[...]]")
+    return [row.split(",") for row in re.split(r"\]\s*,\s*\[", text[2:-2])]
+
+
+def parse_fraction(text: str) -> Fraction:
+    """A rational number written as `3`, `-1/2` or `0.5`; raises ValueError on bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 _TERM_RE = re.compile(
     r"^(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*\*?\s*"
     r"(?P<t>t(?:\^\{?(?P<exp>[+-]?\d+)\}?)?)?$"
@@ -250,7 +274,7 @@ def parse_laurent(text: str) -> LaurentPoly:
         m = _TERM_RE.match(body)
         if not m or (m.group("coeff") is None and m.group("t") is None):
             raise ValueError("bad Laurent term %r in %r" % (body, text))
-        c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        c = parse_fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if sign == "-":
             c = -c
         if m.group("t"):
@@ -259,26 +283,6 @@ def parse_laurent(text: str) -> LaurentPoly:
             e = 0
         terms[e] = terms.get(e, Fraction(0)) + c
     return LaurentPoly(terms)
-
-
-# functional-style aliases ---------------------------------------------
-
-def lp_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % op)
-
-
-def lp_normalize_up_to_units(p: LaurentPoly) -> LaurentPoly:
-    return p.unit_normalize()
-
-
-def lp_eq_up_to_units(p: LaurentPoly, q: LaurentPoly) -> bool:
-    return p.eq_up_to_units(q)
 
 
 class PolyMatrix:
@@ -304,13 +308,6 @@ class PolyMatrix:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return PolyMatrix(r, c, flat)
-
-    @staticmethod
-    def from_scalar_rows(rows_list) -> "PolyMatrix":
-        """Build from numbers / Fractions (constant matrix)."""
-        return PolyMatrix.from_rows(
-            [[LaurentPoly.const(x) for x in row] for row in rows_list]
-        )
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
@@ -475,7 +472,7 @@ class PolyMatrix:
                         if jj != j
                     ],
                 )
-                c = minor.det_cofactor() if n - 1 <= 4 else minor.det_bareiss()
+                c = minor.det()
                 cof.append(c if (i + j) % 2 == 0 else -c)
         adj = PolyMatrix(n, n, cof).transpose()
         return adj.scale(dinv)
@@ -486,10 +483,6 @@ class PolyMatrix:
         )
 
     __repr__ = __str__
-
-
-def mat_det(m: PolyMatrix) -> LaurentPoly:
-    return m.det()
 
 
 class TruncatedSeries:
@@ -508,20 +501,10 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries(order, [LaurentPoly.zero()] * (order + 1))
-
-    @staticmethod
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries(
             order, [LaurentPoly.one()] + [LaurentPoly.zero()] * order
         )
-
-    @staticmethod
-    def from_coeffs(order: int, coeffs) -> "TruncatedSeries":
-        coeffs = list(coeffs)[: order + 1]
-        coeffs += [LaurentPoly.zero()] * (order + 1 - len(coeffs))
-        return TruncatedSeries(order, coeffs)
 
     def __eq__(self, other) -> bool:
         return (

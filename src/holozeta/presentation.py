@@ -18,6 +18,7 @@ from .freegroup import (
     apply_phi,
     parse_word,
 )
+from .laurent import content_lines
 
 
 class InvalidMove(ValueError):
@@ -179,6 +180,10 @@ def tietze_apply(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
     relations = list(p.relations)
     base = dict(p.base)
     generators = list(p.generators)
+    if m.kind in ("invert", "conjugate", "multiply", "multiply_inv"):
+        for idx in (m.i, m.k) if m.kind.startswith("multiply") else (m.i,):
+            if idx not in range(len(relations)):
+                raise InvalidMove("no relation %r" % (idx,))
 
     if m.kind == "invert":
         r = relations[m.i]
@@ -389,10 +394,7 @@ def parse_presentation(text: str) -> BasedPresentation:
     generators = None
     relations = []
     base = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         if line.startswith("gens:"):
             names = line[len("gens:"):].split()
             generators = tuple(Generator(i, n) for i, n in enumerate(names))
@@ -416,7 +418,7 @@ def parse_presentation(text: str) -> BasedPresentation:
             if bp is not None:
                 base[len(relations) - 1] = bp
         else:
-            raise ValueError("unrecognized line %r" % raw)
+            raise ValueError("unrecognized line %r" % line)
     if generators is None:
         raise ValueError("missing gens: line")
     return BasedPresentation(generators, tuple(relations), base)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .laurent import LaurentPoly, PolyMatrix, parse_laurent
+from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_laurent
 from .wgraph import WeightedDigraph, Edge
 
 
@@ -92,10 +92,9 @@ class AlexanderPairTable:
 
 
 def _as_poly_table(rows, n, what):
-    rows = tuple(tuple(rows[a][b] for b in range(n)) for a in range(n))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("%s table must be %dx%d" % (what, n, n))
-    return rows
+    return tuple(tuple(r) for r in rows)
 
 
 def alexander_pair_check(q: FiniteQuandle, f1, f2) -> AlexanderPairTable:
@@ -291,9 +290,6 @@ def random_alexander_pair(q: FiniteQuandle, rng) -> AlexanderPairTable:
 class QuandleColoring:
     colors: tuple  # ((arc id, element), ...) in diagram arc order
 
-    def color(self, arc: str) -> int:
-        return dict(self.colors)[arc]
-
 
 def _check_coloring(q: FiniteQuandle, d, colors: dict):
     for c in d.crossings:
@@ -360,8 +356,7 @@ def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQ
 
 def parse_quandle(text: str) -> FiniteQuandle:
     """First line n, then n rows of n integers (the 0-based table)."""
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
+    lines = list(content_lines(text))
     if not lines:
         raise ValueError("empty quandle file")
     n = int(lines[0])
@@ -389,8 +384,7 @@ def _parse_poly_rows(lines, n):
 
 def parse_pair_file(text: str, q: FiniteQuandle) -> AlexanderPairTable:
     """First line n, then n comma-separated rows for f1, then n for f2."""
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
+    lines = list(content_lines(text))
     if not lines:
         raise ValueError("empty pair file")
     n = int(lines[0])
@@ -413,8 +407,7 @@ def format_pair_file(f: AlexanderPairTable) -> str:
 
 def parse_weights_file(text: str) -> CrossingWeights:
     """First line n, then four n-row blocks: g1+, g2+, g1-, g2-."""
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
+    lines = list(content_lines(text))
     if not lines:
         raise ValueError("empty weights file")
     n = int(lines[0])

@@ -12,7 +12,14 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyMatrix, TruncatedSeries, parse_laurent
+from .laurent import (
+    LaurentPoly,
+    PolyMatrix,
+    TruncatedSeries,
+    content_lines,
+    parse_laurent,
+    split_matrix_literal,
+)
 from .freegroup import GroupRingElt, Word, fox_derivative, apply_phi
 
 
@@ -130,18 +137,6 @@ def _zero_weight(g: WeightedDigraph, src: str, tgt: str):
         dims = g.dims()
         return PolyMatrix.zeros(dims[src], dims[tgt])
     return GroupRingElt.zero()
-
-
-def _wadd(a, b):
-    return a + b
-
-
-def _wmul(a, b):
-    return a * b
-
-
-def _wzero(w) -> bool:
-    return w.is_zero()
 
 
 # -- adjacency matrix and zeta -----------------------------------------
@@ -365,7 +360,7 @@ def _null_add(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
 
 def _null_remove(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     e = g.edge(s.edge)
-    if not _wzero(e.weight):
+    if not e.weight.is_zero():
         raise InvalidStep("edge %r has nonzero weight" % s.edge)
     return _replace_edges(g, [x for x in g.edges if x.id != s.edge])
 
@@ -376,7 +371,7 @@ def _merge(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("need at least two parallel edges %r -> %r" % (s.src, s.tgt))
     w = group[0].weight
     for e in group[1:]:
-        w = _wadd(w, e.weight)
+        w = w + e.weight
     eid = s.new_ids[0] if s.new_ids else group[0].id
     edges = [e for e in g.edges if e not in group]
     return _replace_edges(g, edges + [Edge(eid, s.src, s.tgt, w)])
@@ -388,7 +383,7 @@ def _split(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("split needs at least two summands")
     total = s.summands[0]
     for w in s.summands[1:]:
-        total = _wadd(total, w)
+        total = total + w
     if total != e.weight:
         raise InvalidStep("summands do not add up to the weight of %r" % s.edge)
     ids = s.new_ids or tuple("%s.%d" % (e.id, k) for k in range(len(s.summands)))
@@ -437,7 +432,7 @@ def _hub_resolve(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     for f in g.out_edges(e.tgt):
         if f.id == e.id:
             continue
-        added.append(Edge("%s*%s" % (e.id, f.id), e.src, f.tgt, _wmul(u, f.weight)))
+        added.append(Edge("%s*%s" % (e.id, f.id), e.src, f.tgt, u * f.weight))
     return _replace_edges(g, edges + added)
 
 
@@ -460,7 +455,7 @@ def _hub_unresolve(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         f = out[fid]
         if r.src != v1 or r.tgt != f.tgt:
             raise InvalidStep("edge %r does not run %r -> %r" % (rid, v1, f.tgt))
-        if r.weight != _wmul(u, f.weight):
+        if r.weight != u * f.weight:
             raise InvalidStep("edge %r is not the hub product for %r" % (rid, fid))
         removed.add(rid)
     eid = s.edge or (s.new_ids[0] if s.new_ids else "hub_%s_%s" % (v1, v2))
@@ -590,13 +585,8 @@ def verify_equivalence(
 # -- text formats ---------------------------------------------------------
 
 def parse_matrix_literal(text: str) -> PolyMatrix:
-    text = text.strip()
-    if not (text.startswith("[[") and text.endswith("]]")):
-        raise ValueError("matrix literal must look like [[...],[...]]")
-    body = text[2:-2]
-    rows = re.split(r"\]\s*,\s*\[", body)
     return PolyMatrix.from_rows(
-        [[parse_laurent(cell) for cell in row.split(",")] for row in rows]
+        [[parse_laurent(cell) for cell in row] for row in split_matrix_literal(text)]
     )
 
 
@@ -611,24 +601,21 @@ def parse_graph(text: str) -> WeightedDigraph:
     matrix-weighted graph format."""
     vertices = []
     edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         if line.startswith("vertex"):
             m = re.match(r"vertex\s+(\S+)\s+dim=(\d+)$", line)
             if not m:
-                raise ValueError("bad vertex line %r" % raw)
+                raise ValueError("bad vertex line %r" % line)
             vertices.append((m.group(1), int(m.group(2))))
         elif line.startswith("edge"):
             m = re.match(r"edge\s+(\S+)\s+(\S+)\s*->\s*(\S+)\s+weight=(.*)$", line)
             if not m:
-                raise ValueError("bad edge line %r" % raw)
+                raise ValueError("bad edge line %r" % line)
             edges.append(
                 Edge(m.group(1), m.group(2), m.group(3), parse_matrix_literal(m.group(4)))
             )
         else:
-            raise ValueError("unrecognized line %r" % raw)
+            raise ValueError("unrecognized line %r" % line)
     return WeightedDigraph("matrix", tuple(vertices), tuple(edges))
 
 

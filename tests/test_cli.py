@@ -1,5 +1,7 @@
+import json
+
 from holozeta.cli import main
-from holozeta.laurent import parse_laurent
+from holozeta.laurent import LaurentPoly, parse_laurent
 from holozeta.presentation import format_presentation
 from holozeta.quandle import (
     constant_pair,
@@ -8,6 +10,7 @@ from holozeta.quandle import (
     format_pair_file,
     format_quandle,
     format_weights_file,
+    identity_weights,
 )
 from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_matrix_literal
 from holozeta import fixtures
@@ -172,3 +175,55 @@ def test_deterministic_output(tmp_path, capsys):
 def test_bad_arguments_exit_2(capsys):
     assert main(["alexander"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_zero_denominator_is_bad_input(tmp_path, capsys):
+    g = _write(tmp_path, "g.wg", "vertex u dim=1\nedge e1 u -> u weight=[[1/0]]\n")
+    assert main(["zeta", "--graph", g]) == 2
+    pd = _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)
+    rep = _write(tmp_path, "bad.rep", "all: [[1/0]] exp=1\n")
+    assert main(["alexander", "--pd", pd, "--rep", rep]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _last_json(out: str) -> dict:
+    return json.loads(out.splitlines()[-1])
+
+
+def test_tietze_relation_index_out_of_range(tmp_path, capsys):
+    pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
+    for move in ("invert 5", "invert -1", "multiply 0 1", "conjugate 2 x"):
+        script = _write(tmp_path, "s.tz", move + "\n")
+        assert main(["tietze-verify", "--pres", pres, "--script", script,
+                     "--expect", pres]) == 1, move
+        assert _last_json(capsys.readouterr().out)["witness"] == "invalid move"
+
+
+def test_witness_line_is_json(tmp_path, capsys):
+    q3 = _write(tmp_path, "q3.txt", format_quandle(dihedral_quandle(3)))
+    pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
+    quote = _write(tmp_path, "quote.tz", 'add_generator z"q x\n')
+    bad_q = _write(tmp_path, "bad.txt", "2\n1 0\n0 1\n")
+    f = constant_pair(dihedral_quandle(3), parse_laurent("t"), parse_laurent("1 - t"))
+    lines = format_pair_file(f).splitlines()
+    lines[4] = ", ".join(["7"] * 3)
+    bad_pair = _write(tmp_path, "badpair.txt", "\n".join(lines))
+    bad_w = _write(tmp_path, "w.txt", format_weights_file(
+        identity_weights(3).perturbed("g1_pos", 0, 1, LaurentPoly.one())))
+    graph = _graph_file(tmp_path)
+    bad_gs = _write(tmp_path, "bad.gs", "null_remove e1\n")
+    runs = [
+        ["tietze-verify", "--pres", pres, "--script", quote, "--expect", pres],
+        ["quandle-check", "--quandle", bad_q],
+        ["pair-check", "--quandle", q3, "--pair", bad_pair],
+        ["holonomy-check", "--quandle", q3, "--weights", bad_w],
+        ["graph-verify", "--graph", graph, "--script", bad_gs, "--expect", graph],
+    ]
+    for argv in runs:
+        assert main(argv) == 1, argv
+        assert "witness" in _last_json(capsys.readouterr().out), argv
+    main(runs[0])
+    assert 'z"q' in _last_json(capsys.readouterr().out)["got"]
+    main(runs[2])
+    assert _last_json(capsys.readouterr().out) == {
+        "witness": "alexander pair condition fails", "at": "(cond=1, a=0)"}

@@ -104,6 +104,8 @@ def test_rep_direct_sum_and_conjugate():
     a = twisted_alexander(d, rs, "direct")
     b = twisted_alexander(d, rc, "direct")
     assert a.numerator == b.numerator
+    with pytest.raises(ValueError):
+        rep_conjugate(rs, [[1]])
 
 
 def test_parse_rep():

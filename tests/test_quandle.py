@@ -84,6 +84,14 @@ def test_alexander_pair_conditions_reject_bad_tables():
         alexander_pair_check(R3, f1, f2)
 
 
+def test_alexander_pair_check_rejects_wrong_shape():
+    one = LaurentPoly.one()
+    full = [[one] * 3 for _ in range(3)]
+    for short in ([[one] * 3] * 2, [[one] * 3, [one] * 3, [one] * 2]):
+        with pytest.raises(ValueError, match="f1 table must be 3x3"):
+            alexander_pair_check(R3, short, full)
+
+
 def test_derived_star_gives_a_quandle():
     rng = seeded_rng(40)
     f = constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t"))
