@@ -46,6 +46,7 @@ from .knot import (
     KnotDiagram,
     ReidemeisterMove,
     Representation,
+    alexander_setup,
     parse_gauss,
     parse_pd,
     reidemeister_apply,

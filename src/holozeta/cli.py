@@ -32,7 +32,15 @@ from .wgraph import (
     verify_equivalence,
     zeta_reciprocal,
 )
-from .knot import Representation, parse_gauss, parse_pd, parse_rep, twisted_alexander, wirtinger_presentation
+from .knot import (
+    Representation,
+    alexander_setup,
+    parse_gauss,
+    parse_pd,
+    parse_rep,
+    twisted_alexander,
+    wirtinger_presentation,
+)
 from . import quandle as qmod
 
 
@@ -232,8 +240,9 @@ def _cmd_alexander(args) -> int:
     d = _load_diagram(args)
     pres = wirtinger_presentation(d)
     rep = _load_rep(args, pres)
+    setup = alexander_setup(pres, rep)
     routes = ("graph", "direct") if args.route == "both" else (args.route,)
-    results = [twisted_alexander(d, rep, r) for r in routes]
+    results = [twisted_alexander(d, rep, r, setup=setup) for r in routes]
     r0 = results[0]
     print("numerator: %s" % r0.numerator)
     print("denominator: %s" % r0.denominator)
@@ -355,6 +364,17 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type for counts and orders: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="holozeta",
@@ -364,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="zeta reciprocal of a matrix-weighted graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--order", type=int, default=8, help="truncation order for the Euler oracle")
+    p.add_argument("--order", type=_count, default=8, help="truncation order for the Euler oracle")
     p.add_argument("--check-euler", action="store_true")
     p.set_defaults(func=_cmd_zeta)
 
@@ -400,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holonomy-check", help="check crossing weights preserve holonomy")
     p.add_argument("--quandle", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--perturb", type=int, default=0, help="also try N random perturbations")
+    p.add_argument("--perturb", type=_count, default=0, help="also try N random perturbations")
     p.set_defaults(func=_cmd_holonomy_check)
 
     p = sub.add_parser("colorings", help="enumerate quandle colorings of a diagram")

@@ -403,15 +403,34 @@ def fox_matrix(p: BasedPresentation, rep: Representation) -> PolyMatrix:
     return PolyMatrix.from_rows(rows) if rows else PolyMatrix(0, ngen * k, [LaurentPoly.zero()] * 0)
 
 
-def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph") -> TwistedAlexander:
-    if route not in ("graph", "direct"):
-        raise ValueError("route must be graph or direct")
-    p = wirtinger_presentation(d)
+@dataclass(frozen=True)
+class AlexanderSetup:
+    """What both routes share for one diagram and rep: the certified
+    presentation and the raw denominator det(I - Phi(x1))."""
+    presentation: BasedPresentation
+    raw_denominator: LaurentPoly
+
+
+def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup:
+    """Certify `p` (a Wirtinger presentation) for `rep` and compute the denominator."""
     report = check_assumption(p, rep)
     if not report.all_certified:
         raise ValueError("presentation not certified: %s" % report.entries)
     k = rep.dim
-    denom_raw = (PolyMatrix.identity(k) - apply_phi(GroupRingElt.from_word(Word.gen(0)), rep)).det()
+    denom = (PolyMatrix.identity(k) - apply_phi(GroupRingElt.from_word(Word.gen(0)), rep)).det()
+    return AlexanderSetup(p, denom)
+
+
+def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph",
+                      setup: Optional[AlexanderSetup] = None) -> TwistedAlexander:
+    """The twisted Alexander polynomial by one route; pass the `setup` of
+    `d` and `rep` to share it between routes."""
+    if route not in ("graph", "direct"):
+        raise ValueError("route must be graph or direct")
+    if setup is None:
+        setup = alexander_setup(wirtinger_presentation(d), rep)
+    p = setup.presentation
+    k = rep.dim
     if route == "graph":
         graph = build_group_weighted_graph(p)
         num_raw = zeta_reciprocal(graph, rep)
@@ -428,10 +447,10 @@ def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph")
             num_raw = minor.det()
     return TwistedAlexander(
         numerator=_norm(num_raw),
-        denominator=_norm(denom_raw),
+        denominator=_norm(setup.raw_denominator),
         route=route,
         raw_numerator=num_raw,
-        raw_denominator=denom_raw,
+        raw_denominator=setup.raw_denominator,
     )
 
 

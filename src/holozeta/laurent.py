@@ -7,6 +7,7 @@ is exact, no floating point anywhere.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -285,6 +286,35 @@ def parse_laurent(text: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _int_det(m) -> int:
+    """Determinant of a square integer matrix (rows are overwritten) by
+    Bareiss elimination with row swaps; every `//` is exact."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        tail = m[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
+            if a:
+                m[i] = [0] * (k + 1) + [
+                    (x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], tail)
+                ]
+            elif pivot != prev:  # else the row is already scaled right
+                m[i] = [0] * (k + 1) + [x * pivot // prev for x in row[k + 1 :]]
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
 class PolyMatrix:
     """Dense matrix over the Laurent ring, row-major."""
 
@@ -421,7 +451,8 @@ class PolyMatrix:
         return acc
 
     def det_bareiss(self) -> LaurentPoly:
-        """Fraction-free elimination; divisions are exact by construction."""
+        """Fraction-free elimination over the Laurent ring; divisions are
+        exact by construction.  A reference oracle for `det()`."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
@@ -449,7 +480,49 @@ class PolyMatrix:
         return d if sign == 1 else -d
 
     def det(self) -> LaurentPoly:
-        return self.det_cofactor() if self.rows <= 4 else self.det_bareiss()
+        """Cofactor expansion up to 4 x 4; above that, evaluation at the
+        integer points 0..D, integer Bareiss at each, and exact interpolation."""
+        if self.rows <= 4:
+            return self.det_cofactor()
+        if self.rows != self.cols:
+            raise ValueError("determinant of non-square matrix")
+        # shift each row to exponents 0..span and clear its denominators:
+        # det(self) = t^shift / scale * det(rows), rows over Z[t]
+        shift, scale, degree, widest = 0, 1, 0, 0
+        rows = []
+        for i in range(self.rows):
+            entries = self.row(i)
+            exps = [e for p in entries for e in p.terms]
+            if not exps:
+                return LaurentPoly()
+            lo = min(exps)
+            den = math.lcm(*(c.denominator for p in entries for c in p.terms.values()))
+            rows.append([[(e - lo, int(c * den)) for e, c in p.terms.items()] for p in entries])
+            shift += lo
+            scale *= den
+            span = max(exps) - lo
+            degree += span
+            widest = max(widest, span)
+        values = []
+        for x in range(degree + 1):
+            powers = [1]
+            for _ in range(widest):
+                powers.append(powers[-1] * x)
+            values.append(_int_det(
+                [[sum([c * powers[e] for e, c in p]) for p in row] for row in rows]
+            ))
+        # Newton divided differences at 0..D; they stay integers because
+        # the interpolated polynomial has integer coefficients
+        for j in range(1, degree + 1):
+            for i in range(degree, j - 1, -1):
+                values[i] = (values[i] - values[i - 1]) // j
+        coeffs = [values[degree]]
+        for k in range(degree - 1, -1, -1):
+            # coeffs * (t - k) + values[k]
+            coeffs = [values[k] - k * coeffs[0]] + [
+                coeffs[e - 1] - k * coeffs[e] for e in range(1, len(coeffs))
+            ] + [coeffs[-1]]
+        return LaurentPoly({e + shift: Fraction(c, scale) for e, c in enumerate(coeffs) if c})
 
     def inverse_unit_det(self) -> "PolyMatrix":
         """Inverse via adjugate; requires det to be a Laurent unit."""

@@ -43,6 +43,14 @@ def test_zeta_with_euler_check(tmp_path, capsys):
     assert "euler-agrees: true" in out
 
 
+def test_negative_order_exits_2(tmp_path, capsys):
+    path = _graph_file(tmp_path)
+    assert main(["zeta", "--graph", path, "--check-euler", "--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order" in captured.err
+
+
 def test_zeta_missing_file(tmp_path, capsys):
     assert main(["zeta", "--graph", str(tmp_path / "nope.wg")]) == 2
 
@@ -146,6 +154,18 @@ def test_holonomy_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holonomy-preserved: true" in out
     assert "perturbations-rejected: 3/3" in out
+
+
+def test_negative_perturb_exits_2(tmp_path, capsys):
+    q = dihedral_quandle(3)
+    qf = _write(tmp_path, "q3.txt", format_quandle(q))
+    f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
+    wf = _write(tmp_path, "w.txt", format_weights_file(f_twisted_weights(f, q)))
+    assert main(["holonomy-check", "--quandle", qf, "--weights", wf,
+                 "--perturb", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--perturb" in captured.err
 
 
 def test_colorings(tmp_path, capsys):

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from holozeta.laurent import parse_laurent
+from holozeta.laurent import PolyMatrix, parse_laurent
 from holozeta.knot import (
     KnotDiagram,
     MoveMismatch,
     ReidemeisterMove,
     Representation,
+    alexander_setup,
+    fox_matrix,
     parse_gauss,
     parse_pd,
     parse_rep,
@@ -17,6 +19,8 @@ from holozeta.knot import (
     twisted_alexander,
     wirtinger_presentation,
 )
+from holozeta.presentation import build_group_weighted_graph
+from holozeta.wgraph import adjacency_matrix
 from holozeta import fixtures
 
 
@@ -92,6 +96,42 @@ def test_unknot_alexander():
     res = twisted_alexander(d, rep, "direct")
     assert res.numerator.is_one()
     assert res.denominator == parse_laurent("1 - t")
+
+
+def _torus_gauss(n: int) -> str:
+    """T(2,n) as the closed 2-braid sigma_1^n."""
+    return " ".join("%s%d+" % ("OU"[k % 2], k % n + 1) for k in range(2 * n))
+
+
+def _s3_rep_text(n: int) -> str:
+    """The dihedral S3 rep of T(2,n), 3 | n: arc i goes to reflection i mod 3."""
+    reflections = ("[[0,1],[1,0]]", "[[-1,0],[-1,1]]", "[[1,-1],[0,-1]]")
+    return "".join("x%d: %s exp=1\n" % (i + 1, reflections[i % 3]) for i in range(n))
+
+
+def test_knot_determinants_match_laurent_bareiss():
+    # the T(2,15) Fox minor, trivial rep: 14 x 14
+    p = wirtinger_presentation(parse_gauss(_torus_gauss(15)))
+    m = fox_matrix(p, Representation.trivial(range(15)))
+    minor = PolyMatrix.from_rows([list(m.row(r)[1:]) for r in range(m.rows)])
+    assert minor.rows == 14
+    assert minor.det() == minor.det_bareiss()
+    # the graph-route det(I - A) of T(2,9) with the S3 rep: 18 x 18
+    p = wirtinger_presentation(parse_gauss(_torus_gauss(9)))
+    rep = parse_rep(_s3_rep_text(9), p.name_to_index())
+    a = adjacency_matrix(build_group_weighted_graph(p), rep)
+    i_minus_a = PolyMatrix.identity(a.rows) - a
+    assert i_minus_a.rows == 18
+    assert i_minus_a.det() == i_minus_a.det_bareiss()
+
+
+def test_shared_setup_gives_the_same_answer():
+    d = parse_gauss(_torus_gauss(9))
+    p = wirtinger_presentation(d)
+    rep = parse_rep(_s3_rep_text(9), p.name_to_index())
+    setup = alexander_setup(p, rep)
+    for route in ("graph", "direct"):
+        assert twisted_alexander(d, rep, route, setup=setup) == twisted_alexander(d, rep, route)
 
 
 def test_rep_direct_sum_and_conjugate():

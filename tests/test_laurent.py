@@ -77,6 +77,38 @@ def test_determinants_agree_with_permutation_expansion():
         assert m.det_bareiss() == expect
         assert m.det_cofactor() == expect
         assert m.det() == expect
+    # above 4 x 4, det() evaluates at integer points and interpolates
+    for n in (5, 5, 5, 6):
+        m = PolyMatrix.from_rows([
+            [random_laurent(rng, 2, -2).scale(Fraction(1, rng.randint(1, 6)))
+             for _ in range(n)] for _ in range(n)
+        ])
+        expect = det_by_permutations(m)
+        assert m.det() == expect
+        assert m.det_bareiss() == expect
+    zero_row = PolyMatrix.from_rows(
+        [[random_laurent(rng, 2, -2) for _ in range(5)] for _ in range(4)]
+        + [[LaurentPoly.zero()] * 5]
+    )
+    assert zero_row.det().is_zero()
+    assert zero_row.det_bareiss().is_zero()
+    # rows 0 and 1 agree at t = 0 and t = 1 and their first entries vanish
+    # there, as does row 2's once shifted by t, so at both points the
+    # integer elimination meets a zero pivot and the matrix is singular
+    singular_at_0_and_1 = PolyMatrix.from_rows([
+        [parse_laurent(x) for x in row] for row in (
+            ("t^2 - t", "1", "t^2", "2", "0"),
+            ("2*t^2 - 2*t", "1", "t", "2", "0"),
+            ("1", "t", "0", "-1", "t^-1"),
+            ("1/2", "0", "t", "1", "1"),
+            ("3", "t", "1", "0", "1/3*t"),
+        )
+    ])
+    d = singular_at_0_and_1.det()
+    assert d == det_by_permutations(singular_at_0_and_1)
+    assert d == singular_at_0_and_1.det_bareiss()
+    assert not d.is_zero()
+    assert sum(d.terms.values()) == 0  # vanishes at t = 1
 
 
 def test_matrix_inverse_unit_det():
