@@ -247,14 +247,19 @@ def fox_derivative(w, i: int) -> GroupRingElt:
 def apply_phi(e: GroupRingElt, rep) -> PolyMatrix:
     """Phi = (rho tensor alpha): w -> rho(w) * t^alpha(w), extended linearly.
 
-    `rep` supplies constant rational matrices rho(x_i) (with precomputed
-    inverses) and integer exponents alpha(x_i).
+    `rep.phi[i]` holds Phi(x_i) and its inverse as PolyMatrix.
     """
-    k = rep.dim
-    acc = PolyMatrix.zeros(k, k)
+    acc = None
     for w, c in e.terms.items():
-        mat, exp = rep.image_of_word(w)
-        acc = acc + PolyMatrix(
-            k, k, [LaurentPoly.monomial(x * c, exp) if x else LaurentPoly.zero() for x in mat]
-        )
-    return acc
+        term = None
+        for g, s in w.letters:
+            if g not in rep.phi:
+                raise KeyError("generator %d not defined in representation" % g)
+            m = rep.phi[g][0 if s == 1 else 1]
+            term = m if term is None else term * m
+        if term is None:
+            term = PolyMatrix.identity(rep.dim)
+        if c != 1:
+            term = term.scale(LaurentPoly.const(c))
+        acc = term if acc is None else acc + term
+    return PolyMatrix.zeros(rep.dim, rep.dim) if acc is None else acc

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_fraction, split_matrix_literal
@@ -19,54 +18,27 @@ from .presentation import BasedPresentation, check_assumption, build_group_weigh
 from .wgraph import zeta_reciprocal
 
 
-# -- constant rational matrices (flat tuples, row-major) ----------------
-
-def _rmat_id(k: int):
-    return tuple(Fraction(1) if i == j else Fraction(0) for i in range(k) for j in range(k))
-
-
-def _rmat_mul(a, b, k: int):
-    out = []
-    for i in range(k):
-        for j in range(k):
-            out.append(sum(a[i * k + x] * b[x * k + j] for x in range(k)))
-    return tuple(out)
-
-
-def _rmat_inv(a, k: int):
-    """Gauss-Jordan inverse over Q; raises on singular input."""
-    m = [[a[i * k + j] for j in range(k)] + [Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[i][k + j] for i in range(k) for j in range(k))
-
-
 class Representation:
     """Phi = rho tensor alpha: constant invertible rational matrices
-    rho(x_i) twisted by integer abelianization exponents alpha(x_i)."""
+    rho(x_i) twisted by integer abelianization exponents alpha(x_i).
+
+    `phi[i]` holds Phi(x_i) = rho(x_i) * t^alpha(x_i) and its inverse.
+    """
 
     def __init__(self, dim: int, mats: dict, exps: dict):
         self.dim = dim
-        self.mats = {i: tuple(Fraction(x) for x in m) for i, m in mats.items()}
         self.exps = dict(exps)
-        self.invs = {}
-        for i, m in self.mats.items():
+        self.phi = {}
+        for i, m in mats.items():
             if len(m) != dim * dim:
                 raise ValueError("matrix for generator %d is not %dx%d" % (i, dim, dim))
-            self.invs[i] = _rmat_inv(m, dim)  # also proves invertibility
+            phi = PolyMatrix(dim, dim, [LaurentPoly.monomial(x, self.exps[i]) for x in m])
+            # det(Phi) = det(rho) t^(dim alpha) is a unit iff rho is invertible
+            self.phi[i] = (phi, phi.inverse_unit_det())
 
     @staticmethod
     def trivial(gen_indices, dim: int = 1) -> "Representation":
-        ident = _rmat_id(dim)
+        ident = [int(i == j) for i in range(dim) for j in range(dim)]
         return Representation(
             dim, {i: ident for i in gen_indices}, {i: 1 for i in gen_indices}
         )
@@ -75,36 +47,21 @@ class Representation:
     def abelianization(p: BasedPresentation) -> "Representation":
         return Representation.trivial([g.index for g in p.generators], 1)
 
-    def image_of_word(self, w: Word):
-        """(rho(w) as flat Fractions, alpha(w))."""
-        mat = _rmat_id(self.dim)
-        exp = 0
-        for g, s in w.letters:
-            if g not in self.mats:
-                raise KeyError("generator %d not defined in representation" % g)
-            mat = _rmat_mul(mat, self.mats[g] if s == 1 else self.invs[g], self.dim)
-            exp += s * self.exps[g]
-        return mat, exp
-
 
 def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
-    if set(r1.mats) != set(r2.mats):
+    if set(r1.phi) != set(r2.phi):
         raise ValueError("representations have different generator sets")
     if r1.exps != r2.exps:
         raise ValueError("abelianization exponents disagree")
     k1, k2 = r1.dim, r2.dim
-    k = k1 + k2
+    zero = LaurentPoly.zero()
     mats = {}
-    for i in r1.mats:
-        m = [Fraction(0)] * (k * k)
-        for a in range(k1):
-            for b in range(k1):
-                m[a * k + b] = r1.mats[i][a * k1 + b]
-        for a in range(k2):
-            for b in range(k2):
-                m[(k1 + a) * k + (k1 + b)] = r2.mats[i][a * k2 + b]
-        mats[i] = tuple(m)
-    return Representation(k, mats, r1.exps)
+    for i, (a, _) in r1.phi.items():
+        b = r2.phi[i][0]
+        rows = [list(a.row(x)) + [zero] * k2 for x in range(k1)]
+        rows += [[zero] * k1 + list(b.row(x)) for x in range(k2)]
+        mats[i] = [q.coeff(r1.exps[i]) for row in rows for q in row]  # Phi = rho t^alpha
+    return Representation(k1 + k2, mats, r1.exps)
 
 
 def rep_conjugate(r: Representation, p) -> Representation:
@@ -112,9 +69,10 @@ def rep_conjugate(r: Representation, p) -> Representation:
     k = r.dim
     if len(p) != k or any(len(row) != k for row in p):
         raise ValueError("conjugating matrix must be %dx%d" % (k, k))
-    flat = tuple(Fraction(x) for row in p for x in row)
-    pinv = _rmat_inv(flat, k)
-    mats = {i: _rmat_mul(_rmat_mul(flat, m, k), pinv, k) for i, m in r.mats.items()}
+    pm = PolyMatrix(k, k, [LaurentPoly.const(x) for row in p for x in row])
+    pinv = pm.inverse_unit_det()
+    mats = {i: [q.coeff(r.exps[i]) for q in (pm * phi * pinv).entries]
+            for i, (phi, _) in r.phi.items()}
     return Representation(k, mats, r.exps)
 
 
@@ -128,7 +86,11 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
         if not m:
             raise ValueError("bad representation line %r" % line)
         name, mattext, exptext = m.groups()
-        flat = [parse_fraction(cell.strip()) for row in split_matrix_literal(mattext) for cell in row]
+        rows = split_matrix_literal(mattext)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix for %s is not square: row lengths %s"
+                             % (name, [len(row) for row in rows]))
+        flat = [parse_fraction(cell.strip()) for row in rows for cell in row]
         exp = int(exptext) if exptext else 1
         if name == "all":
             default = (flat, exp)
@@ -386,21 +348,16 @@ def _norm(p: LaurentPoly) -> LaurentPoly:
 def fox_matrix(p: BasedPresentation, rep: Representation) -> PolyMatrix:
     """The (relations x generators) block matrix Phi(dr_i/dx_l)."""
     k = rep.dim
-    nrel, ngen = len(p.relations), len(p.generators)
-    blocks = []
-    for i in range(nrel):
-        row = []
-        for g in sorted(p.generators, key=lambda g: g.index):
-            row.append(apply_phi(fox_derivative(p.relations[i], g.index), rep))
-        blocks.append(row)
-    rows = []
-    for i in range(nrel):
+    gens = sorted(g.index for g in p.generators)
+    zero = PolyMatrix.zeros(k, k)
+    entries = []
+    for r in p.relations:
+        used = r.generators()
+        blocks = [apply_phi(fox_derivative(r, g), rep) if g in used else zero for g in gens]
         for a in range(k):
-            row = []
-            for l in range(ngen):
-                row.extend(blocks[i][l].row(a))
-            rows.append(row)
-    return PolyMatrix.from_rows(rows) if rows else PolyMatrix(0, ngen * k, [LaurentPoly.zero()] * 0)
+            for b in blocks:
+                entries.extend(b.row(a))
+    return PolyMatrix(len(p.relations) * k, len(gens) * k, entries)
 
 
 @dataclass(frozen=True)

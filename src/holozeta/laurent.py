@@ -481,14 +481,16 @@ class PolyMatrix:
 
     def det(self) -> LaurentPoly:
         """Cofactor expansion up to 4 x 4; above that, evaluation at the
-        integer points 0..D, integer Bareiss at each, and exact interpolation."""
+        integer points 0..D, integer Bareiss at each, and exact interpolation,
+        or Laurent Bareiss when fewer than D terms are stored (sparse input
+        of high degree, where D + 1 evaluations would dominate)."""
         if self.rows <= 4:
             return self.det_cofactor()
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         # shift each row to exponents 0..span and clear its denominators:
         # det(self) = t^shift / scale * det(rows), rows over Z[t]
-        shift, scale, degree, widest = 0, 1, 0, 0
+        shift, scale, degree, widest, stored = 0, 1, 0, 0, 0
         rows = []
         for i in range(self.rows):
             entries = self.row(i)
@@ -503,6 +505,9 @@ class PolyMatrix:
             span = max(exps) - lo
             degree += span
             widest = max(widest, span)
+            stored += len(exps)
+        if stored < degree:
+            return self.det_bareiss()
         values = []
         for x in range(degree + 1):
             powers = [1]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from holozeta.cli import main
 from holozeta.laurent import LaurentPoly, parse_laurent
@@ -69,6 +73,34 @@ def test_alexander_with_rep_file(tmp_path, capsys):
     assert main(["alexander", "--pd", pd, "--rep", rep, "--route", "direct"]) == 0
     out = capsys.readouterr().out
     assert "numerator: 1 - 3*t + t^2" in out
+
+
+def test_sparse_high_degree_zeta_finishes(tmp_path):
+    # a 5-cycle of t-edges plus a t^100000 loop: degree bound 100004, 11 terms
+    text = "".join("vertex v%d dim=1\n" % i for i in range(5))
+    text += "".join("edge e%d v%d -> v%d weight=[[t]]\n" % (i, i, (i + 1) % 5) for i in range(5))
+    g = _write(tmp_path, "g.wg", text + "edge loop v0 -> v0 weight=[[t^100000]]\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "zeta-reciprocal: 1 - t^5 - t^100000\n"
+
+
+def test_bad_rep_file_exits_2(tmp_path, capsys):
+    pd = _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)
+    cases = (
+        ("x1: [[2]] exp=1\nall: [[1]] exp=1\n", "violates relation 0 ("),  # rho breaks a relation
+        ("x1: [[1]] exp=1\nall: [[1]] exp=2\n", "violates relation 0 ("),  # alpha breaks one
+        ("x1: [[1,1],[1,1]]\nall: [[1,0],[0,1]]\n", "not invertible"),  # singular rho
+    )
+    for text, message in cases:
+        rep = _write(tmp_path, "bad.rep", text)
+        for route in ("graph", "direct", "both"):
+            assert main(["alexander", "--pd", pd, "--rep", rep, "--route", route]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
 
 def test_alexander_gauss_input(tmp_path, capsys):

@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from holozeta.laurent import PolyMatrix, parse_laurent
+from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent
 from holozeta.knot import (
     KnotDiagram,
     MoveMismatch,
@@ -146,6 +147,23 @@ def test_rep_direct_sum_and_conjugate():
     assert a.numerator == b.numerator
     with pytest.raises(ValueError):
         rep_conjugate(rs, [[1]])
+    # a rep that is not a scalar: P rho P^-1 differs from rho, the numerators do not
+    d9 = parse_gauss(_torus_gauss(9))
+    p9 = wirtinger_presentation(d9)
+    s3 = parse_rep(_s3_rep_text(9), p9.name_to_index())
+    s3c = rep_conjugate(s3, [[1, 1], [0, 1]])
+    t = parse_laurent("t")
+    assert s3c.phi[0][0] == PolyMatrix.from_rows([[t, LaurentPoly.zero()], [t, -t]])
+    for route in ("graph", "direct"):
+        assert twisted_alexander(d9, s3c, route).numerator == twisted_alexander(d9, s3, route).numerator
+    # the raw numerator multiplies over a direct sum, by both routes
+    triv = Representation.trivial(range(9))
+    s3_triv = rep_direct_sum(s3, triv)
+    assert s3_triv.dim == 3
+    for route in ("graph", "direct"):
+        assert (twisted_alexander(d9, s3_triv, route).raw_numerator
+                == twisted_alexander(d9, s3, route).raw_numerator
+                * twisted_alexander(d9, triv, route).raw_numerator)
 
 
 def test_parse_rep():
@@ -158,6 +176,11 @@ def test_parse_rep():
     assert rep2.dim == 2
     with pytest.raises(ValueError):
         parse_rep("x9: [[1]]", p.name_to_index())
+    # four cells are not a 2 x 2 matrix unless they are written as one
+    for literal, shape in (("[[1,0,0,1]]", "[4]"), ("[[1],[0],[0],[1]]", "[1, 1, 1, 1]"),
+                           ("[[1,0],[0]]", "[2, 1]")):
+        with pytest.raises(ValueError, match="not square: row lengths " + re.escape(shape)):
+            parse_rep("all: %s" % literal, p.name_to_index())
 
 
 def test_r1_roundtrip():
