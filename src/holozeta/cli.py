@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -93,40 +94,24 @@ def parse_tietze_script(text: str):
     invert <i> | conjugate <i> <word> | multiply <i> <k> |
     multiply_inv <i> <k> | add_generator <name> <word> |
     remove_generator <name>
-    Words are resolved against the presentation at replay time."""
+    Each move is (kind, TietzeMove fields, word text or None); words are
+    resolved against the presentation at replay time."""
     moves = []
     for line in content_lines(text):
-        parts = line.split(None, 2)
-        kind = parts[0]
-        if kind == "invert" and len(parts) == 2:
-            moves.append(("invert", int(parts[1]), None))
-        elif kind == "conjugate" and len(parts) == 3:
-            moves.append(("conjugate", int(parts[1]), parts[2]))
-        elif kind in ("multiply", "multiply_inv") and len(parts) == 3:
-            moves.append((kind, int(parts[1]), int(parts[2])))
-        elif kind == "add_generator" and len(parts) == 3:
-            moves.append(("add_generator", parts[1], parts[2]))
-        elif kind == "remove_generator" and len(parts) == 2:
-            moves.append(("remove_generator", parts[1], None))
+        kind, *args = line.split(None, 2)
+        if kind == "invert" and len(args) == 1:
+            moves.append((kind, {"i": int(args[0])}, None))
+        elif kind == "conjugate" and len(args) == 2:
+            moves.append((kind, {"i": int(args[0])}, args[1]))
+        elif kind in ("multiply", "multiply_inv") and len(args) == 2:
+            moves.append((kind, {"i": int(args[0]), "k": int(args[1])}, None))
+        elif kind == "add_generator" and len(args) == 2:
+            moves.append((kind, {"name": args[0]}, args[1]))
+        elif kind == "remove_generator" and len(args) == 1:
+            moves.append((kind, {"name": args[0]}, None))
         else:
             raise InputError("bad script line %r" % line)
     return moves
-
-
-def replay_tietze_script(p, moves):
-    for kind, a, b in moves:
-        if kind == "invert":
-            m = TietzeMove("invert", i=a)
-        elif kind == "conjugate":
-            m = TietzeMove("conjugate", i=a, w=parse_word(b, p.name_to_index()))
-        elif kind in ("multiply", "multiply_inv"):
-            m = TietzeMove(kind, i=a, k=b)
-        elif kind == "add_generator":
-            m = TietzeMove("add_generator", name=a, w=parse_word(b, p.name_to_index()))
-        else:
-            m = TietzeMove("remove_generator", name=a)
-        p = tietze_apply(p, m)
-    return p
 
 
 def parse_graph_script(text: str):
@@ -272,17 +257,21 @@ def _cmd_tietze_verify(args) -> int:
     p = parse_presentation(_read(args.pres))
     expect = parse_presentation(_read(args.expect))
     moves = parse_tietze_script(_read(args.script))
-    try:
-        final = replay_tietze_script(p, moves)
-    except InvalidMove as exc:
-        print("verified: false")
-        _print_witness({"witness": "invalid move", "detail": str(exc)})
-        return 1
-    ok = presentations_equal(final, expect)
+    for idx, (kind, fields, word) in enumerate(moves):
+        if word is not None:
+            # resolved now, since an earlier add_generator may name a letter
+            fields = dict(fields, w=parse_word(word, p.name_to_index()))
+        try:
+            p = tietze_apply(p, TietzeMove(kind, **fields))
+        except InvalidMove as exc:
+            print("verified: false")
+            _print_witness({"witness": "invalid move", "detail": str(exc), "failing-step": idx})
+            return 1
+    ok = presentations_equal(p, expect)
     print("verified: %s" % ("true" if ok else "false"))
     if not ok:
-        names = final.names()
-        got = "; ".join(r.display(names) for r in final.relations)
+        names = p.names()
+        got = "; ".join(r.display(names) for r in p.relations)
         _print_witness({"witness": "final presentation differs", "got": got})
         return 1
     return 0
@@ -382,6 +371,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first main() call and reused: a build costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="holozeta",

@@ -440,6 +440,15 @@ def _substitute_arc(crossings, old: str, new: str):
     return [Crossing(c.sign, sub(c.under_in), sub(c.under_out), sub(c.over)) for c in crossings]
 
 
+def _crossings_at(d: KnotDiagram, ks, count: int, move: str):
+    """The crossings at ks, which must be count distinct indices into d.crossings."""
+    n = len(d.crossings)
+    if ks is None or len(ks) != count or len(set(ks)) != count or not all(0 <= k < n for k in ks):
+        raise MoveMismatch("%s needs %d distinct crossing indices in range(%d), got %r"
+                           % (move, count, n, ks))
+    return [d.crossings[k] for k in ks]
+
+
 def reidemeister_apply(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
     if m.kind in ("R1_1", "R1_2"):
         return _apply_r1(d, m) if m.forward else _undo_r1(d, m)
@@ -467,9 +476,7 @@ def _apply_r1(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
 
 
 def _undo_r1(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
-    if m.crossing is None or not (0 <= m.crossing < len(d.crossings)):
-        raise MoveMismatch("R1 removal needs a crossing index")
-    c = d.crossings[m.crossing]
+    (c,) = _crossings_at(d, None if m.crossing is None else (m.crossing,), 1, "R1 removal")
     expect_over = c.under_out if m.kind == "R1_1" else c.under_in
     if c.over != expect_over:
         raise MoveMismatch("crossing is not an %s kink" % m.kind)
@@ -500,10 +507,8 @@ def _apply_r2(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
 
 
 def _undo_r2(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
-    if not m.crossings or len(m.crossings) != 2:
-        raise MoveMismatch("R2 removal needs two crossing indices")
+    c1, c2 = _crossings_at(d, m.crossings, 2, "R2 removal")
     k1, k2 = m.crossings
-    c1, c2 = d.crossings[k1], d.crossings[k2]
     if c1.under_out != c2.under_in or c1.over != c2.over or c1.sign != -c2.sign:
         raise MoveMismatch("crossings do not form an R2 pair")
     a, mid, b = c1.under_in, c1.under_out, c2.under_out
@@ -532,10 +537,8 @@ def _apply_r3(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
     Site pattern (all positive): c1 = (A -> A2 over J), c2 = (A2 -> A3
     over K), c3 = (J -> J2 over K); the move swaps c1's over strand to K
     and c2's to J2 (and back again when reversed)."""
-    if not m.crossings or len(m.crossings) != 3:
-        raise MoveMismatch("R3 needs three crossing indices")
-    k1, k2, k3 = m.crossings
-    c1, c2, c3 = (d.crossings[k] for k in (k1, k2, k3))
+    c1, c2, c3 = _crossings_at(d, m.crossings, 3, "R3")
+    k1, k2, _ = m.crossings
     if not (c1.sign == c2.sign == c3.sign == 1):
         raise MoveMismatch("only the all-positive R3 pattern is implemented")
     if c1.under_out != c2.under_in:

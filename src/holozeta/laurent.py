@@ -65,11 +65,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no minimal exponent")
         return min(self.terms)
 
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no maximal exponent")
-        return max(self.terms)
-
     def coeff(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
 
@@ -103,10 +98,6 @@ class LaurentPoly:
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
         return LaurentPoly({e: v * c for e, v in self.terms.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

@@ -113,25 +113,17 @@ def _reduce_track(letters, marked: int):
     return tuple(out), new_marked, None
 
 
-def reduce_tracked(letters, marked: int):
-    """Freely reduce while tracking one marked position; raises
-    InvalidMove if the marked letter is cancelled."""
-    reduced, new_marked, _ = _reduce_track(letters, marked)
-    if reduced is None:
-        raise InvalidMove("base-point letter cancelled by free reduction")
-    return reduced, new_marked
-
-
-def _reduce_tracked_conj(letters, marked: int, wlen: int, rlen: int):
-    """Tracked reduction for a conjugate w r w^-1.
+def _reduce_tracked(letters, marked: int, wlen: int):
+    """Tracked reduction of w r w^-1 with |w| = wlen (wlen = 0 for a
+    product r s, whose s then counts as part of r).
 
     When the marked letter cancels against a conjugator letter, the base
     occurrence transfers to that letter's mirror on the other side of r,
     which carries the same generator; cancellation against a letter of r
-    itself still invalidates the move.
+    itself invalidates the move.
     """
-    total = len(letters)
-    for _ in range(total + 1):
+    rlen = len(letters) - 2 * wlen
+    for _ in range(len(letters) + 1):
         reduced, new_marked, partner = _reduce_track(letters, marked)
         if reduced is not None:
             return reduced, new_marked
@@ -194,44 +186,29 @@ def tietze_apply(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
             new_pos = len(r.letters) - 1 - pos
             base[m.i] = (g, _ordinal_of_position(relations[m.i].letters, new_pos))
 
-    elif m.kind == "conjugate":
+    elif m.kind in ("conjugate", "multiply", "multiply_inv"):
+        # the new relation is head + r + tail: w r w^-1, or r times the
+        # other relation or its inverse
         r = relations[m.i]
-        w = m.w if m.w is not None else Word.identity()
-        letters = w.letters + r.letters + w.inv().letters
+        if m.kind == "conjugate":
+            w = m.w if m.w is not None else Word.identity()
+            head, tail = w.letters, w.inv().letters
+            empty = "conjugation produced an empty relation"
+        else:
+            if m.i == m.k:
+                raise InvalidMove("cannot multiply a relation by itself")
+            other = relations[m.k] if m.kind == "multiply" else relations[m.k].inv()
+            head, tail = (), other.letters
+            empty = "product relation is empty"
+        letters = head + r.letters + tail
         if m.i in base:
             g, _ = base[m.i]
-            marked = len(w.letters) + _position_of_base(r, base[m.i])
-            reduced, new_marked = _reduce_tracked_conj(
-                letters, marked, len(w.letters), len(r.letters)
-            )
-            if not reduced:
-                raise InvalidMove("conjugation produced an empty relation")
-            relations[m.i] = Word.from_reduced(reduced)
-            base[m.i] = (g, _ordinal_of_position(reduced, new_marked))
-        else:
-            relations[m.i] = Word(letters)
-            if relations[m.i].is_identity():
-                raise InvalidMove("conjugation produced an empty relation")
-
-    elif m.kind in ("multiply", "multiply_inv"):
-        if m.i == m.k:
-            raise InvalidMove("cannot multiply a relation by itself")
-        r, other = relations[m.i], relations[m.k]
-        if m.kind == "multiply_inv":
-            other = other.inv()
-        letters = r.letters + other.letters
-        if m.i in base:
-            g, _ = base[m.i]
-            marked = _position_of_base(r, base[m.i])
-            reduced, new_marked = reduce_tracked(letters, marked)
-            if not reduced:
-                raise InvalidMove("product relation is empty")
-            relations[m.i] = Word.from_reduced(reduced)
-            base[m.i] = (g, _ordinal_of_position(reduced, new_marked))
-        else:
-            relations[m.i] = Word(letters)
-            if relations[m.i].is_identity():
-                raise InvalidMove("product relation is empty")
+            marked = len(head) + _position_of_base(r, base[m.i])
+            letters, marked = _reduce_tracked(letters, marked, len(head))
+            base[m.i] = (g, _ordinal_of_position(letters, marked))
+        relations[m.i] = Word(letters)
+        if relations[m.i].is_identity():
+            raise InvalidMove(empty)
 
     elif m.kind == "add_generator":
         names = p.name_to_index()

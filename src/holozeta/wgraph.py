@@ -3,8 +3,9 @@
 Weights are either PolyMatrix blocks (matrix-weighted) or free group
 ring elements (group-weighted, all vertex dimensions 1).  The zeta
 reciprocal is det(I - A); the Euler product over prime cycle classes
-is kept as an independent oracle.  apply_transform implements the
-elementary rewrite rules that leave the zeta function fixed.
+is kept as an independent oracle.  apply_step applies the elementary
+rewrite rules that leave the zeta function fixed, looked up in one rule
+table per weight ring.
 """
 from __future__ import annotations
 
@@ -112,21 +113,8 @@ class TransformStep:
     witness: Optional[Word] = None  # group source elimination / insertion
     gen_map: Optional[dict] = None  # vertex id -> generator index for the witness
 
-    KINDS = (
-        "change_basis",
-        "null_add",
-        "null_remove",
-        "merge",
-        "split",
-        "eliminate",
-        "insert",
-        "hub_resolve",
-        "hub_unresolve",
-        "reverse_all",
-    )
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in _MATRIX_STEPS:
             raise ValueError("unknown transform kind %r" % self.kind)
 
 
@@ -256,75 +244,13 @@ def _replace_edges(g: WeightedDigraph, edges) -> WeightedDigraph:
     return WeightedDigraph(g.kind, g.vertices, tuple(edges))
 
 
-def apply_transform(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
-    """Apply one matrix-level elementary transformation."""
-    if g.kind != "matrix":
-        raise InvalidStep("apply_transform expects a matrix-weighted graph")
-    if s.kind == "change_basis":
-        return _change_basis(g, s)
-    if s.kind == "null_add":
-        return _null_add(g, s)
-    if s.kind == "null_remove":
-        return _null_remove(g, s)
-    if s.kind == "merge":
-        return _merge(g, s)
-    if s.kind == "split":
-        return _split(g, s)
-    if s.kind == "eliminate":
-        return _eliminate(g, s)
-    if s.kind == "insert":
-        return _insert(g, s)
-    if s.kind == "hub_resolve":
-        return _hub_resolve(g, s)
-    if s.kind == "hub_unresolve":
-        return _hub_unresolve(g, s)
-    if s.kind == "reverse_all":
-        return _reverse_all(g)
-    raise InvalidStep("unsupported step %r" % s.kind)
-
-
-def apply_group_transform(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
-    """Apply one group-level elementary transformation (G1)-(G4)."""
-    if g.kind != "group":
-        raise InvalidStep("apply_group_transform expects a group-weighted graph")
-    # (G1) side condition: the origin of the null edge must not be a sink
-    # once the null edge is disregarded
-    if s.kind == "null_add":
-        h = _null_add(g, s)
-        if not [x for x in g.out_edges(s.src)]:
-            raise InvalidStep("null-edge origin %r is a sink" % s.src)
-        return h
-    if s.kind == "null_remove":
-        origin = g.edge(s.edge).src
-        h = _null_remove(g, s)
-        if not h.out_edges(origin):
-            raise InvalidStep("null-edge origin %r would become a sink" % origin)
-        return h
-    if s.kind == "merge":
-        return _merge(g, s)
-    if s.kind == "split":
-        return _split(g, s)
-    if s.kind == "eliminate":
-        return _g3_eliminate(g, s)
-    if s.kind == "insert":
-        return _g3_insert(g, s)
-    if s.kind == "hub_resolve":
-        return _hub_resolve(g, s)
-    if s.kind == "hub_unresolve":
-        return _hub_unresolve(g, s)
-    raise InvalidStep("unsupported group-level step %r" % s.kind)
-
-
 def apply_step(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
-    return apply_transform(g, s) if g.kind == "matrix" else apply_group_transform(g, s)
-
-
-def _null_id(s: TransformStep) -> str:
-    if s.new_ids:
-        return s.new_ids[0]
-    if s.edge:
-        return s.edge
-    raise InvalidStep("null_add needs an edge id (edge= or new_ids=)")
+    """Apply one elementary transformation: the matrix-level rules, or
+    (G1)-(G4) on a group-weighted graph."""
+    steps = _MATRIX_STEPS if g.kind == "matrix" else _GROUP_STEPS
+    if s.kind not in steps:
+        raise InvalidStep("unsupported group-level step %r" % s.kind)
+    return steps[s.kind](g, s)
 
 
 def _change_basis(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
@@ -353,9 +279,10 @@ def _change_basis(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
 def _null_add(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     if not (g.has_vertex(s.src) and g.has_vertex(s.tgt)):
         raise InvalidStep("null edge endpoints missing")
-    eid = _null_id(s)
+    if not s.edge:
+        raise InvalidStep("null_add needs an edge id (edge=)")
     w = _zero_weight(g, s.src, s.tgt)
-    return _replace_edges(g, g.edges + (Edge(eid, s.src, s.tgt, w),))
+    return _replace_edges(g, g.edges + (Edge(s.edge, s.src, s.tgt, w),))
 
 
 def _null_remove(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
@@ -445,6 +372,8 @@ def _hub_unresolve(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("hub edge endpoints must differ")
     if u is None:
         raise InvalidStep("hub_unresolve needs the hub edge weight")
+    if not s.edge:
+        raise InvalidStep("hub_unresolve needs the hub edge id (edge=)")
     out = {f.id: f for f in g.out_edges(v2)}
     pairs = s.pairs or ()
     if sorted(out) != sorted(fid for _, fid in pairs):
@@ -458,22 +387,32 @@ def _hub_unresolve(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         if r.weight != u * f.weight:
             raise InvalidStep("edge %r is not the hub product for %r" % (rid, fid))
         removed.add(rid)
-    eid = s.edge or (s.new_ids[0] if s.new_ids else "hub_%s_%s" % (v1, v2))
     edges = [x for x in g.edges if x.id not in removed]
-    return _replace_edges(g, edges + [Edge(eid, v1, v2, u)])
+    return _replace_edges(g, edges + [Edge(s.edge, v1, v2, u)])
 
 
-def _reverse_all(g: WeightedDigraph) -> WeightedDigraph:
+def _reverse_all(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     """Reverse every edge; matrix weights are transposed so that the
     determinant of every cycle weight is preserved."""
     edges = [Edge(e.id, e.tgt, e.src, e.weight.transpose()) for e in g.edges]
     return _replace_edges(g, edges)
 
 
-def _witness_map(g: WeightedDigraph, s: TransformStep) -> dict:
-    if s.gen_map is not None:
-        return dict(s.gen_map)
-    return {vid: i for i, (vid, _) in enumerate(g.vertices)}
+def _g1_null_add(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
+    """(G1) side condition: the origin of the null edge must not be a sink
+    once the null edge is disregarded."""
+    h = _null_add(g, s)
+    if not g.out_edges(s.src):
+        raise InvalidStep("null-edge origin %r is a sink" % s.src)
+    return h
+
+
+def _g1_null_remove(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
+    origin = g.edge(s.edge).src
+    h = _null_remove(g, s)
+    if not h.out_edges(origin):
+        raise InvalidStep("null-edge origin %r would become a sink" % origin)
+    return h
 
 
 def _g3_eliminate(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
@@ -487,9 +426,7 @@ def _g3_eliminate(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     if s.witness is None:
         raise InvalidStep("source elimination needs a witness word")
     _verify_witness(g, v, s)
-    vertices = tuple(x for x in g.vertices if x[0] != v)
-    edges = tuple(e for e in g.edges if v not in (e.src, e.tgt))
-    return WeightedDigraph(g.kind, vertices, edges)
+    return _eliminate(g, s)
 
 
 def _g3_insert(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
@@ -503,7 +440,9 @@ def _g3_insert(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
 
 
 def _verify_witness(g: WeightedDigraph, v: str, s: TransformStep):
-    gen_of = _witness_map(g, s)
+    gen_of = s.gen_map
+    if gen_of is None:
+        gen_of = {vid: i for i, (vid, _) in enumerate(g.vertices)}
     f = s.witness
     sums = {}
     for e in g.out_edges(v):
@@ -520,6 +459,32 @@ def _verify_witness(g: WeightedDigraph, v: str, s: TransformStep):
                 "witness fails at generator %d: df/dx = %r but edges sum to %r"
                 % (j, expect, got)
             )
+
+
+_MATRIX_STEPS = {
+    "change_basis": _change_basis,
+    "null_add": _null_add,
+    "null_remove": _null_remove,
+    "merge": _merge,
+    "split": _split,
+    "eliminate": _eliminate,
+    "insert": _insert,
+    "hub_resolve": _hub_resolve,
+    "hub_unresolve": _hub_unresolve,
+    "reverse_all": _reverse_all,
+}
+
+# the group ring has no basis change and no transpose
+_GROUP_STEPS = {
+    "null_add": _g1_null_add,
+    "null_remove": _g1_null_remove,
+    "merge": _merge,
+    "split": _split,
+    "eliminate": _g3_eliminate,
+    "insert": _g3_insert,
+    "hub_resolve": _hub_resolve,
+    "hub_unresolve": _hub_unresolve,
+}
 
 
 # -- script verification -------------------------------------------------

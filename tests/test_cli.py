@@ -279,3 +279,65 @@ def test_witness_line_is_json(tmp_path, capsys):
     main(runs[2])
     assert _last_json(capsys.readouterr().out) == {
         "witness": "alexander pair condition fails", "at": "(cond=1, a=0)"}
+
+
+def test_tietze_witness_names_the_failing_move(tmp_path, capsys):
+    pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
+    script = _write(tmp_path, "s.tz", "invert 0\nmultiply 0 0\ninvert 0\n")
+    assert main(["tietze-verify", "--pres", pres, "--script", script, "--expect", pres]) == 1
+    assert _last_json(capsys.readouterr().out) == {
+        "witness": "invalid move", "detail": "cannot multiply a relation by itself",
+        "failing-step": 1}
+
+
+def test_stdout_of_every_subcommand(tmp_path, capsys):
+    """Whole stdout of one run per subcommand, pinned byte for byte."""
+    graph = _graph_file(tmp_path)
+    q = dihedral_quandle(3)
+    q3 = _write(tmp_path, "q3.txt", format_quandle(q))
+    f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
+    lines = format_pair_file(f).splitlines()
+    lines[4] = ", ".join(["7"] * 3)
+    tietze = "conjugate 1 xj\nmultiply 0 1\nmultiply_inv 0 2\ninvert 2\n" \
+             "add_generator y xk xj^-1\nremove_generator y\n"
+    steps = "null_add z1 u v\nnull_remove z1\nsplit e1 a=[[t-1]] b=[[1]]\nmerge u v e1\n" \
+            "change_basis u [[2]]\ninsert w 1 f w u [[3]]\neliminate w\nhub_resolve e2\n" \
+            "hub_unresolve e2 v u [[1/2]] e2*e1:e1 e2*e3:e3\nchange_basis u [[1/2]]\n" \
+            "reverse_all\nreverse_all\n"
+    runs = [
+        (["zeta", "--graph", graph, "--check-euler"], 0,
+         "zeta-reciprocal: -1 - t\neuler-agrees: true\n"),
+        (["alexander", "--pd", _write(tmp_path, "f8.pd", fixtures.FIGURE_EIGHT_PD),
+          "--route", "both"], 0,
+         "numerator: 1 - 3*t + t^2\ndenominator: 1 - t\nroutes-agree: true\n"),
+        (["tietze-verify",
+          "--pres", _write(tmp_path, "p.txt",
+                           format_presentation(fixtures.slide_presentation_before())),
+          "--script", _write(tmp_path, "s.tz", tietze),
+          "--expect", _write(tmp_path, "q.txt",
+                             format_presentation(fixtures.slide_presentation_after()))], 1,
+         'verified: false\n{"witness": "final presentation differs", "got": '
+         '"xi xj xk xi2^-1 xk^-1 xj^-1 xk xj1 xk^-1 xj^-1; xj xi1 xk xi2^-1 xk^-1 xj^-1; '
+         'xk xj1 xk^-1 xj^-1"}\n'),
+        (["graph-verify", "--graph", graph, "--script", _write(tmp_path, "s.gs", steps),
+          "--expect", graph], 0,
+         "verified: true\nzeta-left: -1 - t\nzeta-right: -1 - t\n"),
+        (["quandle-check", "--quandle", q3], 0, "valid: true\nsize: 3\n"),
+        (["pair-check", "--quandle", q3, "--pair", _write(tmp_path, "bad.txt", "\n".join(lines))],
+         1, 'valid: false\n{"witness": "alexander pair condition fails", "at": "(cond=1, a=0)"}\n'),
+        (["holonomy-check", "--quandle", q3, "--perturb", "3", "--weights",
+          _write(tmp_path, "w.txt", format_weights_file(f_twisted_weights(f, q)))], 0,
+         "holonomy-preserved: true\nperturbations-rejected: 3/3\n"),
+        (["colorings", "--quandle", q3, "--pd", _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)],
+         0, "count: 9\ncoloring: a1=0 a2=0 a3=0\ncoloring: a1=0 a2=1 a3=2\n"
+            "coloring: a1=0 a2=2 a3=1\ncoloring: a1=1 a2=0 a3=2\ncoloring: a1=1 a2=1 a3=1\n"
+            "coloring: a1=1 a2=2 a3=0\ncoloring: a1=2 a2=0 a3=1\ncoloring: a1=2 a2=1 a3=0\n"
+            "coloring: a1=2 a2=2 a3=2\n"),
+        (["export-dot", "--graph", graph], 0,
+         'digraph G {\n  "u" [label="u"];\n  "v" [label="v"];\n'
+         '  "u" -> "v" [label="[[t]]"];\n  "v" -> "u" [label="[[1]]"];\n'
+         '  "u" -> "u" [label="[[2]]"];\n}\n'),
+    ]
+    for argv, code, stdout in runs:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == stdout, argv

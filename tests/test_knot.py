@@ -231,6 +231,23 @@ def test_r3_rejects_wrong_site():
         reidemeister_apply(before, ReidemeisterMove("R3", crossings=(0, 1, 2)))
 
 
+def test_crossing_indices_are_checked():
+    d = fixtures.trefoil()
+    e = reidemeister_apply(d, ReidemeisterMove("R2", arc="a1", over_arc="a3", sign=1))
+    before, _ = fixtures.r3_pair()
+    cases = (
+        (e, ReidemeisterMove("R2", forward=False, crossings=(5, 6))),
+        (e, ReidemeisterMove("R2", forward=False, crossings=(-2, -1))),
+        (e, ReidemeisterMove("R2", forward=False, crossings=(3, 3))),
+        (e, ReidemeisterMove("R1_1", forward=False, crossing=-1)),
+        (before, ReidemeisterMove("R3", crossings=(-3, -2, -1))),
+        (before, ReidemeisterMove("R3", crossings=(1, 2, 4))),
+    )
+    for diagram, move in cases:
+        with pytest.raises(MoveMismatch, match="distinct crossing indices in range"):
+            reidemeister_apply(diagram, move)
+
+
 def test_reidemeister_invariance_of_alexander():
     for label, before, after in fixtures.reidemeister_fixture_pairs():
         rep_b = Representation.trivial(range(len(before.arcs)))

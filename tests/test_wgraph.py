@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from holozeta import fixtures
+from holozeta.freegroup import GroupRingElt, Word
 from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent, series_det_inverse
 from holozeta.wgraph import (
     Edge,
@@ -156,6 +158,32 @@ def test_reverse_all_preserves_zeta():
         g = random_matrix_graph(rng)
         h = apply_step(g, TransformStep("reverse_all"))
         assert zeta_reciprocal(h) == zeta_reciprocal(g)
+
+
+def test_group_level_rejections():
+    g = fixtures.slide_graph_before()
+    gm = fixtures.slide_gen_map()
+    resolved = apply_step(g, TransformStep("hub_resolve", edge="e0_xi1"))
+    one = GroupRingElt.one()
+    cases = (
+        (g, TransformStep("null_add", edge="z", src="xk", tgt="xi"), "is a sink"),
+        (g, TransformStep("eliminate", vertex="xi1", witness=Word.gen(0), gen_map=gm),
+         "is not a source"),
+        (resolved, TransformStep("eliminate", vertex="xi1", witness=Word.gen(0), gen_map=gm),
+         "witness fails at generator 0"),
+        (g, TransformStep("change_basis", vertex="xi", matrix=PolyMatrix.identity(1)),
+         "unsupported group-level step"),
+        (g, TransformStep("reverse_all"), "unsupported group-level step"),
+        (g, TransformStep("insert", vertex="s", dim=1, edges=(("f", "xi", "s", one),),
+                          witness=Word.gen(0), gen_map=gm), "must be a source"),
+    )
+    for h, step, message in cases:
+        with pytest.raises(InvalidStep, match=message):
+            apply_step(h, step)
+    pair = WeightedDigraph("group", (("a", 1), ("b", 1)),
+                           (Edge("z", "a", "b", GroupRingElt.zero()),))
+    with pytest.raises(InvalidStep, match="would become a sink"):
+        apply_step(pair, TransformStep("null_remove", edge="z"))
 
 
 def test_verify_equivalence_reports():
