@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import random
@@ -57,9 +58,13 @@ def _read(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc))
 
 
-def _print_witness(fields: dict):
-    """The exit-1 witness: one line of JSON, ending stdout."""
-    print(json.dumps(fields, ensure_ascii=False))
+class VerificationFailed(Exception):
+    """A failed check: `main` prints `fields` as the closing JSON witness
+    line and exits 1."""
+
+    def __init__(self, fields: dict):
+        super().__init__(fields["witness"])
+        self.fields = fields
 
 
 def _seed() -> int:
@@ -87,132 +92,106 @@ def _load_rep(args, presentation):
     return rep
 
 
-# -- script file parsing -------------------------------------------------
+# -- move scripts ----------------------------------------------------------
 
-def parse_tietze_script(text: str):
-    """One move per line:
-    invert <i> | conjugate <i> <word> | multiply <i> <k> |
-    multiply_inv <i> <k> | add_generator <name> <word> |
-    remove_generator <name>
-    Each move is (kind, TietzeMove fields, word text or None); words are
-    resolved against the presentation at replay time."""
+_signature = functools.cache(inspect.signature)  # 20 us uncached, per script line
+
+
+def _read_script(text: str, grammar: dict, maxsplit: int = -1):
+    """(kind, fields) for each line `<kind> <arg> ...`, read through the
+    kind's (usage, builder) entry in `grammar`.  The builder's parameters
+    set the argument count; any bad line is an InputError naming it."""
     moves = []
     for line in content_lines(text):
-        kind, *args = line.split(None, 2)
-        if kind == "invert" and len(args) == 1:
-            moves.append((kind, {"i": int(args[0])}, None))
-        elif kind == "conjugate" and len(args) == 2:
-            moves.append((kind, {"i": int(args[0])}, args[1]))
-        elif kind in ("multiply", "multiply_inv") and len(args) == 2:
-            moves.append((kind, {"i": int(args[0]), "k": int(args[1])}, None))
-        elif kind == "add_generator" and len(args) == 2:
-            moves.append((kind, {"name": args[0]}, args[1]))
-        elif kind == "remove_generator" and len(args) == 1:
-            moves.append((kind, {"name": args[0]}, None))
-        else:
-            raise InputError("bad script line %r" % line)
+        kind, *args = line.split(None, maxsplit)
+        try:
+            if kind not in grammar:
+                raise ValueError("unknown move %r, expected one of %s"
+                                 % (kind, ", ".join(grammar)))
+            usage, build = grammar[kind]
+            try:
+                _signature(build).bind(*args)
+            except TypeError:
+                raise ValueError("expected %s" % usage) from None
+            moves.append((kind, build(*args)))
+        except ValueError as exc:
+            raise InputError("bad script line %r: %s" % (line, exc)) from None
     return moves
 
 
+def _split_pair(chunk: str, sep: str) -> tuple:
+    a, found, b = chunk.partition(sep)
+    if not found:
+        raise ValueError("expected <a>%s<b>, got %r" % (sep, chunk))
+    return a, b
+
+
+def _insert_fields(vertex, dim, *rest):
+    if len(rest) % 4:
+        raise ValueError("insert edges come in id src tgt matrix groups")
+    edges = tuple((rest[k], rest[k + 1], rest[k + 2], parse_matrix_literal(rest[k + 3]))
+                  for k in range(0, len(rest), 4))
+    return dict(vertex=vertex, dim=int(dim), edges=edges)
+
+
+def _split_fields(edge, *chunks):
+    pairs = [_split_pair(c, "=") for c in chunks]
+    return dict(edge=edge, new_ids=tuple(name for name, _ in pairs),
+                summands=tuple(parse_matrix_literal(m) for _, m in pairs))
+
+
+# kind -> (usage, builder of (TietzeMove fields, word text or None)); words
+# are resolved at replay time, since an add_generator may name a letter
+_TIETZE_SCRIPT = {
+    "invert": ("invert <i>", lambda i: ({"i": int(i)}, None)),
+    "conjugate": ("conjugate <i> <word>", lambda i, w: ({"i": int(i)}, w)),
+    "multiply": ("multiply <i> <k>", lambda i, k: ({"i": int(i), "k": int(k)}, None)),
+    "multiply_inv": ("multiply_inv <i> <k>", lambda i, k: ({"i": int(i), "k": int(k)}, None)),
+    "add_generator": ("add_generator <name> <word>", lambda name, w: ({"name": name}, w)),
+    "remove_generator": ("remove_generator <name>", lambda name: ({"name": name}, None)),
+}
+
+# kind -> (usage, builder of TransformStep fields), matrix-graph flavor
+_GRAPH_SCRIPT = {
+    "change_basis": ("change_basis <vertex> <matrix>", lambda vertex, *matrix: dict(
+        vertex=vertex, matrix=parse_matrix_literal(" ".join(matrix)))),
+    "null_add": ("null_add <id> <src> <tgt>",
+                 lambda edge, src, tgt: dict(edge=edge, src=src, tgt=tgt)),
+    "null_remove": ("null_remove <id>", lambda edge: dict(edge=edge)),
+    "merge": ("merge <src> <tgt> [<id>]", lambda src, tgt, new_id=None: dict(
+        src=src, tgt=tgt, new_ids=(new_id,) if new_id else None)),
+    "split": ("split <id> <newid>=<matrix> ...", _split_fields),
+    "eliminate": ("eliminate <vertex>", lambda vertex: dict(vertex=vertex)),
+    "insert": ("insert <vertex> <dim> [<id> <src> <tgt> <matrix> ...]", _insert_fields),
+    "hub_resolve": ("hub_resolve <id>", lambda edge: dict(edge=edge)),
+    "hub_unresolve": ("hub_unresolve <id> <src> <tgt> <matrix> <removed>:<out> ...",
+                      lambda edge, src, tgt, weight, *pairs: dict(
+                          edge=edge, src=src, tgt=tgt, weight=parse_matrix_literal(weight),
+                          pairs=tuple(_split_pair(c, ":") for c in pairs))),
+    "reverse_all": ("reverse_all", lambda: {}),
+}
+
+
+def parse_tietze_script(text: str):
+    """[(kind, TietzeMove fields, word text or None)], one move per line."""
+    return [(kind, fields, word)
+            for kind, (fields, word) in _read_script(text, _TIETZE_SCRIPT, maxsplit=2)]
+
+
 def parse_graph_script(text: str):
-    """One transform per line, matrix-graph flavor:
-    change_basis <vertex> <matrix> | null_add <id> <src> <tgt> |
-    null_remove <id> | merge <src> <tgt> [id] |
-    split <id> <newid>=<matrix> ... | eliminate <vertex> |
-    insert <vertex> <dim> [<id> <src> <tgt> <matrix> ...] |
-    hub_resolve <id> |
-    hub_unresolve <id> <src> <tgt> <matrix> <removed>:<out> ... |
-    reverse_all"""
-    steps = []
-    for line in content_lines(text):
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "change_basis":
-                steps.append(
-                    TransformStep(
-                        "change_basis",
-                        vertex=parts[1],
-                        matrix=parse_matrix_literal(" ".join(parts[2:])),
-                    )
-                )
-            elif kind == "null_add":
-                steps.append(
-                    TransformStep("null_add", edge=parts[1], src=parts[2], tgt=parts[3])
-                )
-            elif kind == "null_remove":
-                steps.append(TransformStep("null_remove", edge=parts[1]))
-            elif kind == "merge":
-                new_ids = (parts[3],) if len(parts) > 3 else None
-                steps.append(
-                    TransformStep("merge", src=parts[1], tgt=parts[2], new_ids=new_ids)
-                )
-            elif kind == "split":
-                ids, mats = [], []
-                for chunk in parts[2:]:
-                    name, mat = chunk.split("=", 1)
-                    ids.append(name)
-                    mats.append(parse_matrix_literal(mat))
-                steps.append(
-                    TransformStep(
-                        "split",
-                        edge=parts[1],
-                        summands=tuple(mats),
-                        new_ids=tuple(ids),
-                    )
-                )
-            elif kind == "eliminate":
-                steps.append(TransformStep("eliminate", vertex=parts[1]))
-            elif kind == "insert":
-                rest = parts[3:]
-                if len(rest) % 4:
-                    raise InputError("insert edges come in id src tgt matrix groups")
-                edges = []
-                for k in range(0, len(rest), 4):
-                    edges.append(
-                        (
-                            rest[k],
-                            rest[k + 1],
-                            rest[k + 2],
-                            parse_matrix_literal(rest[k + 3]),
-                        )
-                    )
-                steps.append(
-                    TransformStep(
-                        "insert",
-                        vertex=parts[1],
-                        dim=int(parts[2]),
-                        edges=tuple(edges),
-                    )
-                )
-            elif kind == "hub_resolve":
-                steps.append(TransformStep("hub_resolve", edge=parts[1]))
-            elif kind == "hub_unresolve":
-                pairs = tuple(tuple(c.split(":", 1)) for c in parts[5:])
-                steps.append(
-                    TransformStep(
-                        "hub_unresolve",
-                        edge=parts[1],
-                        src=parts[2],
-                        tgt=parts[3],
-                        weight=parse_matrix_literal(parts[4]),
-                        pairs=pairs,
-                    )
-                )
-            elif kind == "reverse_all":
-                steps.append(TransformStep("reverse_all"))
-            else:
-                raise InputError("unknown transform %r" % kind)
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError("bad script line %r: %s" % (line, exc))
-    return steps
+    """[TransformStep], one transform per line."""
+    return [TransformStep(kind, **fields) for kind, fields in _read_script(text, _GRAPH_SCRIPT)]
 
 
 # -- subcommands ---------------------------------------------------------
 
-def _cmd_zeta(args) -> int:
+def _flag(key: str, ok: bool) -> bool:
+    """Print the report line `key: true|false` and return ok."""
+    print("%s: %s" % (key, "true" if ok else "false"))
+    return ok
+
+
+def _cmd_zeta(args):
     g = parse_graph(_read(args.graph))
     z = zeta_reciprocal(g)
     print("zeta-reciprocal: %s" % z)
@@ -220,15 +199,11 @@ def _cmd_zeta(args) -> int:
         order = args.order
         lhs = euler_product_oracle(g, max_len=order)
         rhs = series_det_inverse(adjacency_matrix(g), order)
-        agree = lhs == rhs
-        print("euler-agrees: %s" % ("true" if agree else "false"))
-        if not agree:
-            _print_witness({"witness": "euler-product mismatch at order %d" % order})
-            return 1
-    return 0
+        if not _flag("euler-agrees", lhs == rhs):
+            raise VerificationFailed({"witness": "euler-product mismatch at order %d" % order})
 
 
-def _cmd_alexander(args) -> int:
+def _cmd_alexander(args):
     d = _load_diagram(args)
     pres = wirtinger_presentation(d)
     rep = _load_rep(args, pres)
@@ -239,21 +214,19 @@ def _cmd_alexander(args) -> int:
     print("numerator: %s" % r0.numerator)
     print("denominator: %s" % r0.denominator)
     if r0.denominator_vanishes:
-        print("denominator-vanishes: true")
+        _flag("denominator-vanishes", True)
     if args.route == "both":
         agree = (
             results[0].numerator == results[1].numerator
             and results[0].denominator == results[1].denominator
         )
-        print("routes-agree: %s" % ("true" if agree else "false"))
-        if not agree:
-            _print_witness({"witness": "route mismatch", "graph": str(results[0].numerator),
-                            "direct": str(results[1].numerator)})
-            return 1
-    return 0
+        if not _flag("routes-agree", agree):
+            raise VerificationFailed({"witness": "route mismatch",
+                                      "graph": str(results[0].numerator),
+                                      "direct": str(results[1].numerator)})
 
 
-def _cmd_tietze_verify(args) -> int:
+def _cmd_tietze_verify(args):
     p = parse_presentation(_read(args.pres))
     expect = parse_presentation(_read(args.expect))
     moves = parse_tietze_script(_read(args.script))
@@ -264,68 +237,58 @@ def _cmd_tietze_verify(args) -> int:
         try:
             p = tietze_apply(p, TietzeMove(kind, **fields))
         except InvalidMove as exc:
-            print("verified: false")
-            _print_witness({"witness": "invalid move", "detail": str(exc), "failing-step": idx})
-            return 1
-    ok = presentations_equal(p, expect)
-    print("verified: %s" % ("true" if ok else "false"))
-    if not ok:
+            _flag("verified", False)
+            raise VerificationFailed({"witness": "invalid move", "detail": str(exc),
+                                      "failing-step": idx})
+    if not _flag("verified", presentations_equal(p, expect)):
         names = p.names()
         got = "; ".join(r.display(names) for r in p.relations)
-        _print_witness({"witness": "final presentation differs", "got": got})
-        return 1
-    return 0
+        raise VerificationFailed({"witness": "final presentation differs", "got": got})
 
 
-def _cmd_graph_verify(args) -> int:
+def _cmd_graph_verify(args):
     g = parse_graph(_read(args.graph))
     h = parse_graph(_read(args.expect))
     steps = parse_graph_script(_read(args.script))
     report = verify_equivalence(g, steps, h, mode=args.mode)
-    print("verified: %s" % ("true" if report.ok else "false"))
+    _flag("verified", report.ok)
     if report.zeta_left is not None:
         print("zeta-left: %s" % report.zeta_left)
         print("zeta-right: %s" % report.zeta_right)
     if not report.ok:
-        _print_witness({"witness": report.message, "failing-step": report.failing_step})
-        return 1
-    return 0
+        raise VerificationFailed({"witness": report.message, "failing-step": report.failing_step})
 
 
-def _cmd_quandle_check(args) -> int:
+def _cmd_quandle_check(args):
     try:
         q = qmod.parse_quandle(_read(args.quandle))
     except qmod.QuandleError as exc:
-        print("valid: false")
-        _print_witness({"witness": str(exc), "at": str(exc.witness)})
-        return 1
-    print("valid: true")
+        _flag("valid", False)
+        raise VerificationFailed({"witness": str(exc), "at": str(exc.witness)})
+    _flag("valid", True)
     print("size: %d" % q.n)
-    return 0
 
 
-def _cmd_pair_check(args) -> int:
+def _cmd_pair_check(args):
     q = qmod.parse_quandle(_read(args.quandle))
     try:
         qmod.parse_pair_file(_read(args.pair), q)
     except qmod.PairConditionError as exc:
-        print("valid: false")
+        _flag("valid", False)
         names = ("a", "b", "c")
         at = ", ".join("%s=%d" % (n, v) for n, v in zip(names, exc.witness))
-        _print_witness({"witness": "alexander pair condition fails",
-                        "at": "(cond=%s, %s)" % (exc.condition, at)})
-        return 1
-    print("valid: true")
-    return 0
+        raise VerificationFailed({"witness": "alexander pair condition fails",
+                                  "at": "(cond=%s, %s)" % (exc.condition, at)})
+    _flag("valid", True)
 
 
-def _cmd_holonomy_check(args) -> int:
+def _cmd_holonomy_check(args):
     q = qmod.parse_quandle(_read(args.quandle))
     g = qmod.parse_weights_file(_read(args.weights))
     if g.n != q.n:
         raise InputError("weights size %d does not match quandle size %d" % (g.n, q.n))
     report = qmod.holonomy_check(q, g)
-    print("holonomy-preserved: %s" % ("true" if report.ok else "false"))
+    _flag("holonomy-preserved", report.ok)
     if args.perturb:
         rng = random.Random(_seed())
         names = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
@@ -339,25 +302,22 @@ def _cmd_holonomy_check(args) -> int:
         print("perturbations-rejected: %d/%d" % (failed, args.perturb))
     if not report.ok:
         cond, witness, detail = report.failures[0]
-        _print_witness({"witness": "condition %s fails" % cond, "at": str(witness), "detail": detail})
-        return 1
-    return 0
+        raise VerificationFailed({"witness": "condition %s fails" % cond, "at": str(witness),
+                                  "detail": detail})
 
 
-def _cmd_colorings(args) -> int:
+def _cmd_colorings(args):
     q = qmod.parse_quandle(_read(args.quandle))
     d = _load_diagram(args)
     cols = qmod.enumerate_colorings(q, d)
     print("count: %d" % len(cols))
     for c in cols:
         print("coloring: %s" % " ".join("%s=%d" % (a, x) for a, x in c.colors))
-    return 0
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args):
     g = parse_graph(_read(args.graph))
     sys.stdout.write(export_dot(g))
-    return 0
 
 
 def _count(text: str) -> int:
@@ -440,10 +400,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        args.func(args)
+    except VerificationFailed as exc:
+        print(json.dumps(exc.fields, ensure_ascii=False))
+        return 1
     except (InputError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

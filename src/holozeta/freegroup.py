@@ -71,9 +71,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def __len__(self):
-        return len(self.letters)
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
 
@@ -182,10 +179,6 @@ class GroupRingElt:
                 out[w] = out.get(w, Fraction(0)) + c1 * c2
         return GroupRingElt(out)
 
-    def scale(self, c) -> "GroupRingElt":
-        c = Fraction(c)
-        return GroupRingElt({w: v * c for w, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElt) and self.terms == other.terms
 
@@ -196,40 +189,12 @@ class GroupRingElt:
         """Sum of coefficients (the map sending every generator to 1)."""
         return sum(self.terms.values(), Fraction(0))
 
-    def generators(self):
-        out = set()
-        for w in self.terms:
-            out |= w.generators()
-        return out
-
-    def display(self, names) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w.letters)):
-            c = self.terms[w]
-            body = w.display(names)
-            if body == "1":
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = "%s*%s" % (abs(c), body)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
     def __repr__(self):
         return "GroupRingElt(%s)" % {w: str(c) for w, c in self.terms.items()}
 
 
-def fox_derivative(w, i: int) -> GroupRingElt:
-    """The Fox derivative d(w)/dx_i, linearly extended to ring elements."""
-    if isinstance(w, GroupRingElt):
-        acc = GroupRingElt.zero()
-        for word, c in w.terms.items():
-            acc = acc + fox_derivative(word, i).scale(c)
-        return acc
+def fox_derivative(w: Word, i: int) -> GroupRingElt:
+    """The Fox derivative d(w)/dx_i of a word."""
     out = {}
     prefix = ()
     for g, s in w.letters:

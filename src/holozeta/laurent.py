@@ -591,12 +591,6 @@ class TruncatedSeries:
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         L = self.order

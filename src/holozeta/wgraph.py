@@ -77,7 +77,7 @@ class WeightedDigraph:
         for e in self.edges:
             if e.id == eid:
                 return e
-        raise KeyError("no edge %r" % eid)
+        raise InvalidStep("no edge %r" % eid)
 
     def out_edges(self, v: str):
         return [e for e in self.edges if e.src == v]
@@ -595,7 +595,7 @@ def format_graph(g: WeightedDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(g: WeightedDigraph, names: Optional[dict] = None) -> str:
+def export_dot(g: WeightedDigraph) -> str:
     """GraphViz output with weights as edge labels."""
     lines = ["digraph G {"]
     for vid, d in g.vertices:
@@ -603,7 +603,7 @@ def export_dot(g: WeightedDigraph, names: Optional[dict] = None) -> str:
         lines.append('  "%s" [label="%s"];' % (vid, label))
     for e in g.edges:
         if g.kind == "group":
-            label = e.weight.display(names) if names else repr(e.weight)
+            label = repr(e.weight)
         else:
             label = format_matrix_literal(e.weight)
         label = label.replace('"', r"\"")

@@ -158,6 +158,33 @@ def test_graph_verify(tmp_path, capsys):
                  "--expect", path]) == 1
 
 
+
+def test_graph_verify_names_a_missing_edge(tmp_path, capsys):
+    path = _graph_file(tmp_path)
+    for line in ("null_remove nope", "hub_resolve nope", "split nope a=[[t]] b=[[0]]",
+                 "hub_unresolve h u v [[1]] nope:e2"):
+        script = _write(tmp_path, "s.gs", line + "\n")
+        assert main(["graph-verify", "--graph", path, "--script", script,
+                     "--expect", path]) == 1, line
+        assert _last_json(capsys.readouterr().out) == {
+            "witness": "step 0 rejected: no edge 'nope'", "failing-step": 0}, line
+
+
+def test_bad_script_lines_exit_2(tmp_path, capsys):
+    pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
+    graph = _graph_file(tmp_path)
+    runs = [("tietze-verify", "--pres", pres, line)
+            for line in ("invert x", "conjugate 1", "multiply 0 1 2", "frobnicate 1")]
+    runs += [("graph-verify", "--graph", graph, line)
+             for line in ("eliminate", "reverse_all x", "split e1 a", "insert w 1 f w")]
+    for command, flag, start, line in runs:
+        script = _write(tmp_path, "s.txt", "# first line\n%s\n" % line)
+        assert main([command, flag, start, "--script", script, "--expect", start]) == 2, line
+        captured = capsys.readouterr()
+        assert captured.out == "", line
+        assert "bad script line %r" % line in captured.err, line
+
+
 def test_quandle_and_pair_checks(tmp_path, capsys):
     q = dihedral_quandle(3)
     qf = _write(tmp_path, "q3.txt", format_quandle(q))

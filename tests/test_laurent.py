@@ -121,6 +121,19 @@ def test_determinants_agree_with_permutation_expansion():
         )
     ])
     assert sparse.det() == det_by_permutations(sparse)
+    # the oracle's own branches: a zero (0,0) entry makes det_bareiss swap
+    # rows, and a zero first column ends it at once
+    rows = [[random_laurent(rng, 2, -2) for _ in range(5)] for _ in range(5)]
+    rows[0][0] = LaurentPoly.zero()
+    zero_corner = PolyMatrix.from_rows(rows)
+    zero_column = PolyMatrix.from_rows(
+        [[LaurentPoly.zero()] + [random_laurent(rng, 2, -2) for _ in range(2)] for _ in range(3)]
+    )
+    for m in (zero_corner, zero_column):
+        expect = det_by_permutations(m)
+        assert m.det_bareiss() == expect
+        assert m.det() == expect
+    assert not zero_corner.det().is_zero()
 
 
 def test_matrix_inverse_unit_det():

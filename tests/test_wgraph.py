@@ -186,6 +186,23 @@ def test_group_level_rejections():
         apply_step(pair, TransformStep("null_remove", edge="z"))
 
 
+
+def test_group_level_round_trips():
+    g = fixtures.slide_graph_before()
+    gm = fixtures.slide_gen_map()
+    # (G1): a null edge out of xi, which has other out-edges
+    h = apply_step(g, TransformStep("null_add", edge="n0", src="xi", tgt="xk"))
+    assert h.edge("n0").weight == GroupRingElt.zero()
+    assert apply_step(h, TransformStep("null_remove", edge="n0")) == g
+    # (G3): a source whose one out-weight is d(x0)/dx0 = 1
+    s = apply_step(g, TransformStep("insert", vertex="s", dim=1,
+                                    edges=(("f", "s", "xi", GroupRingElt.one()),),
+                                    witness=Word.gen(0), gen_map=gm))
+    assert s.has_vertex("s") and s.out_edges("s") == [Edge("f", "s", "xi", GroupRingElt.one())]
+    assert apply_step(s, TransformStep("eliminate", vertex="s", witness=Word.gen(0),
+                                       gen_map=gm)) == g
+
+
 def test_verify_equivalence_reports():
     g = _base_graph()
     script = (TransformStep("null_add", edge="z", src="u", tgt="w"),
