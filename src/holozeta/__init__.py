@@ -37,6 +37,7 @@ from .wgraph import (
     cycle_classes,
     euler_product_oracle,
     parse_graph,
+    phi_image,
     prime_cycle_classes,
     verify_equivalence,
     zeta_reciprocal,

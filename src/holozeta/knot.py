@@ -13,39 +13,41 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_fraction, split_matrix_literal
-from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
+from .freegroup import Generator, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
-from .wgraph import zeta_reciprocal
+from .wgraph import phi_image, zeta_reciprocal
 
 
 class Representation:
     """Phi = rho tensor alpha: constant invertible rational matrices
     rho(x_i) twisted by integer abelianization exponents alpha(x_i).
 
-    `phi[i]` holds Phi(x_i) = rho(x_i) * t^alpha(x_i) and its inverse.
+    `phi[i]` holds Phi(x_i) = rho(x_i) * t^alpha(x_i) and its inverse
+    rho(x_i)^-1 * t^-alpha(x_i); each distinct rho is inverted once.
     """
 
     def __init__(self, dim: int, mats: dict, exps: dict):
         self.dim = dim
         self.exps = dict(exps)
         self.phi = {}
+        rho_inv = {}
         for i, m in mats.items():
             if len(m) != dim * dim:
                 raise ValueError("matrix for generator %d is not %dx%d" % (i, dim, dim))
-            phi = PolyMatrix(dim, dim, [LaurentPoly.monomial(x, self.exps[i]) for x in m])
-            # det(Phi) = det(rho) t^(dim alpha) is a unit iff rho is invertible
-            self.phi[i] = (phi, phi.inverse_unit_det())
+            m, e = tuple(m), self.exps[i]
+            if m not in rho_inv:
+                # det(Phi) = det(rho) t^(dim alpha) is a unit iff rho is invertible
+                rho_inv[m] = PolyMatrix(dim, dim, map(LaurentPoly.const, m)).inverse_unit_det()
+            phi = PolyMatrix(dim, dim, [LaurentPoly.monomial(x, e) for x in m])
+            self.phi[i] = (phi, rho_inv[m].scale(LaurentPoly.t(-e)))
 
     @staticmethod
-    def trivial(gen_indices, dim: int = 1) -> "Representation":
-        ident = [int(i == j) for i in range(dim) for j in range(dim)]
-        return Representation(
-            dim, {i: ident for i in gen_indices}, {i: 1 for i in gen_indices}
-        )
+    def trivial(gen_indices) -> "Representation":
+        return Representation(1, {i: (1,) for i in gen_indices}, {i: 1 for i in gen_indices})
 
     @staticmethod
     def abelianization(p: BasedPresentation) -> "Representation":
-        return Representation.trivial([g.index for g in p.generators], 1)
+        return Representation.trivial([g.index for g in p.generators])
 
 
 def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
@@ -346,9 +348,10 @@ def _norm(p: LaurentPoly) -> LaurentPoly:
 
 
 def fox_matrix(p: BasedPresentation, rep: Representation) -> PolyMatrix:
-    """The (relations x generators) block matrix Phi(dr_i/dx_l)."""
+    """The block matrix Phi(dr_i/dx_l) for l past the first generator, whose
+    block column the denominator det(I - Phi(x1)) stands in for."""
     k = rep.dim
-    gens = sorted(g.index for g in p.generators)
+    gens = sorted(g.index for g in p.generators)[1:]
     zero = PolyMatrix.zeros(k, k)
     entries = []
     for r in p.relations:
@@ -373,8 +376,7 @@ def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup
     report = check_assumption(p, rep)
     if not report.all_certified:
         raise ValueError("presentation not certified: %s" % report.entries)
-    k = rep.dim
-    denom = (PolyMatrix.identity(k) - apply_phi(GroupRingElt.from_word(Word.gen(0)), rep)).det()
+    denom = (PolyMatrix.identity(rep.dim) - rep.phi[0][0]).det()
     return AlexanderSetup(p, denom)
 
 
@@ -387,21 +389,10 @@ def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph",
     if setup is None:
         setup = alexander_setup(wirtinger_presentation(d), rep)
     p = setup.presentation
-    k = rep.dim
     if route == "graph":
-        graph = build_group_weighted_graph(p)
-        num_raw = zeta_reciprocal(graph, rep)
+        num_raw = zeta_reciprocal(phi_image(build_group_weighted_graph(p), rep))
     else:
-        m = fox_matrix(p, rep)
-        # drop the block column of the first generator (denominator convention)
-        nrel = len(p.relations)
-        if nrel == 0:
-            num_raw = LaurentPoly.one()
-        else:
-            minor = PolyMatrix.from_rows(
-                [list(m.row(r)[k:]) for r in range(m.rows)]
-            )
-            num_raw = minor.det()
+        num_raw = fox_matrix(p, rep).det()
     return TwistedAlexander(
         numerator=_norm(num_raw),
         denominator=_norm(setup.raw_denominator),

@@ -604,9 +604,6 @@ class TruncatedSeries:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(L, out)
 
-    def scale(self, p: LaurentPoly) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [p * c for c in self.coeffs])
-
     def _check(self, other):
         if self.order != other.order:
             raise ValueError("series order mismatch")
@@ -625,16 +622,19 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, out)
 
     def exp(self) -> "TruncatedSeries":
+        """b = exp(a) from b' = a'b: n*b_n = sum_k k*a_k*b_(n-k), O(L^2)
+        coefficient products (Knuth, TAOCP vol. 2, 4.7)."""
         if not self.coeffs[0].is_zero():
             raise ValueError("exp needs zero constant term")
-        L = self.order
-        out = TruncatedSeries.one(L)
-        term = TruncatedSeries.one(L)
-        for m in range(1, L + 1):
-            term = term * self
-            term = term.scale(LaurentPoly.const(Fraction(1, m)))
-            out = out + term
-        return out
+        ka = [(k, a.scale(k)) for k, a in enumerate(self.coeffs) if a.terms]
+        out = [LaurentPoly.one()]
+        for n in range(1, self.order + 1):
+            acc = LaurentPoly.zero()
+            for k, a in ka:
+                if k <= n and out[n - k].terms:
+                    acc = acc + a * out[n - k]
+            out.append(acc.scale(Fraction(1, n)))
+        return TruncatedSeries(self.order, out)
 
     def __str__(self):
         parts = []

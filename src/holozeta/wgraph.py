@@ -1,16 +1,18 @@
 """Weighted directed multigraphs and their zeta functions.
 
 Weights are either PolyMatrix blocks (matrix-weighted) or free group
-ring elements (group-weighted, all vertex dimensions 1).  The zeta
-reciprocal is det(I - A); the Euler product over prime cycle classes
-is kept as an independent oracle.  apply_step applies the elementary
-rewrite rules that leave the zeta function fixed, looked up in one rule
-table per weight ring.
+ring elements (group-weighted, all vertex dimensions 1), which
+phi_image maps through Phi to matrix weights.  The zeta reciprocal of a
+matrix-weighted graph is det(I - A); the Euler product over prime cycle
+classes is kept as an independent oracle.  apply_step applies the
+elementary rewrite rules that leave the zeta function fixed, looked up
+in one rule table per weight ring.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .laurent import (
@@ -127,27 +129,33 @@ def _zero_weight(g: WeightedDigraph, src: str, tgt: str):
     return GroupRingElt.zero()
 
 
-# -- adjacency matrix and zeta -----------------------------------------
+# -- Phi image, adjacency matrix and zeta --------------------------------
 
-def adjacency_matrix(g: WeightedDigraph, rep=None) -> PolyMatrix:
+def phi_image(g: WeightedDigraph, rep) -> WeightedDigraph:
+    """The matrix-weighted graph Phi(G): the same vertices at dimension
+    rep.dim, each group-ring weight w replaced by Phi(w)."""
+    if g.kind != "group":
+        raise ValueError("phi_image maps group-weighted graphs")
+    edges = tuple(Edge(e.id, e.src, e.tgt, apply_phi(e.weight, rep)) for e in g.edges)
+    return WeightedDigraph("matrix", tuple((v, rep.dim) for v, _ in g.vertices), edges)
+
+
+def _matrix_only(g: WeightedDigraph):
+    if g.kind != "matrix":
+        raise ValueError("zeta needs matrix weights: map a group graph through phi_image")
+
+
+def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
     """Block matrix whose (i,j) block sums the weights of edges v_i -> v_j."""
-    if g.kind == "group":
-        if rep is None:
-            raise ValueError("group-weighted graphs need a representation")
-        dims = {vid: rep.dim for vid, _ in g.vertices}
-        weight_of = lambda e: apply_phi(e.weight, rep)
-    else:
-        dims = g.dims()
-        weight_of = lambda e: e.weight
-    order = [vid for vid, _ in g.vertices]
+    _matrix_only(g)
     offsets = {}
     total = 0
-    for vid in order:
+    for vid, dim in g.vertices:
         offsets[vid] = total
-        total += dims[vid]
+        total += dim
     rows = [[LaurentPoly.zero()] * total for _ in range(total)]
     for e in g.edges:
-        w = weight_of(e)
+        w = e.weight
         r0, c0 = offsets[e.src], offsets[e.tgt]
         for i in range(w.rows):
             for j in range(w.cols):
@@ -155,9 +163,9 @@ def adjacency_matrix(g: WeightedDigraph, rep=None) -> PolyMatrix:
     return PolyMatrix.from_rows(rows) if total else PolyMatrix(0, 0, [])
 
 
-def zeta_reciprocal(g: WeightedDigraph, rep=None) -> LaurentPoly:
+def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
     """det(I - A(G,w)): the reciprocal of the weighted zeta function."""
-    a = adjacency_matrix(g, rep)
+    a = adjacency_matrix(g)
     return (PolyMatrix.identity(a.rows) - a).det()
 
 
@@ -207,33 +215,28 @@ def prime_cycle_classes(g: WeightedDigraph, max_len: int):
     return [c for c in cycle_classes(g, max_len) if c.prime]
 
 
-def cycle_weight(g: WeightedDigraph, edge_ids, rep=None) -> PolyMatrix:
+def cycle_weight(g: WeightedDigraph, edge_ids) -> PolyMatrix:
     """w(C): the ordered product of edge weights along the cycle."""
-    mats = []
-    for eid in edge_ids:
-        e = g.edge(eid)
-        mats.append(apply_phi(e.weight, rep) if g.kind == "group" else e.weight)
-    w = mats[0]
-    for m in mats[1:]:
-        w = w * m
+    _matrix_only(g)
+    first, *rest = edge_ids
+    w = g.edge(first).weight
+    for eid in rest:
+        w = w * g.edge(eid).weight
     return w
 
 
-def euler_product_oracle(g: WeightedDigraph, rep=None, max_len: int = 8) -> TruncatedSeries:
+def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSeries:
     """Product over prime cycle classes of det(I - u^|C| w(C))^-1,
     truncated at u^max_len.  Each factor is exp(sum_k tr(w(C)^k) u^{|C|k}/k)."""
-    from fractions import Fraction
-
+    _matrix_only(g)
     result = TruncatedSeries.one(max_len)
     for c in prime_cycle_classes(g, max_len):
-        w = cycle_weight(g, c.edges, rep)
+        w = cycle_weight(g, c.edges)
         coeffs = [LaurentPoly.zero()] * (max_len + 1)
         power = PolyMatrix.identity(w.rows)
-        k = 1
-        while c.length * k <= max_len:
+        for k in range(1, max_len // c.length + 1):
             power = power * w
             coeffs[c.length * k] = power.trace().scale(Fraction(1, k))
-            k += 1
         result = result * TruncatedSeries(max_len, coeffs).exp()
     return result
 
@@ -500,16 +503,10 @@ class VerificationReport:
     zeta_right: Optional[LaurentPoly] = None
 
 
-def _edge_signature(g: WeightedDigraph, rep):
-    """Multiset of (src, tgt, weight), with group weights taken through
-    the representation when one is supplied."""
-    sig = []
-    for e in g.edges:
-        w = e.weight
-        if g.kind == "group" and rep is not None:
-            w = apply_phi(w, rep)
-        sig.append((e.src, e.tgt, w))
-    return sorted(sig, key=lambda x: (x[0], x[1], str(x[2])))
+def _edge_signature(g: WeightedDigraph):
+    """Multiset of (src, tgt, weight)."""
+    return sorted(((e.src, e.tgt, e.weight) for e in g.edges),
+                  key=lambda x: (x[0], x[1], str(x[2])))
 
 
 def verify_equivalence(
@@ -519,6 +516,9 @@ def verify_equivalence(
     rep=None,
     mode: str = "exact",
 ) -> VerificationReport:
+    """Replay `script` on `g`, then compare the result with `h` edge by edge
+    and zeta(g) with zeta(h); a `rep` maps all three through phi_image
+    first, and without one group-weighted graphs compare structurally only."""
     if mode not in ("exact", "up_to_units"):
         raise ValueError("mode must be exact or up_to_units")
     cur = g
@@ -529,16 +529,14 @@ def verify_equivalence(
             return VerificationReport(
                 False, False, False, idx, "step %d rejected: %s" % (idx, exc)
             )
-    structural = sorted(cur.vertices) == sorted(h.vertices) and _edge_signature(
-        cur, rep
-    ) == _edge_signature(h, rep)
-    if g.kind == "group" and rep is None:
-        # group-ring weights only become comparable polynomials through a rep
-        zl = zr = None
-        zmatch = True
-    else:
-        zl = zeta_reciprocal(g, rep)
-        zr = zeta_reciprocal(h, rep)
+    if rep is not None:
+        g, cur, h = (phi_image(x, rep) for x in (g, cur, h))
+    structural = sorted(cur.vertices) == sorted(h.vertices) and (
+        _edge_signature(cur) == _edge_signature(h))
+    zl = zr = None  # group-ring weights only become polynomials through a rep
+    zmatch = True
+    if g.kind == "matrix":
+        zl, zr = zeta_reciprocal(g), zeta_reciprocal(h)
         zmatch = zl == zr if mode == "exact" else zl.eq_up_to_units(zr)
     ok = structural and zmatch
     msg = "verified" if ok else (

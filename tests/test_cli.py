@@ -87,6 +87,17 @@ def test_sparse_high_degree_zeta_finishes(tmp_path):
     assert done.stdout == "zeta-reciprocal: 1 - t^5 - t^100000\n"
 
 
+def test_deep_order_euler_check_finishes(tmp_path):
+    # one [[t]] loop: 200 cycle classes, and exp of a 200-term series
+    g = _write(tmp_path, "loop.wg", "vertex v dim=1\nedge e v -> v weight=[[t]]\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
+                           "--check-euler", "--order", "200"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "zeta-reciprocal: 1 - t\neuler-agrees: true\n"
+
+
 def test_bad_rep_file_exits_2(tmp_path, capsys):
     pd = _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)
     cases = (

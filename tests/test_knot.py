@@ -21,7 +21,7 @@ from holozeta.knot import (
     wirtinger_presentation,
 )
 from holozeta.presentation import build_group_weighted_graph
-from holozeta.wgraph import adjacency_matrix
+from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
 
@@ -113,14 +113,13 @@ def _s3_rep_text(n: int) -> str:
 def test_knot_determinants_match_laurent_bareiss():
     # the T(2,15) Fox minor, trivial rep: 14 x 14
     p = wirtinger_presentation(parse_gauss(_torus_gauss(15)))
-    m = fox_matrix(p, Representation.trivial(range(15)))
-    minor = PolyMatrix.from_rows([list(m.row(r)[1:]) for r in range(m.rows)])
+    minor = fox_matrix(p, Representation.trivial(range(15)))
     assert minor.rows == 14
     assert minor.det() == minor.det_bareiss()
     # the graph-route det(I - A) of T(2,9) with the S3 rep: 18 x 18
     p = wirtinger_presentation(parse_gauss(_torus_gauss(9)))
     rep = parse_rep(_s3_rep_text(9), p.name_to_index())
-    a = adjacency_matrix(build_group_weighted_graph(p), rep)
+    a = adjacency_matrix(phi_image(build_group_weighted_graph(p), rep))
     i_minus_a = PolyMatrix.identity(a.rows) - a
     assert i_minus_a.rows == 18
     assert i_minus_a.det() == i_minus_a.det_bareiss()
@@ -262,3 +261,22 @@ def test_diagram_validation():
         KnotDiagram(("a1", "a2"), ())
     with pytest.raises(ValueError):
         KnotDiagram(("a1", "a1"), ())
+
+
+def test_each_distinct_rho_is_inverted_once(monkeypatch):
+    calls = []
+    invert = PolyMatrix.inverse_unit_det
+
+    def counted(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(PolyMatrix, "inverse_unit_det", counted)
+    Representation.trivial(range(25))
+    assert len(calls) == 1
+    mixed = Representation(1, {i: (Fraction(1),) for i in range(3)}, {0: 1, 1: 2, 2: 0})
+    s3 = parse_rep(_s3_rep_text(9), wirtinger_presentation(parse_gauss(_torus_gauss(9))).name_to_index())
+    for rep in (mixed, s3):
+        one = PolyMatrix.identity(rep.dim)
+        for phi, phi_inv in rep.phi.values():
+            assert phi * phi_inv == one and phi_inv * phi == one

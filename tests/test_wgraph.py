@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from holozeta import fixtures
-from holozeta.freegroup import GroupRingElt, Word
+from holozeta.freegroup import GroupRingElt, Word, apply_phi
+from holozeta.knot import Representation
 from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent, series_det_inverse
 from holozeta.wgraph import (
     Edge,
@@ -17,6 +18,7 @@ from holozeta.wgraph import (
     export_dot,
     format_graph,
     parse_graph,
+    phi_image,
     prime_cycle_classes,
     verify_equivalence,
     zeta_reciprocal,
@@ -215,6 +217,24 @@ def test_verify_equivalence_reports():
     bad = (TransformStep("null_remove", edge="a"),)
     rep3 = verify_equivalence(g, bad, g)
     assert not rep3.ok and rep3.failing_step == 0
+
+
+def test_zeta_layer_rejects_group_graphs():
+    g = fixtures.slide_graph_before()
+    for fn in (adjacency_matrix, zeta_reciprocal, euler_product_oracle):
+        with pytest.raises(ValueError, match="phi_image"):
+            fn(g)
+
+
+def test_phi_image_replaces_each_weight():
+    g = fixtures.slide_graph_before()
+    rep = Representation.abelianization(fixtures.slide_presentation_before())
+    h = phi_image(g, rep)
+    assert h.kind == "matrix" and h.vertices == g.vertices
+    assert [(e.id, e.src, e.tgt) for e in h.edges] == [(e.id, e.src, e.tgt) for e in g.edges]
+    assert all(f.weight == apply_phi(e.weight, rep) for e, f in zip(g.edges, h.edges))
+    with pytest.raises(ValueError, match="group-weighted"):
+        phi_image(h, rep)
 
 
 def test_parse_format_roundtrip():
