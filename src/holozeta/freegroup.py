@@ -1,7 +1,8 @@
 """Free groups, their integral group rings, and the Fox free differential.
 
 Words are freely reduced sequences of (generator index, sign).  Group
-ring elements are sparse maps word -> Fraction.  The Fox derivative
+ring elements are sparse maps word -> rational coefficient, stored as in
+`LaurentPoly` (`canonical_coeff`).  The Fox derivative
 follows the product rule d(pq) = dp + p*dq with dx_j/dx_i = delta_ij,
 which forces d(x^-1)/dx = -x^-1.
 """
@@ -11,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, PolyMatrix
+from .laurent import LaurentPoly, PolyMatrix, canonical_coeff
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,8 @@ def parse_word(text: str, name_to_index) -> Word:
 
 
 class GroupRingElt:
-    """Element of the group ring Q[F_n], a sparse map Word -> Fraction."""
+    """Element of the group ring Q[F_n], a sparse map Word -> coefficient,
+    each an `int` or a `Fraction` with denominator > 1."""
 
     __slots__ = ("terms",)
 
@@ -136,8 +138,8 @@ class GroupRingElt:
         clean = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = canonical_coeff(c)
+                if c:
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 
@@ -151,7 +153,7 @@ class GroupRingElt:
 
     @staticmethod
     def from_word(w: Word, c=1) -> "GroupRingElt":
-        return GroupRingElt({w: Fraction(c)})
+        return GroupRingElt({w: c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -159,13 +161,13 @@ class GroupRingElt:
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return GroupRingElt(out)
 
     def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
+            out[w] = out.get(w, 0) - c
         return GroupRingElt(out)
 
     def __neg__(self) -> "GroupRingElt":
@@ -176,7 +178,7 @@ class GroupRingElt:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 * w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+                out[w] = out.get(w, 0) + c1 * c2
         return GroupRingElt(out)
 
     def __eq__(self, other):
@@ -185,9 +187,9 @@ class GroupRingElt:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def augmentation(self) -> Fraction:
+    def augmentation(self) -> "int | Fraction":
         """Sum of coefficients (the map sending every generator to 1)."""
-        return sum(self.terms.values(), Fraction(0))
+        return canonical_coeff(sum(self.terms.values()))
 
     def __repr__(self):
         return "GroupRingElt(%s)" % {w: str(c) for w, c in self.terms.items()}
@@ -201,10 +203,10 @@ def fox_derivative(w: Word, i: int) -> GroupRingElt:
         if g == i:
             if s == 1:
                 key = Word.from_reduced(prefix)
-                out[key] = out.get(key, Fraction(0)) + 1
+                out[key] = out.get(key, 0) + 1
             else:
                 key = Word(prefix + ((g, -1),))
-                out[key] = out.get(key, Fraction(0)) - 1
+                out[key] = out.get(key, 0) - 1
         prefix = prefix + ((g, s),)
     return GroupRingElt(out)
 

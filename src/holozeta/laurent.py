@@ -2,8 +2,11 @@
 
 Everything downstream (graph zeta functions, Fox matrices, quandle
 weights) is built on the ring Q[t, t^-1].  Polynomials are sparse maps
-exponent -> Fraction with no zero coefficients stored; all arithmetic
-is exact, no floating point anywhere.
+exponent -> coefficient with no zero coefficients stored.  A coefficient
+is an `int` unless it has a real denominator, when it is a `Fraction`
+(see `canonical_coeff`); every division between coefficients goes
+through `Fraction`, so all arithmetic is exact, no floating point
+anywhere.
 """
 from __future__ import annotations
 
@@ -12,8 +15,18 @@ import re
 from fractions import Fraction
 
 
+def canonical_coeff(c):
+    """The one stored form of a rational coefficient: an `int` when it is
+    whole, else a `Fraction` with denominator > 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LaurentPoly:
-    """A Laurent polynomial c_e * t^e + ... with Fraction coefficients."""
+    """A Laurent polynomial c_e * t^e + ... with rational coefficients,
+    each an `int` or a `Fraction` with denominator > 1."""
 
     __slots__ = ("terms",)
 
@@ -21,8 +34,8 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = canonical_coeff(c)
+                if c:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
 
@@ -38,7 +51,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def t(k: int = 1) -> "LaurentPoly":
@@ -46,7 +59,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(c, k: int) -> "LaurentPoly":
-        return LaurentPoly({k: Fraction(c)})
+        return LaurentPoly({k: c})
 
     # -- predicates ---------------------------------------------------
 
@@ -58,28 +71,28 @@ class LaurentPoly:
         return len(self.terms) == 1
 
     def is_one(self) -> bool:
-        return self.terms == {0: Fraction(1)}
+        return self.terms == {0: 1}
 
     def min_exp(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no minimal exponent")
         return min(self.terms)
 
-    def coeff(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+    def coeff(self, e: int) -> "int | Fraction":
+        return self.terms.get(e, 0)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -92,11 +105,10 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
         return LaurentPoly({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -134,7 +146,7 @@ class LaurentPoly:
             raise ValueError("zero has no unit normal form")
         k = self.min_exp()
         c = self.terms[k]
-        return LaurentPoly({e - k: v / c for e, v in self.terms.items()})
+        return LaurentPoly({e - k: Fraction(v) / c for e, v in self.terms.items()})
 
     def eq_up_to_units(self, other: "LaurentPoly") -> bool:
         if self.is_zero() or other.is_zero():
@@ -146,7 +158,7 @@ class LaurentPoly:
         if not self.eq_up_to_units(other) or self.is_zero():
             raise ValueError("not associates")
         ks, ko = self.min_exp(), other.min_exp()
-        return LaurentPoly({ks - ko: self.terms[ks] / other.terms[ko]})
+        return LaurentPoly({ks - ko: Fraction(self.terms[ks]) / other.terms[ko]})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if other does not divide self."""
@@ -165,11 +177,11 @@ class LaurentPoly:
             dnum = max(num)
             if dnum < dden:
                 raise ValueError("inexact Laurent division")
-            q = num[dnum] / lead
+            q = canonical_coeff(Fraction(num[dnum]) / lead)
             quot[dnum - dden] = q
             for e, c in den.items():
                 k = e + dnum - dden
-                v = num.get(k, Fraction(0)) - q * c
+                v = num.get(k, 0) - q * c
                 if v == 0:
                     num.pop(k, None)
                 else:

@@ -172,7 +172,25 @@ def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
 # -- prime cycles and the Euler product oracle --------------------------
 
 def _canonical_rotation(seq: tuple) -> tuple:
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    """The least rotation of seq, found in O(len(seq)) by Booth's
+    failure-function scan over seq + seq (Booth, IPL 10(4), 1980)."""
+    s = seq + seq
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation seen so far
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != s[k]:
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k : k + len(seq)]
 
 
 def _is_prime(seq: tuple) -> bool:
@@ -185,29 +203,28 @@ def _is_prime(seq: tuple) -> bool:
 
 def cycle_classes(g: WeightedDigraph, max_len: int):
     """All cycle classes (rotation orbits of closed edge walks) up to max_len."""
+    if max_len < 1:
+        return []
     index = {e.id: i for i, e in enumerate(g.edges)}
     out = {}
     for e in g.edges:
         out.setdefault(e.src, []).append(e)
     found = set()
-
-    def dfs(first_idx, here, start, path):
-        if len(path) > max_len:
-            return
-        if path and here == start:
-            found.add(_canonical_rotation(tuple(path)))
-            # a longer walk may close again later, keep going
-        if len(path) == max_len:
-            return
-        for e in out.get(here, ()):
-            if index[e.id] < first_idx:
-                continue  # rotation classes are found from their minimal edge
-            path.append(e.id)
-            dfs(first_idx, e.tgt, start, path)
-            path.pop()
-
-    for e in g.edges:
-        dfs(index[e.id], e.tgt, e.src, [e.id])
+    for first in g.edges:
+        # depth-first over walks that start with `first`, on an explicit
+        # stack so the walk length is not bounded by Python's recursion limit
+        first_idx = index[first.id]
+        stack = [(first.tgt, (first.id,))]
+        while stack:
+            here, path = stack.pop()
+            if here == first.src:
+                found.add(_canonical_rotation(path))
+                # a longer walk may close again later, keep going
+            if len(path) == max_len:
+                continue
+            for e in out.get(here, ()):
+                if index[e.id] >= first_idx:  # classes are found from their minimal edge
+                    stack.append((e.tgt, path + (e.id,)))
     return [CycleClass(seq, len(seq), _is_prime(seq)) for seq in sorted(found)]
 
 

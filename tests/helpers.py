@@ -23,6 +23,13 @@ def random_laurent(rng, max_deg: int = 1, min_exp: int = 0) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def assert_canonical(coeffs):
+    """Each coefficient is in its one stored form: an int, or a Fraction
+    with a denominator above 1 (never a float)."""
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 def random_unit(rng) -> LaurentPoly:
     q = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
     return LaurentPoly.monomial(q, rng.randint(-2, 2))

@@ -9,7 +9,7 @@ from holozeta.freegroup import (
 )
 from holozeta.knot import Representation
 
-from helpers import random_word, seeded_rng
+from helpers import assert_canonical, random_word, seeded_rng
 
 
 NAMES = {0: "x", 1: "y", 2: "z"}
@@ -96,3 +96,19 @@ def test_apply_phi_is_linear():
 def test_augmentation():
     e = GroupRingElt.from_word(Word.gen(0), 2) - GroupRingElt.one()
     assert e.augmentation() == Fraction(1)
+
+
+def test_group_ring_coefficients_have_one_canonical_form():
+    x = Word.gen(0)
+    two = GroupRingElt({x: Fraction(4, 2)})
+    assert type(two.terms[x]) is int and two.terms[x] == 2
+    same = GroupRingElt({x: 2})
+    assert two == same and hash(two) == hash(same) and repr(two) == repr(same)
+    rng = seeded_rng(15)
+    for _ in range(40):
+        a = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        a = a + GroupRingElt.from_word(random_word(rng, 3, 5), rng.randint(-2, 2))
+        b = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(rng.randint(1, 4), 2))
+        w = random_word(rng, 3, 8)
+        for e in (a + b, a - b, a * b, -a, fox_derivative(w, rng.randrange(3))):
+            assert_canonical(list(e.terms.values()) + [e.augmentation()])

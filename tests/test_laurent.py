@@ -10,7 +10,13 @@ from holozeta.laurent import (
     series_det_inverse,
 )
 
-from helpers import det_by_permutations, random_laurent, random_matrix, seeded_rng
+from helpers import (
+    assert_canonical,
+    det_by_permutations,
+    random_laurent,
+    random_matrix,
+    seeded_rng,
+)
 
 
 def test_basic_arithmetic():
@@ -189,3 +195,64 @@ def test_series_det_inverse_single_entry():
     s = series_det_inverse(m, 6)
     expect = TruncatedSeries(6, [c ** k for k in range(7)])
     assert s == expect
+
+
+BIG = 3 ** 40 + 1  # above 2**53: a float quotient of it is off in the low bits
+
+
+def _big_laurent(rng, lo, hi):
+    return LaurentPoly({e: rng.choice([BIG, -BIG, BIG + 2, 3, -1]) for e in range(lo, hi + 1)})
+
+
+def test_coefficient_division_above_2_53_is_exact():
+    rng = seeded_rng(7)
+    p = LaurentPoly({2: BIG, 3: 1, 5: 7 * BIG + 2})
+    assert p.unit_normalize().terms == {0: 1, 1: Fraction(1, BIG), 3: Fraction(7 * BIG + 2, BIG)}
+    q = parse_laurent("3 + t - 5*t^2")
+    for u in (LaurentPoly.monomial(BIG, 4), LaurentPoly.monomial(Fraction(BIG, 7), -3)):
+        assert (u * q).unit_quotient(q) == u
+        assert q.unit_quotient(u * q) == u.unit_inverse()
+    f = LaurentPoly({0: BIG, 1: -3, 2: 1})
+    g = LaurentPoly({-1: 5, 0: BIG + 2, 3: -BIG})
+    for a, b in ((f, g), (f.scale(Fraction(1, 3)), g), (_big_laurent(rng, -1, 2), _big_laurent(rng, 0, 3))):
+        assert (a * b).divexact(a) == b
+        assert (a * b).divexact(b) == a
+    # det() expands up to 4 x 4 and evaluates and interpolates above that
+    for n in (4, 5, 6):
+        rows = [[_big_laurent(rng, 0, 1) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = rows[0][0].scale(Fraction(1, BIG))  # a denominator for det() to clear
+        m = PolyMatrix.from_rows(rows)
+        expect = det_by_permutations(m)
+        assert m.det() == expect
+        assert m.det_bareiss() == expect
+    s = TruncatedSeries(6, [LaurentPoly.const(BIG)] + [_big_laurent(rng, -1, 1) for _ in range(6)])
+    assert s * s.inverse() == TruncatedSeries.one(6)
+    assert s.inverse() * s == TruncatedSeries.one(6)
+
+
+def test_coefficients_have_one_canonical_form():
+    two = LaurentPoly({0: Fraction(4, 2)})
+    assert type(two.terms[0]) is int and two.terms[0] == 2
+    a = LaurentPoly({-1: 3, 0: -1, 2: Fraction(1, 2)})
+    b = LaurentPoly({-1: Fraction(6, 2), 0: Fraction(-1), 2: Fraction(1, 2)})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+    rng = seeded_rng(8)
+    for _ in range(25):
+        x = random_laurent(rng, 3, -2).scale(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        y = random_laurent(rng, 3, -2)
+        out = [x + y, x - y, x * y, x.scale(Fraction(2, rng.randint(1, 4))), y.scale(3)]
+        if y:
+            out += [(x * y).divexact(y), y.unit_normalize()]
+        for n in (3, 5):
+            m = PolyMatrix.from_rows([
+                [random_laurent(rng, 2, -1).scale(Fraction(1, rng.randint(1, 3))) for _ in range(n)]
+                for _ in range(n)
+            ])
+            out += [m.det(), m.det_bareiss()]
+        s = TruncatedSeries(6, [LaurentPoly.zero()] + [
+            random_laurent(rng, 1).scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+            for _ in range(6)
+        ])
+        out += s.exp().coeffs
+        for p in out:
+            assert_canonical(p.terms.values())

@@ -65,6 +65,15 @@ def test_cycle_classes_counts():
     assert ("a", "b", "c") in {c.edges for c in primes}
 
 
+def test_cycle_classes_of_a_deep_walk():
+    # one class per length and only the single loop is prime; the walk is
+    # 1100 edges deep, past Python's default recursion limit
+    g = _scalar_graph([("a", "u", "u", "t")])
+    classes = cycle_classes(g, 1100)
+    assert [c.length for c in classes] == list(range(1, 1101))
+    assert [c.edges for c in classes if c.prime] == [("a",)]
+
+
 def test_euler_product_matches_determinant_fixed():
     g = _scalar_graph([("a", "u", "v", "t"), ("b", "v", "u", "1"),
                        ("c", "u", "u", "1 - t"), ("d", "v", "v", "2")])
