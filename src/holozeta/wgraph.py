@@ -172,25 +172,7 @@ def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
 # -- prime cycles and the Euler product oracle --------------------------
 
 def _canonical_rotation(seq: tuple) -> tuple:
-    """The least rotation of seq, found in O(len(seq)) by Booth's
-    failure-function scan over seq + seq (Booth, IPL 10(4), 1980)."""
-    s = seq + seq
-    fail = [-1] * len(s)
-    k = 0  # start of the least rotation seen so far
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != s[k]:
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return s[k : k + len(seq)]
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
 def _is_prime(seq: tuple) -> bool:
