@@ -95,17 +95,17 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
         flat = [parse_fraction(cell.strip()) for row in rows for cell in row]
         exp = int(exptext) if exptext else 1
         if name == "all":
-            default = (flat, exp)
+            default = (len(rows), flat, exp)
         else:
             if name not in name_to_index:
                 raise ValueError("unknown generator %r in representation" % name)
-            entries[name_to_index[name]] = (flat, exp)
+            entries[name_to_index[name]] = (len(rows), flat, exp)
     if default is not None:
         for i in name_to_index.values():
             entries.setdefault(i, default)
     if not entries:
         raise ValueError("empty representation file")
-    dims = {int(len(flat) ** 0.5) for flat, _ in entries.values()}
+    dims = {k for k, _, _ in entries.values()}
     if len(dims) != 1:
         raise ValueError("inconsistent matrix sizes")
     k = dims.pop()
@@ -113,7 +113,7 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
     if missing:
         raise ValueError("representation missing generators %s" % sorted(missing))
     return Representation(
-        k, {i: m for i, (m, _) in entries.items()}, {i: e for i, (_, e) in entries.items()}
+        k, {i: m for i, (_, m, _) in entries.items()}, {i: e for i, (_, _, e) in entries.items()}
     )
 
 

@@ -3,7 +3,8 @@
 A based presentation (X, R, B) assigns to each relation a chosen
 occurrence of a generator (its base point), injectively over relations.
 Solving the relation at its base point as x_i = f_i drives both the
-assumption check and the group-weighted graph construction.
+assumption check and the group-weighted graph construction.  Tietze
+moves are looked up in one rule table, each kind beside its inverse.
 """
 from __future__ import annotations
 
@@ -87,35 +88,10 @@ def solve_for_base(r: Word, bp) -> Word:
     return Word(rotated[1:]).inv()
 
 
-def _reduce_track(letters, marked: int):
-    """Freely reduce while tracking one marked position.
-
-    Returns (reduced letters, new marked index, None) on success, or
-    (None, None, partner index) when the marked letter cancels, where
-    partner is the position it cancelled against.
-    """
-    stack = []  # (letter, original index)
-    for idx, (g, s) in enumerate(letters):
-        if stack and stack[-1][0] == (g, -s):
-            _, prev_idx = stack.pop()
-            if marked == idx:
-                return None, None, prev_idx
-            if marked == prev_idx:
-                return None, None, idx
-        else:
-            stack.append(((g, s), idx))
-    new_marked = None
-    out = []
-    for k, (letter, idx) in enumerate(stack):
-        out.append(letter)
-        if idx == marked:
-            new_marked = k
-    return tuple(out), new_marked, None
-
-
 def _reduce_tracked(letters, marked: int, wlen: int):
-    """Tracked reduction of w r w^-1 with |w| = wlen (wlen = 0 for a
-    product r s, whose s then counts as part of r).
+    """Freely reduce w r w^-1 with |w| = wlen (wlen = 0 for a product
+    r s, whose s then counts as part of r) while tracking the marked
+    letter; returns (reduced letters, new marked index).
 
     When the marked letter cancels against a conjugator letter, the base
     occurrence transfers to that letter's mirror on the other side of r,
@@ -124,9 +100,17 @@ def _reduce_tracked(letters, marked: int, wlen: int):
     """
     rlen = len(letters) - 2 * wlen
     for _ in range(len(letters) + 1):
-        reduced, new_marked, partner = _reduce_track(letters, marked)
-        if reduced is not None:
-            return reduced, new_marked
+        stack = []  # (letter, original index)
+        for idx, (g, s) in enumerate(letters):
+            if stack and stack[-1][0] == (g, -s):
+                _, prev_idx = stack.pop()
+                if marked in (idx, prev_idx):
+                    break
+            else:
+                stack.append(((g, s), idx))
+        else:
+            return tuple(letter for letter, _ in stack), [i for _, i in stack].index(marked)
+        partner = prev_idx if marked == idx else idx
         if partner < wlen:
             marked = wlen + rlen + (wlen - 1 - partner)
         elif partner >= wlen + rlen:
@@ -138,23 +122,14 @@ def _reduce_tracked(letters, marked: int, wlen: int):
 
 @dataclass(frozen=True)
 class TietzeMove:
-    kind: str  # invert | conjugate | multiply | multiply_inv | add_generator | remove_generator
+    kind: str  # a key of _TIETZE_MOVES
     i: Optional[int] = None
     k: Optional[int] = None
     w: Optional[Word] = None
     name: Optional[str] = None
 
-    KINDS = (
-        "invert",
-        "conjugate",
-        "multiply",
-        "multiply_inv",
-        "add_generator",
-        "remove_generator",
-    )
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in _TIETZE_MOVES:
             raise ValueError("unknown Tietze move kind %r" % self.kind)
 
 
@@ -168,108 +143,120 @@ def _ordinal_of_position(letters, pos: int) -> int:
     return sum(1 for p, (gg, _) in enumerate(letters) if gg == g and p < pos)
 
 
+def _relation(p: BasedPresentation, i) -> Word:
+    if i not in range(len(p.relations)):
+        raise InvalidMove("no relation %r" % (i,))
+    return p.relations[i]
+
+
+def _replace_relation(p: BasedPresentation, i: int, r: Word, bp) -> BasedPresentation:
+    """p with relation i set to r and, given a bp, based at bp."""
+    base = dict(p.base) if bp is None else {**p.base, i: bp}
+    return BasedPresentation(p.generators, p.relations[:i] + (r,) + p.relations[i + 1:], base)
+
+
+def _defining_relation(p: BasedPresentation, name: str):
+    """(generator index, index of the relation based at it) for a name."""
+    names = p.name_to_index()
+    if name not in names:
+        raise InvalidMove("no generator named %r" % name)
+    gi = names[name]
+    for i, (g, _) in p.base.items():
+        if g == gi:
+            return gi, i
+    raise InvalidMove("generator %r is not a base point" % name)
+
+
+def _invert(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
+    r = _relation(p, m.i)
+    bp = None
+    if m.i in p.base:
+        # reversing r reverses the order of the base generator's occurrences
+        g, occ = p.base[m.i]
+        bp = (g, len(r.occurrences(g)) - 1 - occ)
+    return _replace_relation(p, m.i, r.inv(), bp)
+
+
+def _rewrite(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
+    """conjugate, multiply and multiply_inv: relation i becomes head + r +
+    tail, that is w r w^-1, or r times relation k or its inverse."""
+    r = _relation(p, m.i)
+    if m.kind == "conjugate":
+        w = m.w if m.w is not None else Word.identity()
+        head, tail = w.letters, w.inv().letters
+    else:
+        other = _relation(p, m.k)
+        if m.i == m.k:
+            raise InvalidMove("cannot multiply a relation by itself")
+        head, tail = (), (other if m.kind == "multiply" else other.inv()).letters
+    letters = head + r.letters + tail
+    bp = None
+    if m.i in p.base:
+        g, _ = p.base[m.i]
+        marked = len(head) + _position_of_base(r, p.base[m.i])
+        letters, marked = _reduce_tracked(letters, marked, len(head))
+        bp = (g, _ordinal_of_position(letters, marked))
+    new = Word(letters)
+    # w r w^-1 is never empty, since r is not
+    if new.is_identity():
+        raise InvalidMove("product relation is empty")
+    return _replace_relation(p, m.i, new, bp)
+
+
+def _add_generator(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
+    if m.name in p.name_to_index():
+        raise InvalidMove("generator %r already exists" % m.name)
+    indices = {g.index for g in p.generators}
+    for g, _ in m.w.letters:
+        if g not in indices:
+            raise InvalidMove("defining word uses unknown generator %d" % g)
+    new_index = max(indices, default=-1) + 1
+    return BasedPresentation(
+        p.generators + (Generator(new_index, m.name),),
+        p.relations + (Word.gen(new_index) * m.w.inv(),),
+        {**p.base, len(p.relations): (new_index, 0)},
+    )
+
+
+def _remove_generator(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
+    gi, j = _defining_relation(p, m.name)
+    r = p.relations[j]
+    if len(r.occurrences(gi)) != 1 or r.letters[_position_of_base(r, p.base[j])][1] != 1:
+        raise InvalidMove("relation is not of the form x * w^-1")
+    for i, other in enumerate(p.relations):
+        if i != j and gi in other.generators():
+            raise InvalidMove("generator %r still used by relation %d" % (m.name, i))
+    return BasedPresentation(
+        tuple(g for g in p.generators if g.index != gi),
+        p.relations[:j] + p.relations[j + 1:],
+        {(i if i < j else i - 1): bp for i, bp in p.base.items() if i != j},
+    )
+
+
+def _restore_generator(p: BasedPresentation, m: TietzeMove) -> TietzeMove:
+    _, j = _defining_relation(p, m.name)
+    return TietzeMove("add_generator", name=m.name, w=p.solved_form(j))
+
+
+# kind -> (apply, inverse): apply(p, m) is the presentation after m, and
+# inverse(p, m) the move undoing m when applied right after it
+_TIETZE_MOVES = {
+    "invert": (_invert, lambda p, m: m),
+    "conjugate": (_rewrite, lambda p, m: TietzeMove("conjugate", i=m.i, w=m.w.inv())),
+    "multiply": (_rewrite, lambda p, m: TietzeMove("multiply_inv", i=m.i, k=m.k)),
+    "multiply_inv": (_rewrite, lambda p, m: TietzeMove("multiply", i=m.i, k=m.k)),
+    "add_generator": (_add_generator, lambda p, m: TietzeMove("remove_generator", name=m.name)),
+    "remove_generator": (_remove_generator, _restore_generator),
+}
+
+
 def tietze_apply(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
-    relations = list(p.relations)
-    base = dict(p.base)
-    generators = list(p.generators)
-    if m.kind in ("invert", "conjugate", "multiply", "multiply_inv"):
-        for idx in (m.i, m.k) if m.kind.startswith("multiply") else (m.i,):
-            if idx not in range(len(relations)):
-                raise InvalidMove("no relation %r" % (idx,))
-
-    if m.kind == "invert":
-        r = relations[m.i]
-        relations[m.i] = r.inv()
-        if m.i in base:
-            g, occ = base[m.i]
-            pos = _position_of_base(r, base[m.i])
-            new_pos = len(r.letters) - 1 - pos
-            base[m.i] = (g, _ordinal_of_position(relations[m.i].letters, new_pos))
-
-    elif m.kind in ("conjugate", "multiply", "multiply_inv"):
-        # the new relation is head + r + tail: w r w^-1, or r times the
-        # other relation or its inverse
-        r = relations[m.i]
-        if m.kind == "conjugate":
-            w = m.w if m.w is not None else Word.identity()
-            head, tail = w.letters, w.inv().letters
-            empty = "conjugation produced an empty relation"
-        else:
-            if m.i == m.k:
-                raise InvalidMove("cannot multiply a relation by itself")
-            other = relations[m.k] if m.kind == "multiply" else relations[m.k].inv()
-            head, tail = (), other.letters
-            empty = "product relation is empty"
-        letters = head + r.letters + tail
-        if m.i in base:
-            g, _ = base[m.i]
-            marked = len(head) + _position_of_base(r, base[m.i])
-            letters, marked = _reduce_tracked(letters, marked, len(head))
-            base[m.i] = (g, _ordinal_of_position(letters, marked))
-        relations[m.i] = Word(letters)
-        if relations[m.i].is_identity():
-            raise InvalidMove(empty)
-
-    elif m.kind == "add_generator":
-        names = p.name_to_index()
-        if m.name in names:
-            raise InvalidMove("generator %r already exists" % m.name)
-        new_index = max((g.index for g in generators), default=-1) + 1
-        for g, _ in m.w.letters:
-            if g not in {gg.index for gg in generators}:
-                raise InvalidMove("defining word uses unknown generator %d" % g)
-        generators.append(Generator(new_index, m.name))
-        relations.append(Word.gen(new_index) * m.w.inv())
-        base[len(relations) - 1] = (new_index, 0)
-
-    elif m.kind == "remove_generator":
-        names = p.name_to_index()
-        if m.name not in names:
-            raise InvalidMove("no generator named %r" % m.name)
-        gi = names[m.name]
-        rel_idx = None
-        for i, (g, _) in base.items():
-            if g == gi:
-                rel_idx = i
-        if rel_idx is None:
-            raise InvalidMove("generator %r is not a base point" % m.name)
-        r = relations[rel_idx]
-        if len(r.occurrences(gi)) != 1 or r.letters[_position_of_base(r, base[rel_idx])][1] != 1:
-            raise InvalidMove("relation is not of the form x * w^-1")
-        for i, other in enumerate(relations):
-            if i != rel_idx and gi in other.generators():
-                raise InvalidMove("generator %r still used by relation %d" % (m.name, i))
-        del relations[rel_idx]
-        del base[rel_idx]
-        base = {
-            (i if i < rel_idx else i - 1): bp for i, bp in base.items()
-        }
-        generators = [g for g in generators if g.index != gi]
-
-    return BasedPresentation(tuple(generators), tuple(relations), base)
+    return _TIETZE_MOVES[m.kind][0](p, m)
 
 
 def inverse_move(p: BasedPresentation, m: TietzeMove) -> TietzeMove:
-    """The move undoing m when applied right after it."""
-    if m.kind == "invert":
-        return m
-    if m.kind == "conjugate":
-        return TietzeMove("conjugate", i=m.i, w=m.w.inv())
-    if m.kind == "multiply":
-        return TietzeMove("multiply_inv", i=m.i, k=m.k)
-    if m.kind == "multiply_inv":
-        return TietzeMove("multiply", i=m.i, k=m.k)
-    if m.kind == "add_generator":
-        return TietzeMove("remove_generator", name=m.name)
-    if m.kind == "remove_generator":
-        names = p.name_to_index()
-        gi = names[m.name]
-        for i, (g, _) in p.base.items():
-            if g == gi:
-                f = p.solved_form(i)
-                return TietzeMove("add_generator", name=m.name, w=f)
-        raise InvalidMove("generator %r is not a base point" % m.name)
-    raise InvalidMove("no inverse for %r" % m.kind)
+    """The move undoing m when applied right after it to p."""
+    return _TIETZE_MOVES[m.kind][1](p, m)
 
 
 def rebase(p: BasedPresentation, i: int, bp) -> BasedPresentation:
@@ -279,12 +266,7 @@ def rebase(p: BasedPresentation, i: int, bp) -> BasedPresentation:
     old_g, _ = p.base[i]
     if g != old_g:
         raise ValueError("rebase must keep the same generator")
-    positions = p.relations[i].occurrences(g)
-    if not (0 <= occ < len(positions)):
-        raise ValueError("occurrence %d of generator %d not present" % (occ, g))
-    base = dict(p.base)
-    base[i] = (g, occ)
-    return BasedPresentation(p.generators, p.relations, base)
+    return BasedPresentation(p.generators, p.relations, {**p.base, i: (g, occ)})
 
 
 def _canonical_form(p: BasedPresentation):

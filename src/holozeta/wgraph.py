@@ -50,6 +50,9 @@ class WeightedDigraph:
         dims = dict(self.vertices)
         if len(dims) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
+        for vid, d in self.vertices:
+            if d < 0:
+                raise ValueError("vertex %r has negative dimension %d" % (vid, d))
         ids = set()
         for e in self.edges:
             if e.id in ids:
@@ -338,7 +341,7 @@ def _insert(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     v = s.vertex
     if g.has_vertex(v):
         raise InvalidStep("vertex %r already exists" % v)
-    dim = s.dim or 1
+    dim = 1 if s.dim is None else s.dim
     vertices = g.vertices + ((v, dim),)
     new_edges = tuple(Edge(i, a, b, w) for (i, a, b, w) in (s.edges or ()))
     incoming = [e for e in new_edges if e.tgt == v]

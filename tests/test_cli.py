@@ -348,6 +348,9 @@ def test_stdout_of_every_subcommand(tmp_path, capsys):
         (["alexander", "--pd", _write(tmp_path, "f8.pd", fixtures.FIGURE_EIGHT_PD),
           "--route", "both"], 0,
          "numerator: 1 - 3*t + t^2\ndenominator: 1 - t\nroutes-agree: true\n"),
+        (["alexander", "--pd", _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD),
+          "--rep", _write(tmp_path, "one.rep", "all: [[1]] exp=0\n"), "--route", "both"], 0,
+         "numerator: 1\ndenominator: 0\ndenominator-vanishes: true\nroutes-agree: true\n"),
         (["tietze-verify",
           "--pres", _write(tmp_path, "p.txt",
                            format_presentation(fixtures.slide_presentation_before())),
@@ -379,3 +382,12 @@ def test_stdout_of_every_subcommand(tmp_path, capsys):
     for argv, code, stdout in runs:
         assert main(argv) == code, argv
         assert capsys.readouterr().out == stdout, argv
+
+
+def test_insert_dimension_is_read_as_written(tmp_path, capsys):
+    graph = _graph_file(tmp_path)
+    for script in ("insert w 0 f w u [[3]]\neliminate w\n", "insert w -2\neliminate w\n"):
+        argv = ["graph-verify", "--graph", graph, "--script", _write(tmp_path, "s.gs", script),
+                "--expect", graph]
+        assert main(argv) == 2, script
+        assert capsys.readouterr().out == "", script

@@ -247,6 +247,37 @@ def test_crossing_indices_are_checked():
             reidemeister_apply(diagram, move)
 
 
+def test_every_reidemeister_rejection_is_named():
+    d = fixtures.trefoil()
+    e = reidemeister_apply(d, ReidemeisterMove("R2", arc="a1", over_arc="a3", sign=1))
+    # a second clasp passes over e's middle arc b1, so e's clasp cannot be undone
+    tangled = reidemeister_apply(e, ReidemeisterMove("R2", arc="a2", over_arc="b1", sign=1))
+    before, after = fixtures.r3_pair()
+    cases = (
+        (d, ReidemeisterMove("R1_1", arc="zz"), "no arc 'zz'"),
+        (d, ReidemeisterMove("R1_1", forward=False, crossing=0), "crossing is not an R1_1 kink"),
+        (d, ReidemeisterMove("R1_2", forward=False, crossing=0), "crossing is not an R1_2 kink"),
+        (d, ReidemeisterMove("R2", arc="a1", over_arc="zz"), "R2 needs two existing arcs"),
+        (d, ReidemeisterMove("R2", arc="a1", over_arc="a1"), "R2 strands must be distinct arcs"),
+        (d, ReidemeisterMove("R2", forward=False, crossings=(0, 1)),
+         "crossings do not form an R2 pair"),
+        (parse_gauss("O1+ O2- U1+ U2-"), ReidemeisterMove("R2", forward=False, crossings=(0, 1)),
+         "over strand entangled with the R2 site"),
+        (tangled, ReidemeisterMove("R2", forward=False, crossings=(3, 4)),
+         "middle arc is not free"),
+        (fixtures.figure_eight(), ReidemeisterMove("R3", crossings=(0, 1, 2)),
+         "only the all-positive R3 pattern is implemented"),
+        (d, ReidemeisterMove("R3", crossings=(0, 2, 1)), "under strand must pass c1 then c2"),
+        (after, ReidemeisterMove("R3", crossings=(1, 2, 3)),
+         "site does not match the R3 before-pattern"),
+        (before, ReidemeisterMove("R3", forward=False, crossings=(1, 2, 3)),
+         "site does not match the R3 after-pattern"),
+    )
+    for diagram, move, message in cases:
+        with pytest.raises(MoveMismatch, match="^%s$" % message):
+            reidemeister_apply(diagram, move)
+
+
 def test_reidemeister_invariance_of_alexander():
     for label, before, after in fixtures.reidemeister_fixture_pairs():
         rep_b = Representation.trivial(range(len(before.arcs)))

@@ -108,11 +108,51 @@ def test_add_remove_generator_roundtrip():
 def test_remove_generator_requires_sole_use():
     p = _pres(["x y x^-1 y^-1"], {0: (X, 0)})
     q = tietze_apply(p, TietzeMove("add_generator", name="w", w=Word.gen(Y)))
-    # make another relation mention w
-    wi = q.name_to_index()["w"]
-    rels = q.relations[:1] + (q.relations[1] * Word.gen(wi) * Word.gen(wi, -1),) + q.relations[1:]
-    with pytest.raises(InvalidMove):
+    with pytest.raises(InvalidMove, match=r"relation is not of the form x \* w\^-1"):
         tietze_apply(q, TietzeMove("remove_generator", name="x"))
+    # another relation mentions w, so w cannot go
+    wi = q.name_to_index()["w"]
+    uses_w = parse_word("w z w^-1 z^-1", dict(NMAP, w=wi))
+    r = BasedPresentation(q.generators, q.relations[:1] + (uses_w,) + q.relations[1:],
+                          {0: (X, 0), 2: (wi, 0)})
+    with pytest.raises(InvalidMove, match="generator 'w' still used by relation 1"):
+        tietze_apply(r, TietzeMove("remove_generator", name="w"))
+
+
+def test_generator_moves_invert_each_other():
+    p = _pres(["x y x^-1 y^-1"], {0: (X, 0)})
+    add = TietzeMove("add_generator", name="w", w=parse_word("y x y^-1", NMAP))
+    q = tietze_apply(p, add)
+    back = tietze_apply(q, inverse_move(p, add))
+    assert presentations_equal(p, back) and back.base == p.base
+    remove = TietzeMove("remove_generator", name="w")
+    assert inverse_move(q, remove) == add
+    again = tietze_apply(tietze_apply(q, remove), inverse_move(q, remove))
+    assert presentations_equal(q, again) and again.base == q.base
+
+
+def test_invalid_generator_and_product_moves():
+    p = _pres(["x y", "y^-1 x^-1"], {0: (X, 0)})
+    unbased = _pres(["x y", "y^-1 x^-1"], {})
+    cases = (
+        (p, TietzeMove("add_generator", name="x", w=Word.gen(Y)), "generator 'x' already exists"),
+        (p, TietzeMove("add_generator", name="w", w=Word.gen(7)),
+         "defining word uses unknown generator 7"),
+        (p, TietzeMove("remove_generator", name="nope"), "no generator named 'nope'"),
+        (p, TietzeMove("remove_generator", name="y"), "generator 'y' is not a base point"),
+        (unbased, TietzeMove("multiply", i=0, k=1), "product relation is empty"),
+    )
+    for pres, move, message in cases:
+        with pytest.raises(InvalidMove, match="^%s$" % message):
+            tietze_apply(pres, move)
+
+
+def test_inverse_of_remove_generator_checks_the_name():
+    p = _pres(["x y x^-1 y^-1"], {0: (X, 0)})
+    with pytest.raises(InvalidMove, match="no generator named 'nope'"):
+        inverse_move(p, TietzeMove("remove_generator", name="nope"))
+    with pytest.raises(InvalidMove, match="generator 'y' is not a base point"):
+        inverse_move(p, TietzeMove("remove_generator", name="y"))
 
 
 def test_rebase_validation():
