@@ -4,7 +4,8 @@ A based presentation (X, R, B) assigns to each relation a chosen
 occurrence of a generator (its base point), injectively over relations.
 Solving the relation at its base point as x_i = f_i drives both the
 assumption check and the group-weighted graph construction.  Tietze
-moves are looked up in one rule table, each kind beside its inverse.
+moves are looked up in one rule table, each kind beside its required
+fields and its inverse.
 """
 from __future__ import annotations
 
@@ -131,6 +132,9 @@ class TietzeMove:
     def __post_init__(self):
         if self.kind not in _TIETZE_MOVES:
             raise ValueError("unknown Tietze move kind %r" % self.kind)
+        for field in _TIETZE_MOVES[self.kind][0]:
+            if getattr(self, field) is None:
+                raise ValueError("Tietze move %s needs field %r" % (self.kind, field))
 
 
 def _position_of_base(r: Word, bp) -> int:
@@ -182,8 +186,7 @@ def _rewrite(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
     tail, that is w r w^-1, or r times relation k or its inverse."""
     r = _relation(p, m.i)
     if m.kind == "conjugate":
-        w = m.w if m.w is not None else Word.identity()
-        head, tail = w.letters, w.inv().letters
+        head, tail = m.w.letters, m.w.inv().letters
     else:
         other = _relation(p, m.k)
         if m.i == m.k:
@@ -238,25 +241,27 @@ def _restore_generator(p: BasedPresentation, m: TietzeMove) -> TietzeMove:
     return TietzeMove("add_generator", name=m.name, w=p.solved_form(j))
 
 
-# kind -> (apply, inverse): apply(p, m) is the presentation after m, and
+# kind -> (required fields, apply, inverse): TietzeMove rejects a move
+# missing a required field; apply(p, m) is the presentation after m, and
 # inverse(p, m) the move undoing m when applied right after it
 _TIETZE_MOVES = {
-    "invert": (_invert, lambda p, m: m),
-    "conjugate": (_rewrite, lambda p, m: TietzeMove("conjugate", i=m.i, w=m.w.inv())),
-    "multiply": (_rewrite, lambda p, m: TietzeMove("multiply_inv", i=m.i, k=m.k)),
-    "multiply_inv": (_rewrite, lambda p, m: TietzeMove("multiply", i=m.i, k=m.k)),
-    "add_generator": (_add_generator, lambda p, m: TietzeMove("remove_generator", name=m.name)),
-    "remove_generator": (_remove_generator, _restore_generator),
+    "invert": (("i",), _invert, lambda p, m: m),
+    "conjugate": (("i", "w"), _rewrite, lambda p, m: TietzeMove("conjugate", i=m.i, w=m.w.inv())),
+    "multiply": (("i", "k"), _rewrite, lambda p, m: TietzeMove("multiply_inv", i=m.i, k=m.k)),
+    "multiply_inv": (("i", "k"), _rewrite, lambda p, m: TietzeMove("multiply", i=m.i, k=m.k)),
+    "add_generator": (("name", "w"), _add_generator,
+                      lambda p, m: TietzeMove("remove_generator", name=m.name)),
+    "remove_generator": (("name",), _remove_generator, _restore_generator),
 }
 
 
 def tietze_apply(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
-    return _TIETZE_MOVES[m.kind][0](p, m)
+    return _TIETZE_MOVES[m.kind][1](p, m)
 
 
 def inverse_move(p: BasedPresentation, m: TietzeMove) -> TietzeMove:
     """The move undoing m when applied right after it to p."""
-    return _TIETZE_MOVES[m.kind][1](p, m)
+    return _TIETZE_MOVES[m.kind][2](p, m)
 
 
 def rebase(p: BasedPresentation, i: int, bp) -> BasedPresentation:

@@ -41,9 +41,6 @@ class FiniteQuandle:
     def inv_star(self, a: int, b: int) -> int:
         return self.inv_table[a][b]
 
-    def elements(self):
-        return range(self.n)
-
 
 def quandle_check(table) -> FiniteQuandle:
     """Validate the three quandle axioms exhaustively and build the
@@ -309,16 +306,100 @@ def coloring_from_map(q: FiniteQuandle, d, colors: dict) -> QuandleColoring:
     return QuandleColoring(tuple((a, colors[a]) for a in d.arcs))
 
 
+def _coloring_plan(q: FiniteQuandle, d) -> list:
+    """Compile the coloring search of d into levels [(arc, steps), ...].
+
+    Right translation is a bijection, so a crossing fixes its under_out
+    color once under_in and over are known, and under_in once under_out
+    and over are.  Level j tries every color of its branch arc, then runs
+    its steps (k, t, a, b, check) in order: a force sets color[k] to
+    t[color[a]][color[b]]; a check rejects the branch unless they are
+    equal.  Every crossing is either forced through or checked exactly
+    once.  The next branch arc is the over arc of a crossing whose under
+    arc is known, so on T(2,n) only 2 arcs branch."""
+    index = {a: k for k, a in enumerate(d.arcs)}
+    crossings = []
+    touching = [[] for _ in d.arcs]
+    for c in d.crossings:
+        ui, uo, ov = index[c.under_in], index[c.under_out], index[c.over]
+        fwd, back = (q.table, q.inv_table) if c.sign == 1 else (q.inv_table, q.table)
+        for k in {ui, uo, ov}:
+            touching[k].append(len(crossings))
+        crossings.append((ui, uo, ov, fwd, back))
+    known = [False] * len(d.arcs)
+    done = [False] * len(crossings)
+    candidates, first_free = [], 0
+    plan = []
+    while True:
+        while candidates and known[candidates[-1]]:
+            candidates.pop()
+        if candidates:
+            arc = candidates.pop()
+        else:
+            while first_free < len(known) and known[first_free]:
+                first_free += 1
+            if first_free == len(known):
+                return plan
+            arc = first_free
+        steps = []
+        plan.append((arc, steps))
+        known[arc] = True
+        fresh = [arc]
+        while fresh:
+            for j in touching[fresh.pop()]:
+                if done[j]:
+                    continue
+                ui, uo, ov, fwd, back = crossings[j]
+                if not known[ov]:
+                    if known[ui] or known[uo]:
+                        candidates.append(ov)
+                    continue
+                if known[ui] and known[uo]:
+                    steps.append((uo, fwd, ui, ov, True))
+                elif known[ui]:
+                    steps.append((uo, fwd, ui, ov, False))
+                    known[uo] = True
+                    fresh.append(uo)
+                elif known[uo]:
+                    steps.append((ui, back, uo, ov, False))
+                    known[ui] = True
+                    fresh.append(ui)
+                else:
+                    continue
+                done[j] = True
+
+
 def enumerate_colorings(q: FiniteQuandle, d) -> list:
-    """All quandle colorings of the diagram, by brute force in
-    lexicographic order over the arcs."""
-    out = []
-    arcs = d.arcs
-    for assign in product(q.elements(), repeat=len(arcs)):
-        colors = dict(zip(arcs, assign))
-        if _check_coloring(q, d, colors) is None:
-            out.append(QuandleColoring(tuple(zip(arcs, assign))))
-    return out
+    """All quandle colorings of the diagram, in lexicographic order over
+    the arcs: a backtracking run of the compiled plan, without recursion."""
+    plan = _coloring_plan(q, d)
+    colors = [0] * len(d.arcs)
+    tried = [0] * len(plan)
+    found = []
+    level = 0
+    while level >= 0:
+        if level == len(plan):
+            found.append(tuple(colors))
+            level -= 1
+            continue
+        x = tried[level]
+        if x == q.n:
+            tried[level] = 0
+            level -= 1
+            continue
+        tried[level] = x + 1
+        arc, steps = plan[level]
+        colors[arc] = x
+        for k, t, a, b, check in steps:
+            y = t[colors[a]][colors[b]]
+            if not check:
+                colors[k] = y
+            elif colors[k] != y:
+                break
+        else:
+            level += 1
+    found.sort()
+    return [QuandleColoring(tuple(zip(d.arcs, assign))) for assign in found]
 
 
 def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQuandle = None) -> WeightedDigraph:

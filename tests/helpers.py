@@ -86,3 +86,42 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
             term = term * m[i, perm[i]]
         total = total + term
     return total
+
+
+def torus_gauss(n: int, sign: str = "+") -> str:
+    """T(2,n) as the closed 2-braid sigma_1^n; sign "-" gives its mirror."""
+    return " ".join("%s%d%s" % ("OU"[k % 2], k % n + 1, sign) for k in range(2 * n))
+
+
+def braid_gauss(word, strands: int = 3):
+    """Signed Gauss code of the closure of a braid word, a list of (i, e)
+    for sigma_i^e, or None when the closure is not a knot.  sigma_i^e
+    crosses the strands at positions i - 1 and i; the strand moving right
+    passes over when e = 1."""
+    toks, pos = [], 0
+    for _ in range(strands):
+        for k, (i, e) in enumerate(word):
+            if pos in (i - 1, i):
+                right = pos == i - 1
+                toks.append("%s%d%s" % ("O" if right == (e == 1) else "U", k + 1, "+" if e == 1 else "-"))
+                pos = i if right else i - 1
+        if pos == 0:
+            break
+    return " ".join(toks) if word and len(toks) == 2 * len(word) else None
+
+
+def colorings_by_sweep(q, d) -> list:
+    """Every quandle coloring of d as ((arc, color), ...) tuples, by trying
+    all q.n ** len(d.arcs) assignments in lexicographic order: an oracle
+    independent of the library's compiled search."""
+    index = {a: k for k, a in enumerate(d.arcs)}
+    rules = [(index[c.under_in], index[c.over], index[c.under_out],
+              q.table if c.sign == 1 else q.inv_table) for c in d.crossings]
+    found = []
+    for colors in itertools.product(range(q.n), repeat=len(d.arcs)):
+        for i, v, o, t in rules:
+            if t[colors[i]][colors[v]] != colors[o]:
+                break
+        else:
+            found.append(tuple(zip(d.arcs, colors)))
+    return found

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from holozeta.cli import main
+from holozeta.knot import parse_gauss
 from holozeta.laurent import LaurentPoly, parse_laurent
 from holozeta.presentation import format_presentation
 from holozeta.quandle import (
@@ -18,6 +19,8 @@ from holozeta.quandle import (
 )
 from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_matrix_literal
 from holozeta import fixtures
+
+from helpers import torus_gauss
 
 
 def _write(tmp_path, name, text):
@@ -245,6 +248,27 @@ def test_colorings(tmp_path, capsys):
     assert main(["colorings", "--quandle", qf, "--pd", pd]) == 0
     out = capsys.readouterr().out
     assert "count: 9" in out
+
+
+def test_colorings_of_a_21_crossing_torus_knot(tmp_path, capsys):
+    """T(2,21) has 21 arcs, far past a sweep over p^21 assignments: D_p
+    colors it in p^2 ways when p divides 21, and every printed coloring
+    satisfies every crossing, out = 2 over - in mod p."""
+    code = torus_gauss(21)
+    d = parse_gauss(code)
+    gf = _write(tmp_path, "t21.gauss", code)
+    for p, count in ((3, 9), (7, 49)):
+        qf = _write(tmp_path, "d%d.q" % p, format_quandle(dihedral_quandle(p)))
+        assert main(["colorings", "--quandle", qf, "--gauss", gf]) == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head == "count: %d" % count
+        assert len(set(lines)) == len(lines) == count
+        for line in lines:
+            assert line.startswith("coloring: ")
+            colors = {a: int(x) for a, x in (cell.split("=") for cell in line.split()[1:])}
+            assert sorted(colors) == sorted(d.arcs)
+            for c in d.crossings:
+                assert colors[c.under_out] == (2 * colors[c.over] - colors[c.under_in]) % p
 
 
 def test_export_dot(tmp_path, capsys):

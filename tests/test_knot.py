@@ -24,6 +24,8 @@ from holozeta.presentation import build_group_weighted_graph
 from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
+from helpers import torus_gauss
+
 
 TREFOIL_GAUSS = "O1+ U2+ O3+ U1+ O2+ U3+"
 
@@ -99,11 +101,6 @@ def test_unknot_alexander():
     assert res.denominator == parse_laurent("1 - t")
 
 
-def _torus_gauss(n: int) -> str:
-    """T(2,n) as the closed 2-braid sigma_1^n."""
-    return " ".join("%s%d+" % ("OU"[k % 2], k % n + 1) for k in range(2 * n))
-
-
 def _s3_rep_text(n: int) -> str:
     """The dihedral S3 rep of T(2,n), 3 | n: arc i goes to reflection i mod 3."""
     reflections = ("[[0,1],[1,0]]", "[[-1,0],[-1,1]]", "[[1,-1],[0,-1]]")
@@ -112,12 +109,12 @@ def _s3_rep_text(n: int) -> str:
 
 def test_knot_determinants_match_laurent_bareiss():
     # the T(2,15) Fox minor, trivial rep: 14 x 14
-    p = wirtinger_presentation(parse_gauss(_torus_gauss(15)))
+    p = wirtinger_presentation(parse_gauss(torus_gauss(15)))
     minor = fox_matrix(p, Representation.trivial(range(15)))
     assert minor.rows == 14
     assert minor.det() == minor.det_bareiss()
     # the graph-route det(I - A) of T(2,9) with the S3 rep: 18 x 18
-    p = wirtinger_presentation(parse_gauss(_torus_gauss(9)))
+    p = wirtinger_presentation(parse_gauss(torus_gauss(9)))
     rep = parse_rep(_s3_rep_text(9), p.name_to_index())
     a = adjacency_matrix(phi_image(build_group_weighted_graph(p), rep))
     i_minus_a = PolyMatrix.identity(a.rows) - a
@@ -126,7 +123,7 @@ def test_knot_determinants_match_laurent_bareiss():
 
 
 def test_shared_setup_gives_the_same_answer():
-    d = parse_gauss(_torus_gauss(9))
+    d = parse_gauss(torus_gauss(9))
     p = wirtinger_presentation(d)
     rep = parse_rep(_s3_rep_text(9), p.name_to_index())
     setup = alexander_setup(p, rep)
@@ -147,7 +144,7 @@ def test_rep_direct_sum_and_conjugate():
     with pytest.raises(ValueError):
         rep_conjugate(rs, [[1]])
     # a rep that is not a scalar: P rho P^-1 differs from rho, the numerators do not
-    d9 = parse_gauss(_torus_gauss(9))
+    d9 = parse_gauss(torus_gauss(9))
     p9 = wirtinger_presentation(d9)
     s3 = parse_rep(_s3_rep_text(9), p9.name_to_index())
     s3c = rep_conjugate(s3, [[1, 1], [0, 1]])
@@ -306,7 +303,7 @@ def test_each_distinct_rho_is_inverted_once(monkeypatch):
     Representation.trivial(range(25))
     assert len(calls) == 1
     mixed = Representation(1, {i: (Fraction(1),) for i in range(3)}, {0: 1, 1: 2, 2: 0})
-    s3 = parse_rep(_s3_rep_text(9), wirtinger_presentation(parse_gauss(_torus_gauss(9))).name_to_index())
+    s3 = parse_rep(_s3_rep_text(9), wirtinger_presentation(parse_gauss(torus_gauss(9))).name_to_index())
     for rep in (mixed, s3):
         one = PolyMatrix.identity(rep.dim)
         for phi, phi_inv in rep.phi.values():

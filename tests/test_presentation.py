@@ -147,6 +147,18 @@ def test_invalid_generator_and_product_moves():
             tietze_apply(pres, move)
 
 
+def test_tietze_move_requires_its_fields():
+    full = dict(i=0, k=1, w=Word.gen(Y), name="w")
+    required = {"invert": ("i",), "conjugate": ("i", "w"), "multiply": ("i", "k"),
+                "multiply_inv": ("i", "k"), "add_generator": ("name", "w"),
+                "remove_generator": ("name",)}
+    for kind, fields in required.items():
+        TietzeMove(kind, **full)
+        for field in fields:
+            with pytest.raises(ValueError, match="^Tietze move %s needs field '%s'$" % (kind, field)):
+                TietzeMove(kind, **{**full, field: None})
+
+
 def test_inverse_of_remove_generator_checks_the_name():
     p = _pres(["x y x^-1 y^-1"], {0: (X, 0)})
     with pytest.raises(InvalidMove, match="no generator named 'nope'"):

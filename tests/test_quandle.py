@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from holozeta.laurent import LaurentPoly, parse_laurent
 from holozeta.wgraph import zeta_reciprocal
@@ -28,13 +29,20 @@ from holozeta.quandle import (
     recover_pair,
     trivial_quandle,
 )
+from holozeta.quandle import _coloring_plan
+from holozeta.knot import Crossing, KnotDiagram, ReidemeisterMove, parse_gauss, reidemeister_apply
 from holozeta import fixtures
 
-from helpers import seeded_rng
+from helpers import braid_gauss, colorings_by_sweep, seeded_rng, torus_gauss
 
 
 R3 = dihedral_quandle(3)
 T4 = trivial_quandle(4)
+# Alexander quandles a * b = ta + (1 - t)b on Z/p.  Neither is involutory,
+# so a crossing's sign decides which table applies: on Z/5 with t = 2,
+# a *^-1 b = 3(a + b).  Z/7 with t = 3 colors the trefoil nontrivially.
+Z5 = quandle_check([[(2 * a - b) % 5 for b in range(5)] for a in range(5)])
+Z7 = quandle_check([[(3 * a - 2 * b) % 7 for b in range(7)] for a in range(7)])
 
 
 def _pairs(q):
@@ -148,6 +156,68 @@ def test_trefoil_coloring_count():
     assert len(enumerate_colorings(R3, fixtures.trefoil())) == 9
     assert len(enumerate_colorings(T4, fixtures.trefoil())) == 4
     assert len(enumerate_colorings(R3, fixtures.unknot())) == 3
+
+
+SIGNS = st.sampled_from((1, -1))
+
+
+@st.composite
+def small_diagrams(draw, max_arcs=7):
+    """The unknot, T(2,n) or its mirror, or a 3-braid closure, then up to
+    three R1/R2 moves of either sign, keeping at most max_arcs arcs."""
+    start = draw(st.sampled_from(("unknot", "torus", "braid")))
+    if start == "unknot":
+        d = KnotDiagram(("a1",), ())
+    elif start == "torus":
+        d = parse_gauss(torus_gauss(draw(st.sampled_from((1, 3, 5, 7))), draw(st.sampled_from("+-"))))
+    else:
+        code = braid_gauss(draw(st.lists(st.tuples(st.integers(1, 2), SIGNS), min_size=2, max_size=6)))
+        assume(code is not None)
+        d = parse_gauss(code)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("R1_1", "R1_2", "R2")))
+        a = draw(st.sampled_from(d.arcs))
+        if kind != "R2" and len(d.arcs) < max_arcs:
+            d = reidemeister_apply(d, ReidemeisterMove(kind, arc=a, sign=draw(SIGNS)))
+        elif kind == "R2" and 2 <= len(d.arcs) <= max_arcs - 2:
+            c = draw(st.sampled_from([x for x in d.arcs if x != a]))
+            d = reidemeister_apply(d, ReidemeisterMove("R2", arc=a, over_arc=c, sign=draw(SIGNS)))
+    return d
+
+
+@st.composite
+def quandle_and_diagram(draw):
+    """A quandle and a diagram small enough for the sweep: at most 7 arcs
+    and at most 50000 assignments."""
+    q = draw(st.sampled_from([dihedral_quandle(n) for n in (3, 4, 5, 6)] + [trivial_quandle(3), Z5, Z7]))
+    return q, draw(small_diagrams(max(k for k in range(1, 8) if q.n ** k <= 50000)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(quandle_and_diagram())
+def test_colorings_match_the_sweep(case):
+    q, d = case
+    assert [c.colors for c in enumerate_colorings(q, d)] == colorings_by_sweep(q, d)
+
+
+def test_torus_knots_branch_on_two_arcs():
+    """The next branch arc is the over arc of a crossing whose under arc
+    is known, and then every other arc of T(2,n) is forced."""
+    for n in (3, 21, 51):
+        assert len(_coloring_plan(Z7, parse_gauss(torus_gauss(n)))) == 2
+
+
+def test_long_kink_chain_colors():
+    """1600 R1 kinks of both kinds and signs in a row: only the constant
+    colorings, found without recursing once per arc."""
+    m = 1600
+    arcs = tuple("a%d" % k for k in range(m))
+    d = KnotDiagram(arcs, tuple(
+        Crossing(1 if k % 3 else -1, arcs[k], arcs[(k + 1) % m], arcs[(k + 1) % m] if k % 2 else arcs[k])
+        for k in range(m)))
+    for q in (R3, Z5):
+        want = [tuple((a, x) for a in arcs) for x in range(q.n)]
+        assert [c.colors for c in enumerate_colorings(q, d)] == want
 
 
 def test_coloring_from_map_validates():
