@@ -287,6 +287,9 @@ def _cmd_holonomy_check(args):
     g = qmod.parse_weights_file(_read(args.weights))
     if g.n != q.n:
         raise InputError("weights size %d does not match quandle size %d" % (g.n, q.n))
+    if args.perturb and not q.n:
+        raise InputError("--perturb %d has no entry to perturb on the empty quandle (0 elements)"
+                         % args.perturb)
     report = qmod.holonomy_check(q, g)
     _flag("holonomy-preserved", report.ok)
     if args.perturb:
@@ -297,7 +300,7 @@ def _cmd_holonomy_check(args):
             which = rng.choice(names)
             a, b = rng.randrange(q.n), rng.randrange(q.n)
             bad = g.perturbed(which, a, b, LaurentPoly.one())
-            if not qmod.holonomy_check(q, bad).ok:
+            if next(qmod.holonomy_failures(q, bad), None) is not None:
                 failed += 1
         print("perturbations-rejected: %d/%d" % (failed, args.perturb))
     if not report.ok:

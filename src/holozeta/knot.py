@@ -137,8 +137,12 @@ class KnotDiagram:
     crossings: tuple
 
     def __post_init__(self):
-        if len(set(self.arcs)) != len(self.arcs):
+        # arc -> position along the strand, built once so that next_arc and
+        # the checks below are O(1) per crossing
+        position = {a: k for k, a in enumerate(self.arcs)}
+        if len(position) != len(self.arcs):
             raise ValueError("duplicate arc ids")
+        object.__setattr__(self, "_position", position)
         if not self.crossings:
             if len(self.arcs) != 1:
                 raise ValueError("a crossingless diagram is a single closed arc")
@@ -150,7 +154,7 @@ class KnotDiagram:
         if sorted(under_in) != sorted(self.arcs) or sorted(under_out) != sorted(self.arcs):
             raise ValueError("each arc must pass under exactly once")
         for c in self.crossings:
-            if c.over not in self.arcs:
+            if c.over not in position:
                 raise ValueError("over arc %r missing" % (c.over,))
             if c.under_out != self.next_arc(c.under_in):
                 raise ValueError(
@@ -159,7 +163,7 @@ class KnotDiagram:
                 )
 
     def next_arc(self, a: str) -> str:
-        i = self.arcs.index(a)
+        i = self._position[a]
         return self.arcs[(i + 1) % len(self.arcs)]
 
     def crossing_under(self, a: str) -> Crossing:

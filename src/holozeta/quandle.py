@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_laurent
 from .wgraph import WeightedDigraph, Edge
@@ -199,58 +199,66 @@ class HolonomyReport:
         return not self.failures
 
 
-def holonomy_check(q: FiniteQuandle, g: CrossingWeights) -> HolonomyReport:
-    """Exhaustively check the holonomy conditions (A), (B-1), (B-2), (C)."""
+def holonomy_failures(q: FiniteQuandle, g: CrossingWeights):
+    """Yield each failing holonomy identity as (condition, witness,
+    "lhs != rhs"), lazily and in the order (A), (B-1), (B-2), (C).
+
+    A caller that only asks whether weights fail stops at the first
+    failure; the n^3 loop of (C) runs only if everything before it holds."""
     n = q.n
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
     g1p, g2p, g1n, g2n = g.g1_pos, g.g2_pos, g.g1_neg, g.g2_neg
-    failures = []
 
-    def expect(cond, witness, lhs, rhs):
+    def identities():
+        # (A): the kink configuration, where the over arc equals the under arc
+        for a in range(n):
+            yield "A", (a,), g1n[a][a] + g2n[a][a], one
+        # (B-1): cancelling crossing pair met under-first; X_{j+1} = b *' a,
+        # X_{i+1} = a * b
+        for a in range(n):
+            for b in range(n):
+                jb = q.inv_star(b, a)
+                yield "B-1", (a, b), g2n[b][a] + g1n[b][a] * g2p[jb][a], zero
+                yield "B-1", (a, b), g1n[b][a] * g1p[jb][a], one
+                ia = q.star(a, b)
+                yield "B-1", (a, b), g2p[a][b] + g1p[a][b] * g2n[ia][b], zero
+                yield "B-1", (a, b), g1p[a][b] * g1n[ia][b], one
+        # (B-2): the opposite clasp; X_{i+1} = a *' b
+        for a in range(n):
+            for b in range(n):
+                ia = q.inv_star(a, b)
+                yield "B-2", (a, b), g2n[a][b] + g1n[a][b] * g2p[ia][b], zero
+                yield "B-2", (a, b), g1n[a][b] * g1p[ia][b], one
+        # (C): triangle slide; intermediate arcs a*b before, a*c and b*c after
+        for a, b, c in product(range(n), repeat=3):
+            ab, ac, bc = q.star(a, b), q.star(a, c), q.star(b, c)
+            yield "C", (a, b, c), g1p[a][b] * g1p[ab][c], g1p[a][c] * g1p[ac][bc]
+            yield "C", (a, b, c), g2p[a][b] * g1p[b][c], g1p[a][c] * g2p[ac][bc]
+            # accumulated weight of the two routes from v_i to v_k before the
+            # slide equals the single direct edge after it
+            yield (
+                "C",
+                (a, b, c),
+                g1p[a][b] * g2p[ab][c] + g2p[a][b] * g2p[b][c],
+                g2p[a][c],
+            )
+
+    for cond, witness, lhs, rhs in identities():
         if lhs != rhs:
-            failures.append((cond, witness, "%s != %s" % (lhs, rhs)))
+            yield cond, witness, "%s != %s" % (lhs, rhs)
 
-    # (A): the kink configuration, where the over arc equals the under arc
-    for a in range(n):
-        expect("A", (a,), g1n[a][a] + g2n[a][a], one)
-    # (B-1): cancelling crossing pair met under-first; X_{j+1} = b *' a,
-    # X_{i+1} = a * b
-    for a in range(n):
-        for b in range(n):
-            jb = q.inv_star(b, a)
-            expect("B-1", (a, b), g2n[b][a] + g1n[b][a] * g2p[jb][a], zero)
-            expect("B-1", (a, b), g1n[b][a] * g1p[jb][a], one)
-            ia = q.star(a, b)
-            expect("B-1", (a, b), g2p[a][b] + g1p[a][b] * g2n[ia][b], zero)
-            expect("B-1", (a, b), g1p[a][b] * g1n[ia][b], one)
-    # (B-2): the opposite clasp; X_{i+1} = a *' b
-    for a in range(n):
-        for b in range(n):
-            ia = q.inv_star(a, b)
-            expect("B-2", (a, b), g2n[a][b] + g1n[a][b] * g2p[ia][b], zero)
-            expect("B-2", (a, b), g1n[a][b] * g1p[ia][b], one)
-    # (C): triangle slide; intermediate arcs a*b before, a*c and b*c after
-    for a, b, c in product(range(n), repeat=3):
-        ab, ac, bc = q.star(a, b), q.star(a, c), q.star(b, c)
-        expect("C", (a, b, c), g1p[a][b] * g1p[ab][c], g1p[a][c] * g1p[ac][bc])
-        expect("C", (a, b, c), g2p[a][b] * g1p[b][c], g1p[a][c] * g2p[ac][bc])
-        # accumulated weight of the two routes from v_i to v_k before the
-        # slide equals the single direct edge after it
-        expect(
-            "C",
-            (a, b, c),
-            g1p[a][b] * g2p[ab][c] + g2p[a][b] * g2p[b][c],
-            g2p[a][c],
-        )
-    return HolonomyReport(failures)
+
+def holonomy_check(q: FiniteQuandle, g: CrossingWeights) -> HolonomyReport:
+    """Exhaustively check the holonomy conditions (A), (B-1), (B-2), (C)."""
+    return HolonomyReport(list(holonomy_failures(q, g)))
 
 
 def recover_pair(q: FiniteQuandle, g: CrossingWeights) -> AlexanderPairTable:
     """Read the Alexander pair back off holonomy-preserving weights:
     f1(a,b) = g1-(a*b, b), f2(a,b) = g2-(a*b, b)."""
-    report = holonomy_check(q, g)
-    if not report.ok:
-        raise ValueError("weights do not preserve holonomy: %s" % report.failures[:3])
+    failures = list(islice(holonomy_failures(q, g), 3))
+    if failures:
+        raise ValueError("weights do not preserve holonomy: %s" % failures)
     n = q.n
     f1 = [[g.g1_neg[q.star(a, b)][b] for b in range(n)] for a in range(n)]
     f2 = [[g.g2_neg[q.star(a, b)][b] for b in range(n)] for a in range(n)]

@@ -15,6 +15,7 @@ from holozeta.quandle import (
     format_pair_file,
     format_quandle,
     format_weights_file,
+    holonomy_check,
     identity_weights,
 )
 from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_matrix_literal
@@ -227,6 +228,36 @@ def test_holonomy_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "holonomy-preserved: true" in out
     assert "perturbations-rejected: 3/3" in out
+
+
+def test_holonomy_check_perturbs_a_failing_base(tmp_path, capsys):
+    """Failing weights still get their perturbations counted, and the
+    witness is the first failure of the exhaustive check."""
+    q = dihedral_quandle(3)
+    f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
+    g = f_twisted_weights(f, q).perturbed("g2_neg", 0, 1, LaurentPoly.one())
+    assert holonomy_check(q, g).failures == [
+        ("B-1", (1, 0), "1 != 0"), ("B-1", (2, 1), "t^-1 != 0"), ("B-2", (0, 1), "1 != 0")]
+    argv = ["holonomy-check", "--quandle", _write(tmp_path, "q3.txt", format_quandle(q)),
+            "--weights", _write(tmp_path, "w.txt", format_weights_file(g)), "--perturb", "5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "holonomy-preserved: false\nperturbations-rejected: 5/5\n"
+        '{"witness": "condition B-1 fails", "at": "(1, 0)", "detail": "1 != 0"}\n')
+
+
+def test_perturb_on_the_empty_quandle_exits_2(tmp_path, capsys):
+    empty = _write(tmp_path, "empty.txt", "0\n")
+    argv = ["holonomy-check", "--quandle", empty, "--weights", empty]
+    assert main(argv + ["--perturb", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --perturb 3 has no entry to perturb on the empty quandle (0 elements)\n")
+    assert main(argv + ["--perturb", "0"]) == 0
+    assert capsys.readouterr().out == "holonomy-preserved: true\n"
+    assert main(["quandle-check", "--quandle", empty]) == 0
+    assert capsys.readouterr().out == "valid: true\nsize: 0\n"
 
 
 def test_negative_perturb_exits_2(tmp_path, capsys):

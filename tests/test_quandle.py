@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from holozeta.laurent import LaurentPoly, parse_laurent
 from holozeta.wgraph import zeta_reciprocal
 from holozeta.quandle import (
+    CrossingWeights,
     PairConditionError,
     QuandleError,
     alexander_pair_check,
@@ -19,6 +21,7 @@ from holozeta.quandle import (
     format_quandle,
     format_weights_file,
     holonomy_check,
+    holonomy_failures,
     identity_weights,
     parse_pair_file,
     parse_quandle,
@@ -33,7 +36,7 @@ from holozeta.quandle import _coloring_plan
 from holozeta.knot import Crossing, KnotDiagram, ReidemeisterMove, parse_gauss, reidemeister_apply
 from holozeta import fixtures
 
-from helpers import braid_gauss, colorings_by_sweep, seeded_rng, torus_gauss
+from helpers import braid_gauss, colorings_by_sweep, random_unit, seeded_rng, torus_gauss
 
 
 R3 = dihedral_quandle(3)
@@ -150,6 +153,101 @@ def test_perturbed_weights_fail_holonomy():
         a, b = rng.randrange(3), rng.randrange(3)
         bad = g.perturbed(which, a, b, LaurentPoly.one())
         assert not holonomy_check(R3, bad).ok
+
+
+WEIGHT_TABLES = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
+
+
+def _weights_from_positive(q, g1p, g2p):
+    """Complete positive tables to weights that pass (A), (B-1) and (B-2):
+    g1-(a*b,b) = g1+(a,b)^-1 and g2-(a*b,b) = -g1+(a,b)^-1 g2+(a,b).  They
+    pass (A) when g2+(a,a) = 1 - g1+(a,a); (C) is left to the tables."""
+    n = q.n
+    g1n = [[None] * n for _ in range(n)]
+    g2n = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            inv = g1p[a][b].unit_inverse()
+            g1n[q.star(a, b)][b] = inv
+            g2n[q.star(a, b)][b] = -(inv * g2p[a][b])
+    return CrossingWeights(n, *(tuple(map(tuple, t)) for t in (g1p, g2p, g1n, g2n)))
+
+
+def _c_only_weights(q, rng):
+    """Random unit g1+ and g2+ with g2+(a,a) = 1 - g1+(a,a): weights that
+    fail only (C)."""
+    n = q.n
+    g1p = [[random_unit(rng) for _ in range(n)] for _ in range(n)]
+    g2p = [[LaurentPoly.one() - g1p[a][a] if a == b else random_unit(rng) for b in range(n)]
+           for a in range(n)]
+    return _weights_from_positive(q, g1p, g2p)
+
+
+@st.composite
+def weights_cases(draw):
+    """(quandle, weights, kind) over D3, D5 and T3.  kind "pass": the weights
+    of a random Alexander pair, perhaps with 0 added to one entry;
+    "perturbed": those weights with 1, -1 or t added to one entry of one
+    table; "C": weights that fail only (C)."""
+    q = draw(st.sampled_from((R3, dihedral_quandle(5), trivial_quandle(3))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("pass", "perturbed", "C")))
+    if kind == "C":
+        return q, _c_only_weights(q, rng), kind
+    g = f_twisted_weights(random_alexander_pair(q, rng), q)
+    if kind == "perturbed":
+        delta = draw(st.sampled_from(("1", "-1", "t", "0")))
+        which = draw(st.sampled_from(WEIGHT_TABLES))
+        a, b = draw(st.integers(0, q.n - 1)), draw(st.integers(0, q.n - 1))
+        g = g.perturbed(which, a, b, parse_laurent(delta))
+        kind = "pass" if delta == "0" else kind
+    return q, g, kind
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weights_cases())
+def test_holonomy_failures_stream_the_exhaustive_check(case):
+    """The lazy stream that `holonomy-check --perturb` stops at its first item
+    says what the exhaustive check says, failure for failure and in order."""
+    q, g, kind = case
+    report = holonomy_check(q, g)
+    assert (next(holonomy_failures(q, g), None) is None) == report.ok
+    assert list(holonomy_failures(q, g)) == report.failures
+    conditions = [cond for cond, _, _ in report.failures]
+    if kind == "pass":
+        assert report.ok
+    elif kind == "perturbed":
+        # (B-1) and (B-2) read every entry of all four tables, so a changed
+        # entry of passing weights fails before the n^3 loop of (C)
+        assert conditions and conditions[0] != "C"
+    else:
+        assert conditions and set(conditions) == {"C"}
+
+
+def test_each_identity_of_c_is_checked():
+    """Three weight systems, each failing just one of the three identities
+    of (C); dropping any identity lets one of them pass."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+
+    def tables(n, g1p_entries, g2p_entries):
+        g1p = [[g1p_entries.get((a, b), one) for b in range(n)] for a in range(n)]
+        g2p = [[g2p_entries.get((a, b), zero) for b in range(n)] for a in range(n)]
+        return g1p, g2p
+
+    T3 = trivial_quandle(3)
+    cases = [
+        # g1+(a,b) g1+(a*b,c) = g1+(a,c) g1+(a*c,b*c) fails at six triples
+        (R3, tables(3, {(0, 1): parse_laurent("2")}, {}),
+         [(0, 1, 0), (0, 1, 2), (0, 2, 0), (0, 2, 1), (1, 0, 2), (1, 2, 1)]),
+        # g2+(a,b) g1+(b,c) = g1+(a,c) g2+(a*c,b*c) fails at (0,1,2)
+        (T3, tables(3, {(1, 2): parse_laurent("2")}, {(0, 1): one}), [(0, 1, 2)]),
+        # g1+(a,b) g2+(a*b,c) + g2+(a,b) g2+(b,c) = g2+(a,c) fails at (0,1,0)
+        (T3, tables(3, {(0, 0): parse_laurent("t"), (0, 1): parse_laurent("2")},
+                    {(0, 0): parse_laurent("1 - t")}), [(0, 1, 0)]),
+    ]
+    for q, (g1p, g2p), witnesses in cases:
+        failures = holonomy_check(q, _weights_from_positive(q, g1p, g2p)).failures
+        assert [(cond, witness) for cond, witness, _ in failures] == [("C", w) for w in witnesses]
 
 
 def test_trefoil_coloring_count():
