@@ -39,6 +39,19 @@ class LaurentPoly:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _ring_result(terms: dict) -> "LaurentPoly":
+        """Wrap the result of a ring operation on stored polynomials: its
+        exponents are already `int` and its coefficients `int` or
+        `Fraction`, so only zeros are dropped and a whole `Fraction` is
+        stored as its numerator (the `canonical_coeff` rule)."""
+        p = object.__new__(LaurentPoly)
+        p.terms = {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c
+        }
+        return p
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -87,16 +100,16 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._ring_result(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+        return LaurentPoly._ring_result(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._ring_result({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self.terms or not other.terms:
@@ -106,10 +119,11 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._ring_result(out)
 
     def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly({e: v * c for e, v in self.terms.items()})
+        """Multiply every coefficient by the rational c, an `int` or `Fraction`."""
+        return LaurentPoly._ring_result({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -625,11 +639,16 @@ class TruncatedSeries:
         if not b0.is_unit():
             raise ValueError("constant coefficient not invertible")
         inv0 = b0.unit_inverse()
+        # only the stored terms of a sparse series take part, as in exp
+        nonzero = [(k, a) for k, a in enumerate(self.coeffs) if k and a.terms]
         out = [inv0]
         for n in range(1, self.order + 1):
             acc = LaurentPoly.zero()
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
+            for k, a in nonzero:
+                if k > n:
+                    break
+                if out[n - k].terms:
+                    acc = acc + a * out[n - k]
             out.append(-(inv0 * acc))
         return TruncatedSeries(self.order, out)
 

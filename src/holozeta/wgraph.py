@@ -186,8 +186,20 @@ def _is_prime(seq: tuple) -> bool:
     return True
 
 
+# DFS steps `cycle_classes` may take before it gives up: enough for the
+# order-14 walks of a 4-vertex, 9-edge graph (about 108 000 steps), while
+# order 18 on that graph (2.8 million) is rejected in a few seconds
+CYCLE_SEARCH_BUDGET = 500_000
+
+
+class CycleSearchTooLarge(ValueError):
+    """The walks up to the asked length outgrow CYCLE_SEARCH_BUDGET."""
+
+
 def cycle_classes(g: WeightedDigraph, max_len: int):
-    """All cycle classes (rotation orbits of closed edge walks) up to max_len."""
+    """All cycle classes (rotation orbits of closed edge walks) up to max_len,
+    sorted by edge ids.  Raises CycleSearchTooLarge past CYCLE_SEARCH_BUDGET
+    search steps."""
     if max_len < 1:
         return []
     index = {e.id: i for i, e in enumerate(g.edges)}
@@ -195,12 +207,19 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
     for e in g.edges:
         out.setdefault(e.src, []).append(e)
     found = set()
+    steps = 0
     for first in g.edges:
         # depth-first over walks that start with `first`, on an explicit
         # stack so the walk length is not bounded by Python's recursion limit
         first_idx = index[first.id]
         stack = [(first.tgt, (first.id,))]
         while stack:
+            steps += 1
+            if steps > CYCLE_SEARCH_BUDGET:
+                raise CycleSearchTooLarge(
+                    "cycle classes up to length %d need more than %d search steps;"
+                    " use a smaller order (--order)" % (max_len, CYCLE_SEARCH_BUDGET)
+                )
             here, path = stack.pop()
             if here == first.src:
                 found.add(_canonical_rotation(path))
@@ -217,30 +236,51 @@ def prime_cycle_classes(g: WeightedDigraph, max_len: int):
     return [c for c in cycle_classes(g, max_len) if c.prime]
 
 
-def cycle_weight(g: WeightedDigraph, edge_ids) -> PolyMatrix:
-    """w(C): the ordered product of edge weights along the cycle."""
-    _matrix_only(g)
-    first, *rest = edge_ids
-    w = g.edge(first).weight
-    for eid in rest:
-        w = w * g.edge(eid).weight
-    return w
-
-
 def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSeries:
-    """Product over prime cycle classes of det(I - u^|C| w(C))^-1,
-    truncated at u^max_len.  Each factor is exp(sum_k tr(w(C)^k) u^{|C|k}/k)."""
+    """Product over prime cycle classes C of det(I - u^|C| w(C))^-1,
+    truncated at u^max_len, where w(C) is the ordered product of the edge
+    weights along C.  Each det(I - x W) = sum_j (-1)^j e_j x^j is a
+    polynomial whose e_j come from Newton's identities on p_j = tr(W^j);
+    the product of these polynomials is inverted once at the end."""
     _matrix_only(g)
-    result = TruncatedSeries.one(max_len)
+    weight = {e.id: e.weight for e in g.edges}
+    zero = LaurentPoly.zero()
+    coeffs = [LaurentPoly.one()] + [zero] * max_len
+    prefix = []  # (edge id, weight product up to it) along the previous class
     for c in prime_cycle_classes(g, max_len):
-        w = cycle_weight(g, c.edges)
-        coeffs = [LaurentPoly.zero()] * (max_len + 1)
-        power = PolyMatrix.identity(w.rows)
-        for k in range(1, max_len // c.length + 1):
+        # the classes come sorted, so neighbours share a prefix of edges
+        keep = 0
+        while keep < min(len(prefix), c.length) and prefix[keep][0] == c.edges[keep]:
+            keep += 1
+        del prefix[keep:]
+        for eid in c.edges[keep:]:
+            prefix.append((eid, prefix[-1][1] * weight[eid] if prefix else weight[eid]))
+        w = prefix[-1][1]
+        top = min(w.rows, max_len // c.length)
+        p = [None, w.trace()]  # p[j] = tr(w^j)
+        power = w
+        for _ in range(2, top + 1):
             power = power * w
-            coeffs[c.length * k] = power.trace().scale(Fraction(1, k))
-        result = result * TruncatedSeries(max_len, coeffs).exp()
-    return result
+            p.append(power.trace())
+        # Newton: j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i
+        e = [LaurentPoly.one()]
+        for j in range(1, top + 1):
+            acc = zero
+            for i in range(1, j + 1):
+                term = e[j - i] * p[i]
+                acc = acc + term if i % 2 else acc - term
+            e.append(acc.scale(Fraction(1, j)))
+        factor = [(c.length * j, -ej if j % 2 else ej) for j, ej in enumerate(e) if j and ej.terms]
+        # multiply in place, from the top so each coeffs[n - k] is still the old one
+        for n in range(max_len, 0, -1):
+            acc = coeffs[n]
+            for k, f in factor:
+                if k > n:
+                    break
+                if coeffs[n - k].terms:
+                    acc = acc + f * coeffs[n - k]
+            coeffs[n] = acc
+    return TruncatedSeries(max_len, coeffs).inverse()
 
 
 # -- transform engine ----------------------------------------------------

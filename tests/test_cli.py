@@ -19,7 +19,7 @@ from holozeta.quandle import (
     identity_weights,
 )
 from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_matrix_literal
-from holozeta import fixtures
+from holozeta import fixtures, wgraph
 
 from helpers import torus_gauss
 
@@ -100,6 +100,15 @@ def test_deep_order_euler_check_finishes(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout == "zeta-reciprocal: 1 - t\neuler-agrees: true\n"
+
+
+def test_euler_check_past_the_search_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(wgraph, "CYCLE_SEARCH_BUDGET", 5)
+    path = _graph_file(tmp_path)
+    assert main(["zeta", "--graph", path, "--check-euler"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order" in captured.err
 
 
 def test_bad_rep_file_exits_2(tmp_path, capsys):

@@ -256,3 +256,32 @@ def test_coefficients_have_one_canonical_form():
         out += s.exp().coeffs
         for p in out:
             assert_canonical(p.terms.values())
+
+
+def test_ring_results_store_no_zero_and_whole_coefficients_as_int():
+    half_t = LaurentPoly({1: Fraction(1, 2)})
+    whole = half_t + half_t
+    assert whole.terms == {1: 1} and type(whole.terms[1]) is int
+    third = LaurentPoly({0: Fraction(1, 3), 2: 5})
+    cases = [
+        whole,
+        half_t - LaurentPoly({1: Fraction(-1, 2)}),
+        half_t - half_t,
+        half_t + (-half_t),
+        third.scale(3),
+        third.scale(0),
+        third * LaurentPoly({0: 3, 1: Fraction(3, 2)}),
+        -third,
+    ]
+    rng = seeded_rng(9)
+    for _ in range(30):
+        x = random_laurent(rng, 2, -2).scale(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        y = LaurentPoly({e: rng.choice([1, -2, Fraction(1, 2), Fraction(-3, 2)])
+                         for e in range(rng.randint(-1, 0), 2)})
+        cases += [x + y, x - y, y + y, y - y, -x, x * y, x * x,
+                  x.scale(Fraction(rng.randint(1, 4), rng.randint(1, 4))), y.scale(2)]
+    for p in cases:
+        assert all(p.terms.values()), p.terms
+        assert_canonical(p.terms.values())
+        q = LaurentPoly(dict(p.terms))
+        assert p == q and hash(p) == hash(q)

@@ -91,6 +91,35 @@ def test_euler_product_matches_determinant_random():
         )
 
 
+def test_euler_product_matches_determinant_at_dimension_3():
+    # weights up to 3 x 3, so Newton's identities run up to e_3
+    rng = seeded_rng(31)
+    for _ in range(12):
+        g = random_matrix_graph(rng, max_vertices=3, max_dim=3)
+        assert euler_product_oracle(g, max_len=6) == series_det_inverse(
+            adjacency_matrix(g), 6
+        )
+
+
+def test_euler_factor_of_a_3x3_cycle_weight():
+    # the prime class (a, b) has w = A*B, 3 x 3 with nonzero det, whose
+    # e_3 term lands at u^6; the loop c adds a class of length 1
+    a = PolyMatrix.from_rows([[parse_laurent(x) for x in row] for row in
+                              (("t", "1", "0"), ("0", "1", "t"), ("1", "0", "2"))])
+    b = PolyMatrix.from_rows([[parse_laurent(x) for x in row] for row in
+                              (("1", "0", "t^-1"), ("2", "t", "0"), ("0", "1", "1"))])
+    c = PolyMatrix.from_rows([[parse_laurent(x) for x in row] for row in
+                              (("0", "0", "0"), ("0", "t", "0"), ("0", "0", "0"))])
+    g = WeightedDigraph("matrix", (("u", 3), ("v", 3)),
+                        (Edge("a", "u", "v", a), Edge("b", "v", "u", b),
+                         Edge("c", "u", "u", c)))
+    assert not (a * b).det().is_zero()
+    for order in (6, 7):
+        assert euler_product_oracle(g, max_len=order) == series_det_inverse(
+            adjacency_matrix(g), order
+        )
+
+
 def _base_graph():
     return _scalar_graph([
         ("a", "u", "v", "t"), ("b", "v", "u", "1"),
