@@ -15,8 +15,8 @@ import os
 import random
 import sys
 
-from .laurent import LaurentPoly, PolyMatrix, content_lines, series_det_inverse
-from .freegroup import GroupRingElt, apply_phi, parse_word
+from .laurent import LaurentPoly, content_lines, series_det_inverse
+from .freegroup import parse_word
 from .presentation import (
     TietzeMove,
     parse_presentation,
@@ -80,16 +80,10 @@ def _load_diagram(args):
 
 
 def _load_rep(args, presentation):
-    """The --rep file, checked to satisfy every relation; else the trivial rep."""
+    """The --rep file, else the trivial rep; `alexander_setup` checks it."""
     if not getattr(args, "rep", None):
         return Representation.trivial([g.index for g in presentation.generators])
-    rep = parse_rep(_read(args.rep), presentation.name_to_index())
-    one = PolyMatrix.identity(rep.dim)
-    for i, r in enumerate(presentation.relations):
-        if apply_phi(GroupRingElt.from_word(r), rep) != one:
-            raise InputError("rep violates relation %d (%s): Phi(r) != I"
-                             % (i, r.display(presentation.names())))
-    return rep
+    return parse_rep(_read(args.rep), presentation.name_to_index())
 
 
 # -- move scripts ----------------------------------------------------------

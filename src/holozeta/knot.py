@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_fraction, split_matrix_literal
-from .freegroup import Generator, Word, fox_derivative, apply_phi
+from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
 from .wgraph import phi_image, zeta_reciprocal
 
@@ -166,12 +166,6 @@ class KnotDiagram:
         i = self._position[a]
         return self.arcs[(i + 1) % len(self.arcs)]
 
-    def crossing_under(self, a: str) -> Crossing:
-        for c in self.crossings:
-            if c.under_in == a:
-                return c
-        raise KeyError("no crossing with under-in arc %r" % a)
-
 
 @dataclass(frozen=True)
 class ReidemeisterMove:
@@ -314,10 +308,11 @@ def wirtinger_presentation(d: KnotDiagram) -> BasedPresentation:
     n = len(d.arcs)
     generators = tuple(Generator(i, "x%d" % (i + 1)) for i in range(n))
     idx = {a: i for i, a in enumerate(d.arcs)}
+    under = {c.under_in: c for c in d.crossings}
     relations = []
     base = {}
     for i in range(n - 1):
-        c = d.crossing_under(d.arcs[i])
+        c = under[d.arcs[i]]
         j = idx[c.over]
         nxt = (i + 1) % n
         s = c.sign
@@ -376,7 +371,13 @@ class AlexanderSetup:
 
 
 def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup:
-    """Certify `p` (a Wirtinger presentation) for `rep` and compute the denominator."""
+    """Check that `rep` satisfies every relation of `p` (a Wirtinger
+    presentation), certify `p` for it and compute the denominator."""
+    one = PolyMatrix.identity(rep.dim)
+    for i, r in enumerate(p.relations):
+        if apply_phi(GroupRingElt.from_word(r), rep) != one:
+            raise ValueError("rep violates relation %d (%s): Phi(r) != I"
+                             % (i, r.display(p.names())))
     report = check_assumption(p, rep)
     if not report.all_certified:
         raise ValueError("presentation not certified: %s" % report.entries)

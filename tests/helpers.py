@@ -55,6 +55,25 @@ def random_matrix_graph(rng, max_vertices: int = 5, max_dim: int = 2,
     return WeightedDigraph("matrix", vertices, tuple(edges))
 
 
+def cycle_classes_by_walks(g, max_len: int) -> list:
+    """Every cycle class up to max_len as (edge ids, prime), from all closed
+    walks: each walk's least rotation in g.edges order and whether its
+    primitive period is its length, in lexicographic order of edge
+    positions.  An oracle independent of the library's necklace search."""
+    edges = g.edges
+    classes = {}
+    walks = [(i,) for i in range(len(edges))] if max_len >= 1 else []
+    while walks:
+        w = walks.pop()
+        n = len(w)
+        if edges[w[-1]].tgt == edges[w[0]].src:
+            period = next(d for d in range(1, n + 1) if w == w[d:] + w[:d])
+            classes[min(w[k:] + w[:k] for k in range(n))] = period == n
+        if n < max_len:
+            walks.extend(w + (j,) for j, e in enumerate(edges) if e.src == edges[w[-1]].tgt)
+    return [(tuple(edges[i].id for i in w), prime) for w, prime in sorted(classes.items())]
+
+
 def random_word(rng, n_gens: int, max_len: int = 12) -> Word:
     letters = tuple(
         (rng.randrange(n_gens), rng.choice((1, -1)))

@@ -1,8 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from holozeta.cli import main
 from holozeta.knot import parse_gauss
@@ -455,3 +460,84 @@ def test_insert_dimension_is_read_as_written(tmp_path, capsys):
                 "--expect", graph]
         assert main(argv) == 2, script
         assert capsys.readouterr().out == "", script
+
+
+# -- the exit-code contract on mutated inputs ------------------------------
+
+_D3 = dihedral_quandle(3)
+_D3_PAIR = constant_pair(_D3, parse_laurent("t"), parse_laurent("1 - t"))
+_PRES = "gens: x y\nrel: x y x^-1 y^-1  base: x@0\n"
+_GRAPH = ("vertex u dim=1\nvertex v dim=1\nedge e1 u -> v weight=[[t]]\n"
+          "edge e2 v -> u weight=[[1]]\nedge e3 u -> u weight=[[2]]\n")
+# S3 acting on three points: x1, x2, x3 of the trefoil go to the three
+# transpositions, a 3-dim rep that satisfies every Wirtinger relation
+_S3_REP = ("x1: [[0,1,0],[1,0,0],[0,0,1]] exp=1\nx2: [[1,0,0],[0,0,1],[0,1,0]] exp=1\n"
+           "x3: [[0,0,1],[0,1,0],[1,0,0]] exp=1\n")
+
+# input format -> (a valid file, the argv that reads it as {}); the other
+# files an argv names are the valid ones written under their own names
+_CONTRACT = {
+    "graph": (_GRAPH, ["zeta", "--graph", "{}", "--check-euler"]),
+    "presentation": (_PRES, ["tietze-verify", "--pres", "{}", "--script", "tietze-script",
+                             "--expect", "presentation"]),
+    "tietze-script": ("invert 0\nconjugate 0 x y^-1\nconjugate 0 y x^-1\ninvert 0\n",
+                      ["tietze-verify", "--pres", "presentation", "--script", "{}",
+                       "--expect", "presentation"]),
+    "graph-script": ("null_add z1 u v\nnull_remove z1\nsplit e1 a=[[t-1]] b=[[1]]\n"
+                     "merge u v e1\nchange_basis u [[2]]\nchange_basis u [[1/2]]\n",
+                     ["graph-verify", "--graph", "graph", "--script", "{}", "--expect", "graph"]),
+    "quandle": (format_quandle(_D3), ["colorings", "--quandle", "{}", "--pd", "pd"]),
+    "pair": (format_pair_file(_D3_PAIR), ["pair-check", "--quandle", "quandle", "--pair", "{}"]),
+    "weights": (format_weights_file(f_twisted_weights(_D3_PAIR, _D3)),
+                ["holonomy-check", "--quandle", "quandle", "--weights", "{}", "--perturb", "3"]),
+    "pd": (fixtures.TREFOIL_PD, ["alexander", "--pd", "{}", "--route", "both"]),
+    "gauss": (fixtures.BRAID_SLIDE_GAUSS_BEFORE, ["colorings", "--quandle", "quandle",
+                                                  "--gauss", "{}"]),
+    "rep": (_S3_REP, ["alexander", "--pd", "pd", "--rep", "{}", "--route", "both"]),
+}
+_EDIT_CHARS = "0123456789 \n\t+-*/^,.:=@#[]()<>\"'xyzuvetOUX\u00e9"
+
+
+def _run_contract(directory, name, text):
+    """(exit code, stdout) of the argv of `name` reading `text`."""
+    mutated = directory / "mutated"
+    mutated.write_text(text)
+    argv = [str(mutated) if a == "{}" else str(directory / a) if a in _CONTRACT else a
+            for a in _CONTRACT[name][1]]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("contract")
+    for name, (text, _) in _CONTRACT.items():
+        (directory / name).write_text(text)
+    for name, (text, _) in _CONTRACT.items():
+        assert _run_contract(directory, name, text)[0] == 0, name
+    return directory
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """A valid input with 1-4 one-character inserts, deletes or replacements."""
+    name = draw(st.sampled_from(sorted(_CONTRACT)))
+    text = _CONTRACT[name][0]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        c = draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:i] + ("" if op == "delete" else c) + text[i + (op != "insert"):]
+    return name, text
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_mutated_inputs())
+def test_mutated_inputs_keep_the_exit_contract(contract_dir, case):
+    """Exit 0, 1 or 2, never a traceback, and exit 1 ends in a JSON line."""
+    code, out = _run_contract(contract_dir, *case)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert isinstance(json.loads(out.splitlines()[-1]), dict)

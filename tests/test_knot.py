@@ -131,6 +131,19 @@ def test_shared_setup_gives_the_same_answer():
         assert twisted_alexander(d, rep, route, setup=setup) == twisted_alexander(d, rep, route)
 
 
+def test_library_calls_reject_a_non_representation():
+    # rho(x1) = 2 with the others 1 breaks the first trefoil relation; the
+    # check runs in alexander_setup, so no caller gets a polynomial
+    d = fixtures.trefoil()
+    p = wirtinger_presentation(d)
+    rep = parse_rep("x1: [[2]] exp=1\nall: [[1]] exp=1\n", p.name_to_index())
+    with pytest.raises(ValueError, match=re.escape("rep violates relation 0 (")):
+        alexander_setup(p, rep)
+    for route in ("graph", "direct"):
+        with pytest.raises(ValueError, match="Phi\\(r\\) != I"):
+            twisted_alexander(d, rep, route)
+
+
 def test_rep_direct_sum_and_conjugate():
     r1 = Representation.trivial(range(3))
     r2 = Representation.trivial(range(3))

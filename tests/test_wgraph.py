@@ -24,7 +24,13 @@ from holozeta.wgraph import (
     zeta_reciprocal,
 )
 
-from helpers import random_laurent, random_matrix, random_matrix_graph, seeded_rng
+from helpers import (
+    cycle_classes_by_walks,
+    random_laurent,
+    random_matrix,
+    random_matrix_graph,
+    seeded_rng,
+)
 
 
 def _scalar_graph(edges):
@@ -72,6 +78,21 @@ def test_cycle_classes_of_a_deep_walk():
     classes = cycle_classes(g, 1100)
     assert [c.length for c in classes] == list(range(1, 1101))
     assert [c.edges for c in classes if c.prime] == [("a",)]
+
+
+def test_cycle_classes_match_the_closed_walks():
+    # ids are drawn in random order, so z17 may come before z3 in g.edges:
+    # a class is its least rotation by edge position, not by id
+    rng = seeded_rng(32)
+    for _ in range(40):
+        nv = rng.randint(1, 3)
+        ids = rng.sample(range(1, 40), rng.randint(1, 6))
+        g = _scalar_graph([("z%d" % i, "v%d" % rng.randrange(nv), "v%d" % rng.randrange(nv), "1")
+                           for i in ids])
+        for max_len in (0, 1, 3, 6):
+            classes = cycle_classes(g, max_len)
+            assert all(c.length == len(c.edges) for c in classes)
+            assert [(c.edges, c.prime) for c in classes] == cycle_classes_by_walks(g, max_len)
 
 
 def test_euler_product_matches_determinant_fixed():
