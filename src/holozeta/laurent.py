@@ -438,6 +438,40 @@ class PolyMatrix:
             acc = acc + self[i, i]
         return acc
 
+    def det_one_minus_x(self, top: int) -> list:
+        """The coefficients c_0..c_top of det(I - x*M) = sum_j c_j x^j, with
+        c_j = (-1)^j e_j and the e_j from Newton's identities on the power
+        traces p_k = tr(M^k), k <= top.  Each p_k with k > 1 is the inner
+        product sum_(i,j) (M^a)_ij (M^b)_ji, a = ceil(k/2), b = floor(k/2),
+        so only M^2..M^ceil(top/2) are formed.  Every c_j with j > dim M is
+        0, so callers need no top above dim M."""
+        if self.rows != self.cols:
+            raise ValueError("square matrix required")
+        n = self.rows
+        zero = LaurentPoly.zero()
+        powers = [None, self]  # powers[a] = M^a
+        for _ in range(2, (top + 1) // 2 + 1):
+            powers.append(powers[-1] * self)
+        p = [None, self.trace()]
+        for k in range(2, top + 1):
+            x, y = powers[(k + 1) // 2].entries, powers[k // 2].entries
+            acc = zero
+            for i in range(n):
+                for j in range(n):
+                    a, b = x[i * n + j], y[j * n + i]
+                    if a.terms and b.terms:
+                        acc = acc + a * b
+            p.append(acc)
+        # Newton: j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i
+        e = [LaurentPoly.one()]
+        for j in range(1, top + 1):
+            acc = zero
+            for i in range(1, j + 1):
+                term = e[j - i] * p[i]
+                acc = acc + term if i % 2 else acc - term
+            e.append(acc.scale(Fraction(1, j)))
+        return [-ej if j % 2 else ej for j, ej in enumerate(e)]
+
     # -- determinants -------------------------------------------------
 
     def det_cofactor(self) -> LaurentPoly:
@@ -679,12 +713,9 @@ class TruncatedSeries:
 
 
 def series_det_inverse(m: PolyMatrix, order: int) -> TruncatedSeries:
-    """det(I - u*M)^-1 truncated at u^order, via exp of the trace series."""
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    log_coeffs = [LaurentPoly.zero()]
-    power = PolyMatrix.identity(m.rows)
-    for k in range(1, order + 1):
-        power = power * m
-        log_coeffs.append(power.trace().scale(Fraction(1, k)))
-    return TruncatedSeries(order, log_coeffs).exp()
+    """det(I - u*M)^-1 truncated at u^order: the polynomial det(I - u*M),
+    of degree at most dim M, from `PolyMatrix.det_one_minus_x`, inverted
+    once as a series."""
+    coeffs = m.det_one_minus_x(min(m.rows, order))
+    coeffs += [LaurentPoly.zero()] * (order + 1 - len(coeffs))
+    return TruncatedSeries(order, coeffs).inverse()

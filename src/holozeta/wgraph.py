@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .laurent import (
@@ -176,12 +175,20 @@ def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
 
 # DFS steps `cycle_classes` may take before it gives up: enough for the
 # order-16 walks of a 4-vertex, 9-edge graph (about 330 000 steps), while
-# order 18 on that graph (1.5 million) is rejected in a few seconds
+# order 18 on that graph (1.5 million) is rejected in a few seconds; also
+# the longest walk it may be asked for
 CYCLE_SEARCH_BUDGET = 500_000
 
 
 class CycleSearchTooLarge(ValueError):
     """The walks up to the asked length outgrow CYCLE_SEARCH_BUDGET."""
+
+
+def _search_too_large(max_len: int) -> CycleSearchTooLarge:
+    return CycleSearchTooLarge(
+        "cycle classes up to length %d need more than %d search steps;"
+        " use a smaller order (--order)" % (max_len, CYCLE_SEARCH_BUDGET)
+    )
 
 
 def cycle_classes(g: WeightedDigraph, max_len: int):
@@ -190,7 +197,11 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
     One depth-first search over the walks that are prenecklaces meets each
     class once (the Fredricksen-Kessler-Maiorana search of Ruskey, Savage
     and Wang, "Generating necklaces", 1992).  Raises CycleSearchTooLarge
-    past CYCLE_SEARCH_BUDGET search steps."""
+    past CYCLE_SEARCH_BUDGET search steps, and at once when max_len is
+    above CYCLE_SEARCH_BUDGET: the series an order-max_len check builds
+    grow with max_len outside the search."""
+    if max_len > CYCLE_SEARCH_BUDGET:
+        raise _search_too_large(max_len)
     if max_len < 1:
         return []
     edges = g.edges
@@ -207,10 +218,7 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
     while stack:
         steps += 1
         if steps > CYCLE_SEARCH_BUDGET:
-            raise CycleSearchTooLarge(
-                "cycle classes up to length %d need more than %d search steps;"
-                " use a smaller order (--order)" % (max_len, CYCLE_SEARCH_BUDGET)
-            )
+            raise _search_too_large(max_len)
         here, path, p = stack.pop()
         n = len(path)
         if n % p == 0 and here == edges[path[0]].src:
@@ -237,13 +245,12 @@ def prime_cycle_classes(g: WeightedDigraph, max_len: int):
 def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSeries:
     """Product over prime cycle classes C of det(I - u^|C| w(C))^-1,
     truncated at u^max_len, where w(C) is the ordered product of the edge
-    weights along C.  Each det(I - x W) = sum_j (-1)^j e_j x^j is a
-    polynomial whose e_j come from Newton's identities on p_j = tr(W^j);
-    the product of these polynomials is inverted once at the end."""
+    weights along C.  Each det(I - x W) is a polynomial of degree at most
+    dim W (`PolyMatrix.det_one_minus_x`); the product of these polynomials
+    is inverted once at the end."""
     _matrix_only(g)
     weight = {e.id: e.weight for e in g.edges}
-    zero = LaurentPoly.zero()
-    coeffs = [LaurentPoly.one()] + [zero] * max_len
+    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * max_len
     prefix = []  # (edge id, weight product up to it) along the previous class
     for c in prime_cycle_classes(g, max_len):
         # the classes come sorted, so neighbours share a prefix of edges
@@ -254,21 +261,8 @@ def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSerie
         for eid in c.edges[keep:]:
             prefix.append((eid, prefix[-1][1] * weight[eid] if prefix else weight[eid]))
         w = prefix[-1][1]
-        top = min(w.rows, max_len // c.length)
-        p = [None, w.trace()]  # p[j] = tr(w^j)
-        power = w
-        for _ in range(2, top + 1):
-            power = power * w
-            p.append(power.trace())
-        # Newton: j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i
-        e = [LaurentPoly.one()]
-        for j in range(1, top + 1):
-            acc = zero
-            for i in range(1, j + 1):
-                term = e[j - i] * p[i]
-                acc = acc + term if i % 2 else acc - term
-            e.append(acc.scale(Fraction(1, j)))
-        factor = [(c.length * j, -ej if j % 2 else ej) for j, ej in enumerate(e) if j and ej.terms]
+        poly = w.det_one_minus_x(min(w.rows, max_len // c.length))
+        factor = [(c.length * j, cj) for j, cj in enumerate(poly) if j and cj.terms]
         # multiply in place, from the top so each coeffs[n - k] is still the old one
         for n in range(max_len, 0, -1):
             acc = coeffs[n]

@@ -4,7 +4,7 @@ import os
 import random
 from fractions import Fraction
 
-from holozeta.laurent import LaurentPoly, PolyMatrix
+from holozeta.laurent import LaurentPoly, PolyMatrix, TruncatedSeries
 from holozeta.freegroup import Word
 from holozeta.wgraph import Edge, WeightedDigraph
 
@@ -105,6 +105,18 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
             term = term * m[i, perm[i]]
         total = total + term
     return total
+
+
+def series_det_inverse_by_exp(m: PolyMatrix, order: int) -> TruncatedSeries:
+    """det(I - u*M)^-1 truncated at u^order as exp(sum_k tr(M^k) u^k / k),
+    from all `order` matrix powers: an oracle independent of the library's
+    Newton identities on half-power traces."""
+    log_coeffs = [LaurentPoly.zero()]
+    power = PolyMatrix.identity(m.rows)
+    for k in range(1, order + 1):
+        power = power * m
+        log_coeffs.append(power.trace().scale(Fraction(1, k)))
+    return TruncatedSeries(order, log_coeffs).exp()
 
 
 def torus_gauss(n: int, sign: str = "+") -> str:

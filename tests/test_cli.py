@@ -97,14 +97,28 @@ def test_sparse_high_degree_zeta_finishes(tmp_path):
 
 
 def test_deep_order_euler_check_finishes(tmp_path):
-    # one [[t]] loop: 200 cycle classes, and exp of a 200-term series
+    # one [[t]] loop: as many cycle classes as the order, and walks that
+    # deep; det(I - u[[t]]) = 1 - tu has degree 1 whatever the order
     g = _write(tmp_path, "loop.wg", "vertex v dim=1\nedge e v -> v weight=[[t]]\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
-                           "--check-euler", "--order", "200"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0
-    assert done.stdout == "zeta-reciprocal: 1 - t\neuler-agrees: true\n"
+    for order in ("200", "1100"):
+        done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
+                               "--check-euler", "--order", order],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == "zeta-reciprocal: 1 - t\neuler-agrees: true\n"
+
+
+def test_order_past_the_search_budget_exits_2(tmp_path, capsys):
+    # both series grow with the order outside the search, so an order above
+    # the budget of 500 000 steps is rejected before any work, on any graph
+    for name, text in (("lone.wg", "vertex v dim=1\n"),
+                       ("loop.wg", "vertex v dim=1\nedge e v -> v weight=[[t]]\n")):
+        path = _write(tmp_path, name, text)
+        assert main(["zeta", "--graph", path, "--check-euler", "--order", "500001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--order" in captured.err
 
 
 def test_euler_check_past_the_search_budget_exits_2(tmp_path, capsys, monkeypatch):

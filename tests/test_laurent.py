@@ -16,6 +16,7 @@ from helpers import (
     random_laurent,
     random_matrix,
     seeded_rng,
+    series_det_inverse_by_exp,
 )
 
 
@@ -192,9 +193,45 @@ def test_series_det_inverse_single_entry():
     # det(I - [ct])^-1 = 1/(1 - ct) = sum (ct)^k
     c = parse_laurent("2*t")
     m = PolyMatrix.from_rows([[c]])
-    s = series_det_inverse(m, 6)
-    expect = TruncatedSeries(6, [c ** k for k in range(7)])
-    assert s == expect
+    for order in (6, 2000):
+        s = series_det_inverse(m, order)
+        expect = TruncatedSeries(order, [c ** k for k in range(order + 1)])
+        assert s == expect
+    # N^2 = 0 with tr N = 0 but sum_ij N_ij^2 != 0, so det(I - uN) = 1
+    # only if the half-power traces pair (N^a)_ij with (N^b)_ji
+    n = PolyMatrix.from_rows([[parse_laurent(x) for x in row] for row in
+                              (("t", "t^2"), ("-1", "-t"))])
+    assert (n * n).is_zero()
+    assert series_det_inverse(n, 2000) == TruncatedSeries.one(2000)
+
+
+def _sparse_high_degree(rng):
+    if rng.randrange(3):
+        return LaurentPoly.zero()
+    return LaurentPoly.monomial(rng.choice([1, -1, 2, Fraction(1, 3)]), rng.randint(-40, 90))
+
+
+def test_series_det_inverse_matches_the_exp_route():
+    # dims 0..7 against orders 0..8, so the polynomial det(I - uM) is cut
+    # short (n > order) as well as padded with zeros (n < order)
+    rng = seeded_rng(10)
+    for n in range(8):
+        for order in (0, 1, 2, 5, 8):
+            fractional = PolyMatrix.from_rows([
+                [random_laurent(rng, 1, -1).scale(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+                 for _ in range(n)] for _ in range(n)])
+            sparse = PolyMatrix.from_rows([[_sparse_high_degree(rng) for _ in range(n)]
+                                           for _ in range(n)])
+            for m in (random_matrix(rng, n, n), fractional, sparse):
+                s = series_det_inverse(m, order)
+                assert s == series_det_inverse_by_exp(m, order)
+                for c in s.coeffs:
+                    assert_canonical(c.terms.values())
+            nilpotent = PolyMatrix.from_rows([
+                [random_laurent(rng, 2, -1) if j > i else LaurentPoly.zero() for j in range(n)]
+                for i in range(n)])
+            assert series_det_inverse(nilpotent, order) == TruncatedSeries.one(order)
+            assert series_det_inverse_by_exp(nilpotent, order) == TruncatedSeries.one(order)
 
 
 BIG = 3 ** 40 + 1  # above 2**53: a float quotient of it is off in the low bits

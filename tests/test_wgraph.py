@@ -122,6 +122,21 @@ def test_euler_product_matches_determinant_at_dimension_3():
         )
 
 
+def test_series_det_inverse_recovers_the_determinant():
+    # det(I - uA) has degree n = dim A <= L, so the inverse of the series is
+    # that polynomial, and at u = 1 it is zeta_reciprocal's det(I - A)
+    rng = seeded_rng(33)
+    for _ in range(20):
+        g = random_matrix_graph(rng)
+        a = adjacency_matrix(g)
+        poly = series_det_inverse(a, a.rows + rng.randint(0, 2)).inverse()
+        assert all(c.is_zero() for c in poly.coeffs[a.rows + 1:])
+        total = LaurentPoly.zero()
+        for c in poly.coeffs:
+            total = total + c
+        assert total == zeta_reciprocal(g)
+
+
 def test_euler_factor_of_a_3x3_cycle_weight():
     # the prime class (a, b) has w = A*B, 3 x 3 with nonzero det, whose
     # e_3 term lands at u^6; the loop c adds a class of length 1
