@@ -82,7 +82,7 @@ def _load_diagram(args):
 def _load_rep(args, presentation):
     """The --rep file, else the trivial rep; `alexander_setup` checks it."""
     if not getattr(args, "rep", None):
-        return Representation.trivial([g.index for g in presentation.generators])
+        return Representation.abelianization(presentation)
     return parse_rep(_read(args.rep), presentation.name_to_index())
 
 

@@ -129,10 +129,9 @@ def slide_graph_script_after():
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIGURE_EIGHT_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
 
-# closure of the positive braid s1 s2 s1 s2, which contains a slide site,
-# and the code for the slid word s2 s1 s2 s2
+# closure of the positive braid s1 s2 s1 s2, which contains a slide site;
+# `r3_pair` slides it with `reidemeister_apply`
 BRAID_SLIDE_GAUSS_BEFORE = "O1+ O2+ U4+ U1+ O3+ O4+ U2+ U3+"
-BRAID_SLIDE_GAUSS_AFTER = "O2+ O3+ U4+ O1+ U3+ O4+ U1+ U2+"
 
 
 def trefoil() -> KnotDiagram:

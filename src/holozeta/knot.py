@@ -191,34 +191,26 @@ def _build_from_crossing_edges(n: int, data):
     """Assemble a KnotDiagram from per-crossing (sign, under-in edge,
     over-in edge) with edges numbered 1..2n along the strand."""
     total = 2 * n
-    under_edges = [u for _, u, _ in data]
-    if len(set(under_edges)) != n:
+    under_edges = {u for _, u, _ in data}
+    if len(under_edges) != n:
         raise ValueError("under-in edges must be distinct")
     for s, u, o in data:
         if not (1 <= u <= total and 1 <= o <= total):
             raise ValueError("edge number out of range")
         if o in under_edges:
             raise ValueError("edge %d cannot both end under and over a crossing" % o)
-    starts = sorted(u % total + 1 for u in under_edges)
-    arc_of = {}
-    runs = []
-    for st in starts:
-        run = []
-        e = st
-        while True:
-            run.append(e)
-            if e in under_edges:
-                break
-            e = e % total + 1
-            if len(run) > total:
-                raise ValueError("strand does not close up")
-        runs.append(run)
-    if sorted(x for run in runs for x in run) != list(range(1, total + 1)):
-        raise ValueError("arcs do not partition the strand")
+    # an arc runs from the edge after an under-in edge up to the next one;
+    # walking once round the strand from the lowest such start names the
+    # arcs a1..an in the order of their first edges
     names = ["a%d" % (k + 1) for k in range(n)]
-    for name, run in zip(names, runs):
-        for e in run:
-            arc_of[e] = name
+    start = min(u % total + 1 for u in under_edges)
+    arc_of = {}
+    k = 0
+    for step in range(total):
+        e = (start - 1 + step) % total + 1
+        arc_of[e] = names[k]
+        if e in under_edges:
+            k += 1
     crossings = []
     for s, u, o in data:
         crossings.append(

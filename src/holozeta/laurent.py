@@ -263,10 +263,10 @@ _TERM_RE = re.compile(
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse sparse text like `2*t^-1 + 1 - 3/2*t^{2}`."""
+    """Parse sparse text like `2*t^-1 + 1 - 3/2*t^{2}`; zero is `0`, never empty text."""
     s = text.strip().replace("−", "-")
-    if s in ("0", ""):
-        return LaurentPoly.zero()
+    if not s:
+        raise ValueError("empty polynomial: write 0 for zero")
     # split into signed terms; +/- inside exponents or leading a term stay put
     pieces = []
     cur = []
@@ -607,8 +607,9 @@ class PolyMatrix:
         return adj.scale(dinv)
 
     def __str__(self):
-        return "[%s]" % ", ".join(
-            "[%s]" % ", ".join(str(e) for e in self.row(i)) for i in range(self.rows)
+        """The `[[a,b],[c,d]]` literal that `parse_matrix_literal` reads."""
+        return "[%s]" % ",".join(
+            "[%s]" % ",".join(str(e) for e in self.row(i)) for i in range(self.rows)
         )
 
     __repr__ = __str__

@@ -8,7 +8,7 @@ Weights are 1x1 Laurent polynomials; unit entries keep inversion exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 
@@ -147,16 +147,9 @@ class CrossingWeights:
     g2_neg: tuple
 
     def perturbed(self, which: str, a: int, b: int, delta: LaurentPoly) -> "CrossingWeights":
-        tables = {
-            "g1_pos": self.g1_pos,
-            "g2_pos": self.g2_pos,
-            "g1_neg": self.g1_neg,
-            "g2_neg": self.g2_neg,
-        }
-        t = [list(row) for row in tables[which]]
+        t = [list(row) for row in getattr(self, which)]
         t[a][b] = t[a][b] + delta
-        tables[which] = tuple(tuple(row) for row in t)
-        return CrossingWeights(self.n, **tables)
+        return replace(self, **{which: tuple(tuple(row) for row in t)})
 
 
 def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeights:
@@ -443,74 +436,60 @@ def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQ
 
 # -- text formats -------------------------------------------------------
 
-def parse_quandle(text: str) -> FiniteQuandle:
-    """First line n, then n rows of n integers (the 0-based table)."""
+def _read_tables(text: str, what: str, blocks: int, read_row):
+    """The size-prefixed table layout: first line n, then `blocks` tables
+    of n rows each, every row read by `read_row(line, n)`.  Returns n and
+    the tables, each a tuple of rows."""
     lines = list(content_lines(text))
     if not lines:
-        raise ValueError("empty quandle file")
+        raise ValueError("empty %s file" % what)
     n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError("expected %d table rows, got %d" % (n, len(lines) - 1))
-    table = [[int(x) for x in row.split()] for row in lines[1:]]
+    if len(lines) != blocks * n + 1:
+        raise ValueError("expected %d rows, got %d" % (blocks * n, len(lines) - 1))
+    rows = [read_row(line, n) for line in lines[1:]]
+    return n, [tuple(rows[k * n : (k + 1) * n]) for k in range(blocks)]
+
+
+def _format_tables(n: int, tables, sep: str) -> str:
+    lines = [str(n)]
+    lines += [sep.join(str(x) for x in row) for table in tables for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def _poly_row(line: str, n: int) -> tuple:
+    row = tuple(parse_laurent(cell) for cell in line.split(","))
+    if len(row) != n:
+        raise ValueError("expected %d comma-separated entries in %r" % (n, line))
+    return row
+
+
+def parse_quandle(text: str) -> FiniteQuandle:
+    """First line n, then n rows of n integers (the 0-based table)."""
+    _, (table,) = _read_tables(text, "quandle", 1, lambda line, n: [int(x) for x in line.split()])
     return quandle_check(table)
 
 
 def format_quandle(q: FiniteQuandle) -> str:
-    lines = [str(q.n)]
-    for row in q.table:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_poly_rows(lines, n):
-    rows = []
-    for line in lines:
-        rows.append(tuple(parse_laurent(cell) for cell in line.split(",")))
-        if len(rows[-1]) != n:
-            raise ValueError("expected %d comma-separated entries in %r" % (n, line))
-    return tuple(rows)
+    return _format_tables(q.n, [q.table], " ")
 
 
 def parse_pair_file(text: str, q: FiniteQuandle) -> AlexanderPairTable:
     """First line n, then n comma-separated rows for f1, then n for f2."""
-    lines = list(content_lines(text))
-    if not lines:
-        raise ValueError("empty pair file")
-    n = int(lines[0])
+    n, (f1, f2) = _read_tables(text, "pair", 2, _poly_row)
     if n != q.n:
         raise ValueError("pair size %d does not match quandle size %d" % (n, q.n))
-    if len(lines) != 2 * n + 1:
-        raise ValueError("expected %d rows, got %d" % (2 * n, len(lines) - 1))
-    f1 = _parse_poly_rows(lines[1 : n + 1], n)
-    f2 = _parse_poly_rows(lines[n + 1 :], n)
     return alexander_pair_check(q, f1, f2)
 
 
 def format_pair_file(f: AlexanderPairTable) -> str:
-    lines = [str(f.n)]
-    for table in (f.f1, f.f2):
-        for row in table:
-            lines.append(", ".join(str(p) for p in row))
-    return "\n".join(lines) + "\n"
+    return _format_tables(f.n, [f.f1, f.f2], ", ")
 
 
 def parse_weights_file(text: str) -> CrossingWeights:
     """First line n, then four n-row blocks: g1+, g2+, g1-, g2-."""
-    lines = list(content_lines(text))
-    if not lines:
-        raise ValueError("empty weights file")
-    n = int(lines[0])
-    if len(lines) != 4 * n + 1:
-        raise ValueError("expected %d rows, got %d" % (4 * n, len(lines) - 1))
-    blocks = [
-        _parse_poly_rows(lines[1 + k * n : 1 + (k + 1) * n], n) for k in range(4)
-    ]
+    n, blocks = _read_tables(text, "weights", 4, _poly_row)
     return CrossingWeights(n, *blocks)
 
 
 def format_weights_file(g: CrossingWeights) -> str:
-    lines = [str(g.n)]
-    for table in (g.g1_pos, g.g2_pos, g.g1_neg, g.g2_neg):
-        for row in table:
-            lines.append(", ".join(str(p) for p in row))
-    return "\n".join(lines) + "\n"
+    return _format_tables(g.n, [g.g1_pos, g.g2_pos, g.g1_neg, g.g2_neg], ", ")

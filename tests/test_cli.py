@@ -555,3 +555,22 @@ def test_mutated_inputs_keep_the_exit_contract(contract_dir, case):
     assert code in (0, 1, 2)
     if code == 1:
         assert isinstance(json.loads(out.splitlines()[-1]), dict)
+
+
+# a cell of a valid file, and the text that rewrites it with {} as the cell
+_ONE_CELL = {
+    "graph": ("weight=[[t]]", "weight=[[{}]]"),
+    "graph-script": ("a=[[t-1]] b=[[1]]", "a=[[t]] b=[[{}]]"),
+    "pair": ("1 - t\n", "{}\n"),
+    "weights": ("1 - t\n", "{}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_CELL))
+def test_an_empty_cell_exits_2(contract_dir, name):
+    """A cell written 0 is read as zero; the same cell left empty is bad input."""
+    text = _CONTRACT[name][0]
+    old, new = _ONE_CELL[name]
+    assert old in text
+    assert _run_contract(contract_dir, name, text.replace(old, new.format("0"), 1))[0] in (0, 1)
+    assert _run_contract(contract_dir, name, text.replace(old, new.format(""), 1)) == (2, "")

@@ -1,10 +1,13 @@
-"""Every text reader takes `#` comments the same way."""
+"""Every text reader takes `#` comments the same way, and reads back
+what its writer wrote."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holozeta.cli import parse_graph_script, parse_tietze_script
+from holozeta.freegroup import Generator, Word
 from holozeta.knot import parse_gauss, parse_pd, parse_rep
-from holozeta.laurent import parse_laurent
-from holozeta.presentation import parse_presentation
+from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent
+from holozeta.presentation import BasedPresentation, format_presentation, parse_presentation
 from holozeta.quandle import (
     constant_pair,
     dihedral_quandle,
@@ -15,8 +18,10 @@ from holozeta.quandle import (
     parse_pair_file,
     parse_quandle,
     parse_weights_file,
+    random_alexander_pair,
+    trivial_quandle,
 )
-from holozeta.wgraph import parse_graph
+from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_graph, parse_matrix_literal
 from holozeta import fixtures
 
 
@@ -49,3 +54,96 @@ def _commented(text: str) -> str:
 def test_comments_leave_the_parse_unchanged(reader):
     parse, text = READERS[reader]
     assert parse(_commented(text)) == parse(text)
+
+
+# -- format then parse gives back what was written ------------------------
+
+_ROUND_TRIP = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+_POLYS = st.dictionaries(
+    st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=4
+).map(LaurentPoly)
+# ids the graph format can hold: no space, `#`, `-`, `>` or `=`
+_IDS = st.text("abuvxz019_.*", min_size=1, max_size=4)
+_QUANDLES = [dihedral_quandle(n) for n in range(3, 8)] + [trivial_quandle(n) for n in (1, 2, 4)]
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(1, 3)) if rows is None else rows
+    cols = draw(st.integers(1, 3)) if cols is None else cols
+    return PolyMatrix(rows, cols, draw(st.lists(_POLYS, min_size=rows * cols,
+                                                max_size=rows * cols)))
+
+
+@st.composite
+def _graphs(draw):
+    """A matrix-weighted graph whose edges join vertices of dimension >= 1:
+    a matrix literal has at least one row and one column."""
+    names = draw(st.lists(_IDS, unique=True, max_size=4))
+    vertices = tuple((v, draw(st.integers(0, 2))) for v in names)
+    ends = [v for v, dim in vertices if dim]
+    edges = []
+    if ends:
+        dims = dict(vertices)
+        for eid in draw(st.lists(_IDS, unique=True, max_size=5)):
+            src, tgt = draw(st.sampled_from(ends)), draw(st.sampled_from(ends))
+            edges.append(Edge(eid, src, tgt, draw(_matrices(dims[src], dims[tgt]))))
+    return WeightedDigraph("matrix", vertices, tuple(edges))
+
+
+@st.composite
+def _presentations(draw):
+    name = st.tuples(st.sampled_from("xyXY_"), st.text("ab_09", max_size=2)).map("".join)
+    names = draw(st.lists(name, unique=True, min_size=1, max_size=4))
+    letters = st.tuples(st.integers(0, len(names) - 1), st.sampled_from((1, -1)))
+    words = st.lists(letters, min_size=1, max_size=6).map(Word)
+    relations = draw(st.lists(words.filter(lambda w: not w.is_identity()), max_size=4))
+    base, used = {}, set()
+    for i, r in enumerate(relations):
+        free = sorted({g for g, _ in r.letters} - used)
+        if free and draw(st.booleans()):
+            g = draw(st.sampled_from(free))
+            base[i] = (g, draw(st.integers(0, len(r.occurrences(g)) - 1)))
+            used.add(g)
+    generators = tuple(Generator(i, name) for i, name in enumerate(names))
+    return BasedPresentation(generators, tuple(relations), base)
+
+
+@_ROUND_TRIP
+@given(p=_POLYS)
+def test_laurent_text_round_trips(p):
+    assert parse_laurent(str(p)) == p
+
+
+def test_empty_laurent_text_is_an_error():
+    for text in ("", "  ", "\t"):
+        with pytest.raises(ValueError):
+            parse_laurent(text)
+
+
+@_ROUND_TRIP
+@given(m=_matrices())
+def test_matrix_literal_round_trips(m):
+    assert parse_matrix_literal(str(m)) == m
+
+
+@_ROUND_TRIP
+@given(g=_graphs())
+def test_graph_text_round_trips(g):
+    assert parse_graph(format_graph(g)) == g
+
+
+@_ROUND_TRIP
+@given(p=_presentations())
+def test_presentation_text_round_trips(p):
+    assert parse_presentation(format_presentation(p)) == p
+
+
+@_ROUND_TRIP
+@given(q=st.sampled_from(_QUANDLES), rng=st.randoms(use_true_random=False))
+def test_quandle_pair_and_weight_text_round_trip(q, rng):
+    assert parse_quandle(format_quandle(q)) == q
+    f = random_alexander_pair(q, rng)
+    assert parse_pair_file(format_pair_file(f), q) == f
+    g = f_twisted_weights(f, q)
+    assert parse_weights_file(format_weights_file(g)) == g
