@@ -60,7 +60,9 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inv(self) -> "Word":
-        return Word.from_reduced(tuple((g, -s) for g, s in reversed(self.letters)))
+        # from a list: a tuple grown from a generator is resized, and CPython's free
+        # list keeps resized tuples of up to 20 items until a full collection
+        return Word.from_reduced(tuple([(g, -s) for g, s in reversed(self.letters)]))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inv()

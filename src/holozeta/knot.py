@@ -24,12 +24,15 @@ class Representation:
 
     `phi[i]` holds Phi(x_i) = rho(x_i) * t^alpha(x_i) and its inverse
     rho(x_i)^-1 * t^-alpha(x_i); each distinct rho is inverted once.
+    `rho_is_identity` says every rho(x_i) is the identity matrix.
     """
 
     def __init__(self, dim: int, mats: dict, exps: dict):
         self.dim = dim
         self.exps = dict(exps)
         self.phi = {}
+        identity = [int(r == c) for r in range(dim) for c in range(dim)]
+        self.rho_is_identity = all(list(m) == identity for m in mats.values())
         rho_inv = {}
         for i, m in mats.items():
             if len(m) != dim * dim:
@@ -37,7 +40,7 @@ class Representation:
             m, e = tuple(m), self.exps[i]
             if m not in rho_inv:
                 # det(Phi) = det(rho) t^(dim alpha) is a unit iff rho is invertible
-                rho_inv[m] = PolyMatrix(dim, dim, map(LaurentPoly.const, m)).inverse_unit_det()
+                rho_inv[m] = PolyMatrix(dim, dim, [LaurentPoly.const(x) for x in m]).inverse_unit_det()
             phi = PolyMatrix(dim, dim, [LaurentPoly.monomial(x, e) for x in m])
             self.phi[i] = (phi, rho_inv[m].scale(LaurentPoly.t(-e)))
 
@@ -298,7 +301,9 @@ def wirtinger_presentation(d: KnotDiagram) -> BasedPresentation:
     x_{i+1} u^{-s} x_i^{-1} u^{s} based at x_i (solved x_i = u^s x_{i+1} u^{-s});
     the relation at the last arc's crossing is omitted."""
     n = len(d.arcs)
-    generators = tuple(Generator(i, "x%d" % (i + 1)) for i in range(n))
+    # from a list: a tuple grown from a generator is resized, and CPython's free
+    # list keeps resized tuples of up to 20 items until a full collection
+    generators = tuple([Generator(i, "x%d" % (i + 1)) for i in range(n)])
     idx = {a: i for i, a in enumerate(d.arcs)}
     under = {c.under_in: c for c in d.crossings}
     relations = []
@@ -364,10 +369,16 @@ class AlexanderSetup:
 
 def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup:
     """Check that `rep` satisfies every relation of `p` (a Wirtinger
-    presentation), certify `p` for it and compute the denominator."""
+    presentation), certify `p` for it and compute the denominator.  When
+    every rho(x_i) is the identity, Phi(r) = t^alpha(r) * I, so a relation
+    holds iff its alpha-weighted exponent sum is 0: no matrix product."""
     one = PolyMatrix.identity(rep.dim)
     for i, r in enumerate(p.relations):
-        if apply_phi(GroupRingElt.from_word(r), rep) != one:
+        if rep.rho_is_identity:
+            holds = sum(s * rep.exps[g] for g, s in r.letters) == 0
+        else:
+            holds = apply_phi(GroupRingElt.from_word(r), rep) == one
+        if not holds:
             raise ValueError("rep violates relation %d (%s): Phi(r) != I"
                              % (i, r.display(p.names())))
     report = check_assumption(p, rep)

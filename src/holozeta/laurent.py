@@ -10,7 +10,6 @@ anywhere.
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -141,7 +140,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise ValueError("not a unit of the Laurent ring: %s" % self)
         ((e, c),) = self.terms.items()
-        return LaurentPoly({-e: Fraction(1) / c})
+        return LaurentPoly({-e: c if c in (1, -1) else Fraction(1) / c})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -301,35 +300,6 @@ def parse_laurent(text: str) -> LaurentPoly:
             e = 0
         terms[e] = terms.get(e, Fraction(0)) + c
     return LaurentPoly(terms)
-
-
-def _int_det(m) -> int:
-    """Determinant of a square integer matrix (rows are overwritten) by
-    Bareiss elimination with row swaps; every `//` is exact."""
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        tail = m[k][k + 1 :]
-        for i in range(k + 1, n):
-            row = m[i]
-            a = row[k]
-            if a:
-                m[i] = [0] * (k + 1) + [
-                    (x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], tail)
-                ]
-            elif pivot != prev:  # else the row is already scaled right
-                m[i] = [0] * (k + 1) + [x * pivot // prev for x in row[k + 1 :]]
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 class PolyMatrix:
@@ -503,7 +473,8 @@ class PolyMatrix:
 
     def det_bareiss(self) -> LaurentPoly:
         """Fraction-free elimination over the Laurent ring; divisions are
-        exact by construction.  A reference oracle for `det()`."""
+        exact by construction.  `det()` hands it what the unit-pivot phase
+        leaves above 4 x 4; on a whole matrix it is `det()`'s oracle."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
@@ -531,54 +502,93 @@ class PolyMatrix:
         return d if sign == 1 else -d
 
     def det(self) -> LaurentPoly:
-        """Cofactor expansion up to 4 x 4; above that, evaluation at the
-        integer points 0..D, integer Bareiss at each, and exact interpolation,
-        or Laurent Bareiss when fewer than D terms are stored (sparse input
-        of high degree, where D + 1 evaluations would dominate)."""
-        if self.rows <= 4:
-            return self.det_cofactor()
+        """The one determinant.  Up to 4 x 4, cofactor expansion.  Above
+        that, a first phase eliminates on unit pivots (single-term entries
+        q*t^k) over sparse rows, each time the unit of least Markowitz cost
+        (r - 1)(c - 1), r and c the entries stored in its row and column
+        (Markowitz, Management Science 3, 1957).  Eliminating the unit u
+        at (i, j) gives det = (-1)^(pos i + pos j) * u * det(S), pos
+        counting among the rows and columns still left and S the Schur
+        complement on them; u's inverse is the only one taken, so every
+        step is exact.  On I - A a unit diagonal pivot is a vertex with no
+        loop, and eliminating it is the paper's vertex removal: hub
+        resolution of its in-edges, source elimination, then merging the
+        parallel edges.  The phase returns 0 as soon as a row or column
+        empties and stops when no unit is left.  The remainder takes
+        cofactor expansion up to 4 x 4 and Laurent Bareiss above that."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        # shift each row to exponents 0..span and clear its denominators:
-        # det(self) = t^shift / scale * det(rows), rows over Z[t]
-        shift, scale, degree, widest, stored = 0, 1, 0, 0, 0
-        rows = []
-        for i in range(self.rows):
-            entries = self.row(i)
-            exps = [e for p in entries for e in p.terms]
-            if not exps:
-                return LaurentPoly()
-            lo = min(exps)
-            den = math.lcm(*(c.denominator for p in entries for c in p.terms.values()))
-            rows.append([[(e - lo, int(c * den)) for e, c in p.terms.items()] for p in entries])
-            shift += lo
-            scale *= den
-            span = max(exps) - lo
-            degree += span
-            widest = max(widest, span)
-            stored += len(exps)
-        if stored < degree:
-            return self.det_bareiss()
-        values = []
-        for x in range(degree + 1):
-            powers = [1]
-            for _ in range(widest):
-                powers.append(powers[-1] * x)
-            values.append(_int_det(
-                [[sum([c * powers[e] for e, c in p]) for p in row] for row in rows]
-            ))
-        # Newton divided differences at 0..D; they stay integers because
-        # the interpolated polynomial has integer coefficients
-        for j in range(1, degree + 1):
-            for i in range(degree, j - 1, -1):
-                values[i] = (values[i] - values[i - 1]) // j
-        coeffs = [values[degree]]
-        for k in range(degree - 1, -1, -1):
-            # coeffs * (t - k) + values[k]
-            coeffs = [values[k] - k * coeffs[0]] + [
-                coeffs[e - 1] - k * coeffs[e] for e in range(1, len(coeffs))
-            ] + [coeffs[-1]]
-        return LaurentPoly({e + shift: Fraction(c, scale) for e, c in enumerate(coeffs) if c})
+        if self.rows <= 4:
+            return self.det_cofactor()
+        d, rest = self._eliminate_units()
+        if rest is None:
+            return d
+        return d * (rest.det_cofactor() if rest.rows <= 4 else rest.det_bareiss())
+
+    def _eliminate_units(self):
+        """(d, rest) with det(self) = d * det(rest), rest the matrix the
+        unit-pivot phase of `det` leaves; (0, None) once a row or column
+        empties."""
+        n = self.rows
+        zero = LaurentPoly()
+        rows = [{} for _ in range(n)]  # live row i as {column: stored entry}
+        cols = [set() for _ in range(n)]  # column j: the live rows storing it
+        for k, p in enumerate(self.entries):
+            if p.terms:
+                i, j = divmod(k, n)
+                rows[i][j] = p
+                cols[j].add(i)
+        if not all(rows) or not all(cols):
+            return zero, None
+        live_rows, live_cols = list(range(n)), list(range(n))
+        d = LaurentPoly.one()
+        while live_rows:
+            best, least = None, None
+            for i in live_rows:
+                row = rows[i]
+                r = len(row) - 1
+                for j, p in row.items():
+                    if len(p.terms) == 1:
+                        cost = r * (len(cols[j]) - 1)
+                        if best is None or cost < least:
+                            best, least = (i, j), cost
+                if least == 0:
+                    break
+            if best is None:
+                break
+            i, j = best
+            pi, pj = live_rows.index(i), live_cols.index(j)
+            del live_rows[pi], live_cols[pj]
+            pivot_row = rows[i]
+            u = pivot_row.pop(j)
+            d = d * u if (pi + pj) % 2 == 0 else d * -u
+            for c in pivot_row:
+                cols[c].discard(i)
+            column = cols[j]
+            column.discard(i)
+            u_inv = u.unit_inverse()
+            for r in column:  # row r -= (a_rj / u) * row i
+                row = rows[r]
+                f = -(row.pop(j) * u_inv)
+                for c, v in pivot_row.items():
+                    if c not in row:
+                        row[c] = f * v
+                        cols[c].add(r)
+                        continue
+                    new = row[c] + f * v
+                    if new.terms:
+                        row[c] = new
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+                if not row:
+                    return zero, None
+            if not all(cols[c] for c in pivot_row):
+                return zero, None
+        rest = PolyMatrix(len(live_rows), len(live_cols), [
+            rows[i].get(j, zero) for i in live_rows for j in live_cols
+        ])
+        return d, rest
 
     def inverse_unit_det(self) -> "PolyMatrix":
         """Inverse via adjugate; requires det to be a Laurent unit."""

@@ -82,7 +82,9 @@ def solve_for_base(r: Word, bp) -> Word:
     pos = positions[occ]
     letters = r.letters
     if letters[pos][1] == -1:
-        letters = tuple((gg, -s) for gg, s in reversed(letters))
+        # from a list: a tuple grown from a generator is resized, and CPython's free
+        # list keeps resized tuples of up to 20 items until a full collection
+        letters = tuple([(gg, -s) for gg, s in reversed(letters)])
         pos = len(letters) - 1 - pos
     rotated = letters[pos:] + letters[:pos]
     assert rotated[0] == (g, 1)
@@ -110,7 +112,7 @@ def _reduce_tracked(letters, marked: int, wlen: int):
             else:
                 stack.append(((g, s), idx))
         else:
-            return tuple(letter for letter, _ in stack), [i for _, i in stack].index(marked)
+            return tuple([letter for letter, _ in stack]), [i for _, i in stack].index(marked)
         partner = prev_idx if marked == idx else idx
         if partner < wlen:
             marked = wlen + rlen + (wlen - 1 - partner)
@@ -334,7 +336,7 @@ def build_group_weighted_graph(p: BasedPresentation):
     from .wgraph import WeightedDigraph, Edge
 
     names = p.names()
-    vertices = tuple((g.display_name, 1) for g in sorted(p.generators, key=lambda g: g.index))
+    vertices = tuple([(g.display_name, 1) for g in sorted(p.generators, key=lambda g: g.index)])
     edges = []
     for i in range(len(p.relations)):
         if i not in p.base:

@@ -138,8 +138,10 @@ def phi_image(g: WeightedDigraph, rep) -> WeightedDigraph:
     rep.dim, each group-ring weight w replaced by Phi(w)."""
     if g.kind != "group":
         raise ValueError("phi_image maps group-weighted graphs")
-    edges = tuple(Edge(e.id, e.src, e.tgt, apply_phi(e.weight, rep)) for e in g.edges)
-    return WeightedDigraph("matrix", tuple((v, rep.dim) for v, _ in g.vertices), edges)
+    # from a list: a tuple grown from a generator is resized, and CPython's free
+    # list keeps resized tuples of up to 20 items until a full collection
+    edges = tuple([Edge(e.id, e.src, e.tgt, apply_phi(e.weight, rep)) for e in g.edges])
+    return WeightedDigraph("matrix", tuple([(v, rep.dim) for v, _ in g.vertices]), edges)
 
 
 def _matrix_only(g: WeightedDigraph):
@@ -168,7 +170,12 @@ def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
 def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
     """det(I - A(G,w)): the reciprocal of the weighted zeta function."""
     a = adjacency_matrix(g)
-    return (PolyMatrix.identity(a.rows) - a).det()
+    n, one = a.rows, LaurentPoly.one()
+    # negate only the stored entries, then put 1 - a_ii on the diagonal
+    entries = [-p if p.terms else p for p in a.entries]
+    for k in range(0, n * n, n + 1):
+        entries[k] = one - a.entries[k]
+    return PolyMatrix(n, n, entries).det()
 
 
 # -- prime cycles and the Euler product oracle --------------------------

@@ -144,6 +144,46 @@ def test_library_calls_reject_a_non_representation():
             twisted_alexander(d, rep, route)
 
 
+def test_identity_rho_checks_relations_by_exponent_sums(monkeypatch):
+    # every rho(x_i) = I: Phi(r) = t^alpha(r) I, so alexander_setup checks
+    # exponent sums and multiplies no matrices
+    import holozeta.knot as knot
+
+    def no_product(*args):
+        raise AssertionError("apply_phi called for an identity rep")
+
+    p = wirtinger_presentation(fixtures.trefoil())
+    names = p.name_to_index()
+    monkeypatch.setattr(knot, "apply_phi", no_product)
+    assert Representation.trivial(range(3)).rho_is_identity
+    alexander_setup(p, Representation.trivial(range(3)))
+    two_dim = parse_rep("all: [[1,0],[0,1]] exp=1\n", names)
+    assert two_dim.rho_is_identity
+    alexander_setup(p, two_dim)
+    # consecutive arcs with different exp= break the first relation
+    uneven = parse_rep("x1: [[1]] exp=1\nall: [[1]] exp=2\n", names)
+    with pytest.raises(ValueError, match=r"rep violates relation 0 \(.*\): Phi\(r\) != I"):
+        alexander_setup(p, uneven)
+    # any other rho keeps the matrix check, which still rejects x1: [[2]]
+    monkeypatch.undo()
+    scaled = parse_rep("x1: [[2]] exp=1\nall: [[1]] exp=1\n", names)
+    assert not scaled.rho_is_identity
+    with pytest.raises(ValueError, match=re.escape("rep violates relation 0 (")):
+        alexander_setup(p, scaled)
+
+
+def test_t2_101_by_both_routes():
+    # T(2,101), trivial rep: Delta = sum_(k < 101) (-t)^k on both routes;
+    # the unit-pivot phase of det() takes the 101-row I - A and the
+    # 100-row Fox minor down to one row each
+    d = parse_gauss(torus_gauss(101))
+    rep = Representation.trivial(range(101))
+    setup = alexander_setup(wirtinger_presentation(d), rep)
+    delta = LaurentPoly({k: (-1) ** k for k in range(101)})
+    for route in ("graph", "direct"):
+        assert twisted_alexander(d, rep, route, setup=setup).numerator == delta
+
+
 def test_rep_direct_sum_and_conjugate():
     r1 = Representation.trivial(range(3))
     r2 = Representation.trivial(range(3))

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holozeta.laurent import (
     LaurentPoly,
@@ -84,7 +86,7 @@ def test_determinants_agree_with_permutation_expansion():
         assert m.det_bareiss() == expect
         assert m.det_cofactor() == expect
         assert m.det() == expect
-    # above 4 x 4, det() evaluates at integer points and interpolates
+    # above 4 x 4, det() eliminates on unit pivots first
     for n in (5, 5, 5, 6):
         m = PolyMatrix.from_rows([
             [random_laurent(rng, 2, -2).scale(Fraction(1, rng.randint(1, 6)))
@@ -100,8 +102,8 @@ def test_determinants_agree_with_permutation_expansion():
     assert zero_row.det().is_zero()
     assert zero_row.det_bareiss().is_zero()
     # rows 0 and 1 agree at t = 0 and t = 1 and their first entries vanish
-    # there, as does row 2's once shifted by t, so at both points the
-    # integer elimination meets a zero pivot and the matrix is singular
+    # there, as does row 2's once shifted by t, so the matrix is singular
+    # at both points
     singular_at_0_and_1 = PolyMatrix.from_rows([
         [parse_laurent(x) for x in row] for row in (
             ("t^2 - t", "1", "t^2", "2", "0"),
@@ -116,8 +118,8 @@ def test_determinants_agree_with_permutation_expansion():
     assert d == singular_at_0_and_1.det_bareiss()
     assert not d.is_zero()
     assert sum(d.terms.values()) == 0  # vanishes at t = 1
-    # 11 stored terms against a degree bound of 66: det() takes Laurent
-    # Bareiss here instead of 67 evaluations
+    # 11 stored terms against a degree bound of 66, and units that the
+    # first phase of det() eliminates down to a single row
     sparse = PolyMatrix.from_rows([
         [parse_laurent(x) for x in row] for row in (
             ("1 - 1/2*t^60", "-t", "0", "0", "0"),
@@ -141,6 +143,118 @@ def test_determinants_agree_with_permutation_expansion():
         assert m.det_bareiss() == expect
         assert m.det() == expect
     assert not zero_corner.det().is_zero()
+
+
+def _sparse_entry(rng, unit_share):
+    """Zero, a unit q*t^k (some q with a denominator), or a polynomial of
+    two or three terms, which is never a unit."""
+    if rng.random() < unit_share:
+        q = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)))
+        return LaurentPoly.monomial(q, rng.randint(-2, 2))
+    lo = rng.randint(-1, 1)
+    return LaurentPoly({lo + k: rng.choice((1, -1, 2, Fraction(1, 3))) for k in range(rng.randint(2, 3))})
+
+
+@st.composite
+def _sparse_unit_matrices(draw):
+    """A 5..7-row matrix that stores a `density` share of its entries,
+    a `unit_share` of them units; up to two rows store no unit, and
+    optionally one row is a unit times another plus a unit times a third,
+    which makes the matrix singular."""
+    n = draw(st.integers(5, 7))
+    density = draw(st.sampled_from((0.4, 0.6, 0.8)))
+    unit_share = draw(st.sampled_from((0.3, 0.6, 0.9)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = [[_sparse_entry(rng, unit_share) if rng.random() < density else LaurentPoly.zero()
+             for _ in range(n)] for _ in range(n)]
+    for i in rng.sample(range(n), draw(st.integers(0, 2))):
+        rows[i] = [_sparse_entry(rng, 0) if p.is_unit() else p for p in rows[i]]
+    if draw(st.booleans()):
+        i, j, k = rng.sample(range(n), 3)
+        u, v = _sparse_entry(rng, 1), _sparse_entry(rng, 1)
+        rows[k] = [u * a + v * b for a, b in zip(rows[i], rows[j])]
+    return PolyMatrix.from_rows(rows)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_sparse_unit_matrices())
+def test_det_equals_bareiss_and_leibniz_exactly(m):
+    d = m.det()
+    assert d == m.det_bareiss()
+    if m.rows <= 6:
+        assert d == det_by_permutations(m)
+
+
+def _rows(*rows):
+    return PolyMatrix.from_rows([[parse_laurent(x) for x in row] for row in rows])
+
+
+def test_det_unit_phase_remainders(monkeypatch):
+    """The unit-pivot phase of det() leaves remainders of 0, 1 and above 4
+    rows, keeps the permutation sign, and ends at once on a singular
+    matrix; each case matches the Leibniz expansion exactly."""
+    remainders, bareiss = [], []
+    eliminate, det_bareiss = PolyMatrix._eliminate_units, PolyMatrix.det_bareiss
+
+    def spy(m):
+        d, rest = eliminate(m)
+        remainders.append(None if rest is None else rest.rows)
+        return d, rest
+
+    def counted(m):
+        bareiss.append(m.rows)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(PolyMatrix, "_eliminate_units", spy)
+    monkeypatch.setattr(PolyMatrix, "det_bareiss", counted)
+    # a 6-cycle of units, some with denominators: every pivot is the only
+    # entry of its row, the permutation is odd, and nothing is left
+    six_cycle = _rows(
+        ("0", "t", "0", "0", "0", "0"), ("0", "0", "-1", "0", "0", "0"),
+        ("0", "0", "0", "1/2*t^-1", "0", "0"), ("0", "0", "0", "0", "3", "0"),
+        ("0", "0", "0", "0", "0", "-t^2"), ("2*t", "0", "0", "0", "0", "0"),
+    )
+    # 1 - t on the diagonal and units t round a 5-cycle: the units reduce
+    # it to one row
+    cycle = _rows(
+        ("1 - t", "t", "0", "0", "0"), ("0", "1 - t", "t", "0", "0"),
+        ("0", "0", "1 - t", "t", "0"), ("0", "0", "0", "1 - t", "t"),
+        ("t", "0", "0", "0", "1 - t"),
+    )
+    # no unit anywhere: all six rows go to Laurent Bareiss
+    no_unit = _rows(
+        ("1 + t", "2 - t", "0", "1 - t^2", "t + t^2", "3 + t"),
+        ("t - t^3", "1 + t", "1 - t", "0", "2 + t", "0"),
+        ("0", "1 + t^-1", "1 + 2*t", "t - 1", "0", "1 - 2*t"),
+        ("2 + t", "0", "1 + t", "1 - t", "t + 1", "0"),
+        ("1 - t", "t - t^2", "0", "1 + t", "2 + 3*t", "1 + t"),
+        ("1 + t^2", "0", "1 - t", "0", "1 + t", "2 + t"),
+    )
+    # sparse, of high degree and with no unit: also Laurent Bareiss
+    high_degree = _rows(*(
+        ["0"] * i + ["1 - t^20"] + ["0"] * (5 - i) for i in range(6)
+    ))
+    # row 4 is -t/2 times row 0: eliminating the units empties a row
+    singular = _rows(
+        ("1", "t", "0", "2 - t", "0"), ("0", "1 + t", "-t", "0", "1"),
+        ("t", "0", "1", "0", "1/2"), ("0", "1", "t - 1", "t", "0"),
+        ("-1/2*t", "-1/2*t^2", "0", "-t + 1/2*t^2", "0"),
+    )
+    expected = [(six_cycle, [0], parse_laurent("-3*t^3")),
+                (cycle, [1], parse_laurent("1 - 5*t + 10*t^2 - 10*t^3 + 5*t^4")),
+                (no_unit, [6], None),
+                (high_degree, [6], parse_laurent("1 - 6*t^20 + 15*t^40 - 20*t^60"
+                                                 " + 15*t^80 - 6*t^100 + t^120")),
+                (singular, [None], LaurentPoly.zero())]
+    for m, rests, value in expected:
+        remainders.clear()
+        bareiss.clear()
+        d = m.det()
+        assert remainders == rests
+        assert bareiss == [r for r in rests if r and r > 4]
+        if value is not None:
+            assert d == value
+        assert d == det_by_permutations(m)
 
 
 def test_matrix_inverse_unit_det():
@@ -254,10 +368,10 @@ def test_coefficient_division_above_2_53_is_exact():
     for a, b in ((f, g), (f.scale(Fraction(1, 3)), g), (_big_laurent(rng, -1, 2), _big_laurent(rng, 0, 3))):
         assert (a * b).divexact(a) == b
         assert (a * b).divexact(b) == a
-    # det() expands up to 4 x 4 and evaluates and interpolates above that
+    # det() expands up to 4 x 4 and eliminates on unit pivots above that
     for n in (4, 5, 6):
         rows = [[_big_laurent(rng, 0, 1) for _ in range(n)] for _ in range(n)]
-        rows[0][0] = rows[0][0].scale(Fraction(1, BIG))  # a denominator for det() to clear
+        rows[0][0] = rows[0][0].scale(Fraction(1, BIG))  # an entry with a denominator
         m = PolyMatrix.from_rows(rows)
         expect = det_by_permutations(m)
         assert m.det() == expect
