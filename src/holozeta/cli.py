@@ -45,6 +45,9 @@ from .knot import (
 )
 from . import quandle as qmod
 
+# tuples are built from lists: one grown from a generator is resized and kept on
+# CPython's free list until a full collection, which peak memory then follows
+
 
 class InputError(ValueError):
     pass
@@ -123,15 +126,15 @@ def _split_pair(chunk: str, sep: str) -> tuple:
 def _insert_fields(vertex, dim, *rest):
     if len(rest) % 4:
         raise ValueError("insert edges come in id src tgt matrix groups")
-    edges = tuple((rest[k], rest[k + 1], rest[k + 2], parse_matrix_literal(rest[k + 3]))
-                  for k in range(0, len(rest), 4))
+    edges = tuple([(rest[k], rest[k + 1], rest[k + 2], parse_matrix_literal(rest[k + 3]))
+                   for k in range(0, len(rest), 4)])
     return dict(vertex=vertex, dim=int(dim), edges=edges)
 
 
 def _split_fields(edge, *chunks):
     pairs = [_split_pair(c, "=") for c in chunks]
-    return dict(edge=edge, new_ids=tuple(name for name, _ in pairs),
-                summands=tuple(parse_matrix_literal(m) for _, m in pairs))
+    return dict(edge=edge, new_ids=tuple([name for name, _ in pairs]),
+                summands=tuple([parse_matrix_literal(m) for _, m in pairs]))
 
 
 # kind -> (usage, builder of (TietzeMove fields, word text or None)); words
@@ -161,7 +164,7 @@ _GRAPH_SCRIPT = {
     "hub_unresolve": ("hub_unresolve <id> <src> <tgt> <matrix> <removed>:<out> ...",
                       lambda edge, src, tgt, weight, *pairs: dict(
                           edge=edge, src=src, tgt=tgt, weight=parse_matrix_literal(weight),
-                          pairs=tuple(_split_pair(c, ":") for c in pairs))),
+                          pairs=tuple([_split_pair(c, ":") for c in pairs]))),
     "reverse_all": ("reverse_all", lambda: {}),
 }
 

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_fraction, split_matrix_literal
+from .laurent import LaurentPoly, PolyMatrix, content_lines, scan_tokens, split_matrix_literal
 from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
 from .wgraph import phi_image, zeta_reciprocal
+
+# tuples are built from lists: one grown from a generator is resized and kept on
+# CPython's free list until a full collection, which peak memory then follows
 
 
 class Representation:
@@ -95,7 +99,10 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix for %s is not square: row lengths %s"
                              % (name, [len(row) for row in rows]))
-        flat = [parse_fraction(cell.strip()) for row in rows for cell in row]
+        try:
+            flat = [Fraction(cell) for row in rows for cell in row]
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % mattext) from None
         exp = int(exptext) if exptext else 1
         if name == "all":
             default = (len(rows), flat, exp)
@@ -222,29 +229,30 @@ def _build_from_crossing_edges(n: int, data):
     return KnotDiagram(tuple(names), tuple(crossings))
 
 
+# a crossing or pass after its separators; `$` reads the separators that end the text
+_PD_TOKEN = re.compile(r"[ \t,;]*(?:[Xx]\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]|$)")
+_GAUSS_TOKEN = re.compile(r"[ \t,;]*(?:([OUou])(\d+)([+-])|$)")
+
+
 def parse_pd(text: str) -> KnotDiagram:
-    """Parse PD code `X[a,b,c,d] ...` (or the `unknot` token).
+    """Parse PD code `X[a,b,c,d] ...` (or the `unknot` token), the tuples
+    separated by spaces, tabs, commas or semicolons, or by nothing.
 
     a is the incoming under edge, c the outgoing under edge, and the
     over strand runs b -> d (positive crossing) or d -> b (negative),
     decided by which pair is consecutive in the edge numbering.
     """
     body = " ".join(content_lines(text))
-    if not body:
-        raise ValueError("empty PD input")
     if body.lower() == "unknot":
         return KnotDiagram(("a1",), ())
-    tuples = re.findall(r"[Xx]\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]", body)
-    leftover = re.sub(r"[Xx]\[\s*\d+\s*,\s*\d+\s*,\s*\d+\s*,\s*\d+\s*\]", "", body)
-    if leftover.strip(" ,;\n\t"):
-        raise ValueError("unrecognized PD content %r" % leftover.strip())
+    tuples = [tuple(map(int, m.groups())) for m in scan_tokens(_PD_TOKEN, body) if m.group(1)]
     if not tuples:
         raise ValueError("no crossings in PD input")
     n = len(tuples)
     total = 2 * n
     counts = {}
     data = []
-    for a, b, c, d in ((int(a), int(b), int(c), int(d)) for a, b, c, d in tuples):
+    for a, b, c, d in tuples:
         for e in (a, b, c, d):
             counts[e] = counts.get(e, 0) + 1
         if c != a % total + 1:
@@ -263,19 +271,14 @@ def parse_pd(text: str) -> KnotDiagram:
 
 
 def parse_gauss(text: str) -> KnotDiagram:
-    """Parse a signed Gauss code like `O1+ U2+ O3+ U1+ O2+ U3+`."""
+    """Parse a signed Gauss code like `O1+ U2+ O3+ U1+ O2+ U3+`, the
+    passes separated as in `parse_pd`; any other text is an error."""
     body = " ".join(content_lines(text))
-    if not body:
-        raise ValueError("empty Gauss code")
     if body.lower() == "unknot":
         return KnotDiagram(("a1",), ())
-    toks = re.findall(r"([OUou])(\d+)([+-])", body)
-    if 2 * len(re.findall(r"\d+", body)) != 2 * len(toks) or not toks:
-        raise ValueError("bad Gauss code %r" % text)
-    total = len(toks)
-    if total % 2:
-        raise ValueError("odd number of passes")
-    n = total // 2
+    toks = [m.groups() for m in scan_tokens(_GAUSS_TOKEN, body) if m.group(1)]
+    if not toks or len(toks) % 2:
+        raise ValueError("a Gauss code needs a positive even number of passes, not %d" % len(toks))
     seen = {}
     for pos, (kind, label, sign) in enumerate(toks):
         label = int(label)
@@ -291,7 +294,7 @@ def parse_gauss(text: str) -> KnotDiagram:
             raise ValueError("crossing %d has inconsistent signs" % label)
         # pass k sits between edge k and edge k+1 (1-based edges)
         data.append((su, pu + 1, po + 1))
-    return _build_from_crossing_edges(n, data)
+    return _build_from_crossing_edges(len(toks) // 2, data)
 
 
 # -- Wirtinger presentation --------------------------------------------
@@ -301,8 +304,6 @@ def wirtinger_presentation(d: KnotDiagram) -> BasedPresentation:
     x_{i+1} u^{-s} x_i^{-1} u^{s} based at x_i (solved x_i = u^s x_{i+1} u^{-s});
     the relation at the last arc's crossing is omitted."""
     n = len(d.arcs)
-    # from a list: a tuple grown from a generator is resized, and CPython's free
-    # list keeps resized tuples of up to 20 items until a full collection
     generators = tuple([Generator(i, "x%d" % (i + 1)) for i in range(n)])
     idx = {a: i for i, a in enumerate(d.arcs)}
     under = {c.under_in: c for c in d.crossings}
@@ -483,7 +484,7 @@ def _undo_r1(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
         # an arc that passes under itself is the whole diagram: one kink
         return KnotDiagram((a,), ())
     rest = _substitute_arc(rest, b, a)
-    arcs = tuple(x for x in d.arcs if x != b)
+    arcs = tuple([x for x in d.arcs if x != b])
     return KnotDiagram(arcs, tuple(rest))
 
 
@@ -521,7 +522,7 @@ def _undo_r2(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
         return KnotDiagram((a,), ())
     rest = _substitute_arc(rest, mid, a)
     rest = _substitute_arc(rest, b, a)
-    arcs = tuple(x for x in d.arcs if x not in (mid, b))
+    arcs = tuple([x for x in d.arcs if x not in (mid, b)])
     return KnotDiagram(arcs, tuple(rest))
 
 

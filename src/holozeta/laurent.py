@@ -239,6 +239,19 @@ def content_lines(text: str):
             yield line
 
 
+def scan_tokens(token_re, text: str):
+    """The matches of the compiled `token_re`, each tried at the end of the
+    last, that cover `text` from position 0 with no gaps; raises ValueError
+    at the first position where no token matches or the match is empty."""
+    pos = 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None or m.end() == pos:
+            raise ValueError("unexpected text at column %d: %r" % (pos + 1, text[pos:pos + 20]))
+        yield m
+        pos = m.end()
+
+
 def split_matrix_literal(text: str):
     """The cell texts of a `[[a,b],[c,d]]` literal, one list per row."""
     text = text.strip()
@@ -247,58 +260,30 @@ def split_matrix_literal(text: str):
     return [row.split(",") for row in re.split(r"\]\s*,\s*\[", text[2:-2])]
 
 
-def parse_fraction(text: str) -> Fraction:
-    """A rational number written as `3`, `-1/2` or `0.5`; raises ValueError on bad input."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
-
-
+# a sign, a coefficient n or n/d with its own sign (`+ -2`), then t, t^e or
+# t^{e}; a `*` must be followed by t or end the text, so `2*-1` is an error
 _TERM_RE = re.compile(
-    r"^(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*\*?\s*"
-    r"(?P<t>t(?:\^\{?(?P<exp>[+-]?\d+)\}?)?)?$"
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?)?\s*(?:\*\s*(?=t|$))?"
+    r"(?P<t>t(?:\^\{?(?P<exp>[+-]?\d+)\}?)?)?\s*"
 )
 
 
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse sparse text like `2*t^-1 + 1 - 3/2*t^{2}`; zero is `0`, never empty text."""
-    s = text.strip().replace("−", "-")
-    if not s:
+    if not text.strip():
         raise ValueError("empty polynomial: write 0 for zero")
-    # split into signed terms; +/- inside exponents or leading a term stay put
-    pieces = []
-    cur = []
-    prev = ""  # last non-space character seen
-    for ch in s:
-        if ch in "+-" and prev not in ("", "^", "{", "+", "-", "*", "/"):
-            pieces.append("".join(cur))
-            cur = [ch]
-        else:
-            cur.append(ch)
-        if not ch.isspace():
-            prev = ch
-    pieces.append("".join(cur))
     terms = {}
-    for piece in pieces:
-        body = piece.strip()
-        sign = "+"
-        if body and body[0] in "+-":
-            sign = body[0]
-            body = body[1:].strip()
-        if not body:
-            raise ValueError("empty term in %r" % text)
-        m = _TERM_RE.match(body)
-        if not m or (m.group("coeff") is None and m.group("t") is None):
-            raise ValueError("bad Laurent term %r in %r" % (body, text))
-        c = parse_fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if sign == "-":
-            c = -c
-        if m.group("t"):
-            e = int(m.group("exp")) if m.group("exp") is not None else 1
-        else:
-            e = 0
-        terms[e] = terms.get(e, Fraction(0)) + c
+    for k, m in enumerate(scan_tokens(_TERM_RE, text.replace("−", "-"))):
+        sign, num, den, t, exp = m.group("sign", "num", "den", "t", "exp")
+        if (k and not sign) or (num is None and t is None):
+            raise ValueError("bad Laurent term %r in %r" % (m.group().strip(), text))
+        c = 1 if num is None else int(num)
+        if den is not None:
+            if not int(den):
+                raise ValueError("zero denominator in %r" % text)
+            c = Fraction(c, int(den))
+        e = 0 if t is None else 1 if exp is None else int(exp)
+        terms[e] = terms.get(e, 0) + (-c if sign == "-" else c)
     return LaurentPoly(terms)
 
 

@@ -22,6 +22,9 @@ from .freegroup import (
 )
 from .laurent import content_lines
 
+# tuples are built from lists: one grown from a generator is resized and kept on
+# CPython's free list until a full collection, which peak memory then follows
+
 
 class InvalidMove(ValueError):
     pass
@@ -82,8 +85,6 @@ def solve_for_base(r: Word, bp) -> Word:
     pos = positions[occ]
     letters = r.letters
     if letters[pos][1] == -1:
-        # from a list: a tuple grown from a generator is resized, and CPython's free
-        # list keeps resized tuples of up to 20 items until a full collection
         letters = tuple([(gg, -s) for gg, s in reversed(letters)])
         pos = len(letters) - 1 - pos
     rotated = letters[pos:] + letters[:pos]
@@ -232,7 +233,7 @@ def _remove_generator(p: BasedPresentation, m: TietzeMove) -> BasedPresentation:
         if i != j and gi in other.generators():
             raise InvalidMove("generator %r still used by relation %d" % (m.name, i))
     return BasedPresentation(
-        tuple(g for g in p.generators if g.index != gi),
+        tuple([g for g in p.generators if g.index != gi]),
         p.relations[:j] + p.relations[j + 1:],
         {(i if i < j else i - 1): bp for i, bp in p.base.items() if i != j},
     )
@@ -283,7 +284,7 @@ def _canonical_form(p: BasedPresentation):
     names = p.names()
     rels = []
     for i, r in enumerate(p.relations):
-        letters = tuple((names[g], s) for g, s in r.letters)
+        letters = tuple([(names[g], s) for g, s in r.letters])
         bp = None
         if i in p.base:
             g, occ = p.base[i]
@@ -363,7 +364,7 @@ def parse_presentation(text: str) -> BasedPresentation:
     for line in content_lines(text):
         if line.startswith("gens:"):
             names = line[len("gens:"):].split()
-            generators = tuple(Generator(i, n) for i, n in enumerate(names))
+            generators = tuple([Generator(i, n) for i, n in enumerate(names)])
         elif line.startswith("rel:"):
             if generators is None:
                 raise ValueError("gens: line must come first")

@@ -15,6 +15,9 @@ from itertools import islice, product
 from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_laurent
 from .wgraph import WeightedDigraph, Edge
 
+# tuples are built from lists: one grown from a generator is resized and kept on
+# CPython's free list until a full collection, which peak memory then follows
+
 
 class QuandleError(ValueError):
     def __init__(self, message, witness=None):
@@ -45,7 +48,7 @@ class FiniteQuandle:
 def quandle_check(table) -> FiniteQuandle:
     """Validate the three quandle axioms exhaustively and build the
     inverse translation table."""
-    table = tuple(tuple(int(x) for x in row) for row in table)
+    table = tuple([tuple([int(x) for x in row]) for row in table])
     n = len(table)
     if any(len(row) != n for row in table):
         raise QuandleError("operation table must be square")
@@ -70,7 +73,7 @@ def quandle_check(table) -> FiniteQuandle:
             for c in range(n):
                 if table[table[a][b]][c] != table[table[a][c]][table[b][c]]:
                     raise QuandleError("self-distributivity fails", witness=(a, b, c))
-    return FiniteQuandle(n, table, tuple(tuple(row) for row in inv))
+    return FiniteQuandle(n, table, tuple([tuple(row) for row in inv]))
 
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
@@ -91,7 +94,7 @@ class AlexanderPairTable:
 def _as_poly_table(rows, n, what):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("%s table must be %dx%d" % (what, n, n))
-    return tuple(tuple(r) for r in rows)
+    return tuple([tuple(r) for r in rows])
 
 
 def alexander_pair_check(q: FiniteQuandle, f1, f2) -> AlexanderPairTable:
@@ -149,7 +152,7 @@ class CrossingWeights:
     def perturbed(self, which: str, a: int, b: int, delta: LaurentPoly) -> "CrossingWeights":
         t = [list(row) for row in getattr(self, which)]
         t[a][b] = t[a][b] + delta
-        return replace(self, **{which: tuple(tuple(row) for row in t)})
+        return replace(self, **{which: tuple([tuple(row) for row in t])})
 
 
 def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeights:
@@ -178,8 +181,8 @@ def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeight
 
 def identity_weights(n: int) -> CrossingWeights:
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    ones = tuple(tuple(one for _ in range(n)) for _ in range(n))
-    zeros = tuple(tuple(zero for _ in range(n)) for _ in range(n))
+    ones = tuple([(one,) * n for _ in range(n)])
+    zeros = tuple([(zero,) * n for _ in range(n)])
     return CrossingWeights(n, ones, zeros, ones, zeros)
 
 
@@ -304,7 +307,7 @@ def coloring_from_map(q: FiniteQuandle, d, colors: dict) -> QuandleColoring:
     bad = _check_coloring(q, d, colors)
     if bad is not None:
         raise ValueError("coloring violates the crossing constraint at %r" % (bad,))
-    return QuandleColoring(tuple((a, colors[a]) for a in d.arcs))
+    return QuandleColoring(tuple([(a, colors[a]) for a in d.arcs]))
 
 
 def _coloring_plan(q: FiniteQuandle, d) -> list:
@@ -400,7 +403,7 @@ def enumerate_colorings(q: FiniteQuandle, d) -> list:
         else:
             level += 1
     found.sort()
-    return [QuandleColoring(tuple(zip(d.arcs, assign))) for assign in found]
+    return [QuandleColoring(tuple(list(zip(d.arcs, assign)))) for assign in found]
 
 
 def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQuandle = None) -> WeightedDigraph:
@@ -416,7 +419,7 @@ def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQ
         bad = _check_coloring(q, d, colors)
         if bad is not None:
             raise ValueError("coloring violates the crossing constraint at %r" % (bad,))
-    vertices = tuple((a, 1) for a in d.arcs)
+    vertices = tuple([(a, 1) for a in d.arcs])
     edges = []
     last = d.arcs[-1]
     for k, cr in enumerate(d.crossings):
@@ -457,7 +460,7 @@ def _format_tables(n: int, tables, sep: str) -> str:
 
 
 def _poly_row(line: str, n: int) -> tuple:
-    row = tuple(parse_laurent(cell) for cell in line.split(","))
+    row = tuple([parse_laurent(cell) for cell in line.split(",")])
     if len(row) != n:
         raise ValueError("expected %d comma-separated entries in %r" % (n, line))
     return row

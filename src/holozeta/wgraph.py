@@ -24,6 +24,9 @@ from .laurent import (
 )
 from .freegroup import GroupRingElt, Word, fox_derivative, apply_phi
 
+# tuples are built from lists: one grown from a generator is resized and kept on
+# CPython's free list until a full collection, which peak memory then follows
+
 
 class InvalidStep(ValueError):
     pass
@@ -63,6 +66,10 @@ class WeightedDigraph:
                 w = e.weight
                 if not isinstance(w, PolyMatrix):
                     raise ValueError("matrix graph needs PolyMatrix weights")
+                # an empty weight has no matrix literal: no text form
+                if not (dims[e.src] and dims[e.tgt]):
+                    raise ValueError("edge %r touches the dimension-0 vertex %r"
+                                     % (e.id, e.tgt if dims[e.src] else e.src))
                 if (w.rows, w.cols) != (dims[e.src], dims[e.tgt]):
                     raise ValueError(
                         "edge %r weight shape %dx%d != %dx%d"
@@ -138,8 +145,6 @@ def phi_image(g: WeightedDigraph, rep) -> WeightedDigraph:
     rep.dim, each group-ring weight w replaced by Phi(w)."""
     if g.kind != "group":
         raise ValueError("phi_image maps group-weighted graphs")
-    # from a list: a tuple grown from a generator is resized, and CPython's free
-    # list keeps resized tuples of up to 20 items until a full collection
     edges = tuple([Edge(e.id, e.src, e.tgt, apply_phi(e.weight, rep)) for e in g.edges])
     return WeightedDigraph("matrix", tuple([(v, rep.dim) for v, _ in g.vertices]), edges)
 
@@ -356,7 +361,7 @@ def _split(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         total = total + w
     if total != e.weight:
         raise InvalidStep("summands do not add up to the weight of %r" % s.edge)
-    ids = s.new_ids or tuple("%s.%d" % (e.id, k) for k in range(len(s.summands)))
+    ids = s.new_ids or tuple(["%s.%d" % (e.id, k) for k in range(len(s.summands))])
     if len(ids) != len(s.summands):
         raise InvalidStep("need one id per summand")
     edges = [x for x in g.edges if x.id != s.edge]
@@ -370,8 +375,8 @@ def _eliminate(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("no vertex %r" % v)
     if g.in_edges(v) and g.out_edges(v):
         raise InvalidStep("vertex %r is neither a source nor a sink" % v)
-    vertices = tuple(x for x in g.vertices if x[0] != v)
-    edges = tuple(e for e in g.edges if v not in (e.src, e.tgt))
+    vertices = tuple([x for x in g.vertices if x[0] != v])
+    edges = tuple([e for e in g.edges if v not in (e.src, e.tgt)])
     return WeightedDigraph(g.kind, vertices, edges)
 
 
@@ -381,7 +386,7 @@ def _insert(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("vertex %r already exists" % v)
     dim = 1 if s.dim is None else s.dim
     vertices = g.vertices + ((v, dim),)
-    new_edges = tuple(Edge(i, a, b, w) for (i, a, b, w) in (s.edges or ()))
+    new_edges = tuple([Edge(i, a, b, w) for (i, a, b, w) in (s.edges or ())])
     incoming = [e for e in new_edges if e.tgt == v]
     outgoing = [e for e in new_edges if e.src == v]
     if incoming and outgoing:

@@ -153,6 +153,13 @@ def test_alexander_gauss_input(tmp_path, capsys):
     assert "routes-agree: true" in out
 
 
+def test_gauss_code_with_other_text_exits_2(tmp_path, capsys):
+    for code in ("O1+ hello U2+ O3+ U1+ O2+ U3+", "O1+ U2+ O3+ U1+ O2+ U3+ X"):
+        gc = _write(tmp_path, "junk.gauss", code)
+        assert main(["alexander", "--gauss", gc]) == 2, code
+        assert capsys.readouterr().out == "", code
+
+
 def test_tietze_verify(tmp_path, capsys):
     before = _write(
         tmp_path, "p.txt", format_presentation(fixtures.slide_presentation_before())
@@ -469,7 +476,9 @@ def test_stdout_of_every_subcommand(tmp_path, capsys):
 
 def test_insert_dimension_is_read_as_written(tmp_path, capsys):
     graph = _graph_file(tmp_path)
-    for script in ("insert w 0 f w u [[3]]\neliminate w\n", "insert w -2\neliminate w\n"):
+    for script in ("insert w 0 f w u [[3]]\neliminate w\n", "insert w -2\neliminate w\n",
+                   # an edge at a dimension-0 vertex would have no text form
+                   "insert w 0\nnull_add z w u\nnull_remove z\neliminate w\n"):
         argv = ["graph-verify", "--graph", graph, "--script", _write(tmp_path, "s.gs", script),
                 "--expect", graph]
         assert main(argv) == 2, script

@@ -1,5 +1,7 @@
 """Every text reader takes `#` comments the same way, and reads back
 what its writer wrote."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,8 +79,8 @@ def _matrices(draw, rows=None, cols=None):
 
 @st.composite
 def _graphs(draw):
-    """A matrix-weighted graph whose edges join vertices of dimension >= 1:
-    a matrix literal has at least one row and one column."""
+    """A matrix-weighted graph, dimension-0 vertices included; its edges
+    join vertices of dimension >= 1, as `WeightedDigraph` requires."""
     names = draw(st.lists(_IDS, unique=True, max_size=4))
     vertices = tuple((v, draw(st.integers(0, 2))) for v in names)
     ends = [v for v, dim in vertices if dim]
@@ -119,6 +121,48 @@ def test_empty_laurent_text_is_an_error():
     for text in ("", "  ", "\t"):
         with pytest.raises(ValueError):
             parse_laurent(text)
+
+
+@st.composite
+def _laurent_texts(draw):
+    """Text written term by term from the README's cell grammar, and the
+    polynomial its terms add up to, built without the reader."""
+    pieces, total = [], LaurentPoly.zero()
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(("+", "-", "−") if k else ("", "+", "-", "−")))
+        value = -1 if sign in ("-", "−") else 1
+        coeff = draw(st.sampled_from(("", "n", "a/b")))
+        power = draw(st.sampled_from(("", "t", "t^e", "t^{e}") if coeff else ("t", "t^e", "t^{e}")))
+        text = sign + draw(st.sampled_from(("", " ")))
+        if coeff:
+            if draw(st.booleans()):  # the coefficient's own sign: `+ -2`
+                text += "-"
+                value = -value
+            num = draw(st.integers(0, 99))
+            den = draw(st.integers(1, 9)) if coeff == "a/b" else 1
+            text += str(num) if coeff == "n" else "%d/%d" % (num, den)
+            value *= Fraction(num, den)
+            if power:
+                text += draw(st.sampled_from(("*", " * ", " ", "")))
+        e = draw(st.integers(-9, 9))
+        text += power.replace("e", str(e))
+        total = total + LaurentPoly.monomial(value, {"": 0, "t": 1}.get(power, e))
+        pieces.append(text)
+    sep = draw(st.sampled_from(("", " ", "\t")))
+    return sep.join(pieces), total
+
+
+@_ROUND_TRIP
+@given(case=_laurent_texts())
+def test_laurent_text_reads_as_written(case):
+    text, p = case
+    assert parse_laurent(text) == p
+
+
+@pytest.mark.parametrize("text", ["1/0", "2*-1", "t t", "1 +", "--t", "t^", "2 3"])
+def test_malformed_laurent_text_is_an_error(text):
+    with pytest.raises(ValueError):
+        parse_laurent(text)
 
 
 @_ROUND_TRIP

@@ -59,6 +59,14 @@ def test_parse_pd_rejects_bad_codes():
         parse_gauss("O1+ U1-")
 
 
+def test_codes_take_any_run_of_separators():
+    pd = fixtures.TREFOIL_PD.split()
+    gauss = TREFOIL_GAUSS.split()
+    for sep in (",", ";", "\t", "", ", ", " ;\t,"):
+        assert parse_pd(sep.join(pd)) == fixtures.trefoil(), sep
+        assert parse_gauss(sep.join(gauss)) == parse_gauss(TREFOIL_GAUSS), sep
+
+
 def test_unknot_diagram():
     d = fixtures.unknot()
     assert d.arcs == ("a1",)

@@ -193,6 +193,13 @@ def test_split_merge_roundtrip():
     assert zeta_reciprocal(back) == zeta_reciprocal(g)
 
 
+def test_an_edge_at_a_dimension_0_vertex_is_rejected():
+    for src, tgt, w in (("w", "u", PolyMatrix.zeros(0, 1)), ("u", "w", PolyMatrix.zeros(1, 0)),
+                        ("w", "w", PolyMatrix.zeros(0, 0))):
+        with pytest.raises(ValueError, match="'z' touches the dimension-0 vertex 'w'"):
+            WeightedDigraph("matrix", (("u", 1), ("w", 0)), (Edge("z", src, tgt, w),))
+
+
 def test_split_rejects_wrong_sum():
     g = _base_graph()
     w1 = PolyMatrix.from_rows([[parse_laurent("1")]])
