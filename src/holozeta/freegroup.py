@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, PolyMatrix, canonical_coeff
+from .laurent import LaurentPoly, PolyMatrix, canonical_coeff, rational_matmul
 
 
 @dataclass(frozen=True)
@@ -216,19 +216,30 @@ def fox_derivative(w: Word, i: int) -> GroupRingElt:
 def apply_phi(e: GroupRingElt, rep) -> PolyMatrix:
     """Phi = (rho tensor alpha): w -> rho(w) * t^alpha(w), extended linearly.
 
-    `rep.phi[i]` holds Phi(x_i) and its inverse as PolyMatrix.
+    `rep.rho[i]` holds the constant matrices rho(x_i) and rho(x_i)^-1 and
+    `rep.exps[i]` the exponent alpha(x_i).  Per term, alpha(w) is an
+    exponent sum and rho(w) a product of constant matrices (none when
+    `rep.rho_is_identity`); c * rho(w) lands at t^alpha(w) in a grid of
+    coefficient maps, and each cell becomes a `LaurentPoly` once, at the end.
     """
-    acc = None
+    k = rep.dim
+    rho, exps = rep.rho, rep.exps
+    identity = rep.rho_is_identity
+    grid = [{} for _ in range(k * k)]
     for w, c in e.terms.items():
-        term = None
+        a, m = 0, None
         for g, s in w.letters:
-            if g not in rep.phi:
+            if g not in rho:
                 raise KeyError("generator %d not defined in representation" % g)
-            m = rep.phi[g][0 if s == 1 else 1]
-            term = m if term is None else term * m
-        if term is None:
-            term = PolyMatrix.identity(rep.dim)
-        if c != 1:
-            term = term.scale(LaurentPoly.const(c))
-        acc = term if acc is None else acc + term
-    return PolyMatrix.zeros(rep.dim, rep.dim) if acc is None else acc
+            a += s * exps[g]
+            if not identity:
+                r = rho[g][0 if s == 1 else 1]
+                m = r if m is None else rational_matmul(m, r, k)
+        if m is None:  # rho(w) = I
+            for d in range(0, k * k, k + 1):
+                grid[d][a] = grid[d].get(a, 0) + c
+        else:
+            for cell, x in zip(grid, m):
+                if x:
+                    cell[a] = cell.get(a, 0) + c * x
+    return PolyMatrix(k, k, [LaurentPoly(cell) for cell in grid])

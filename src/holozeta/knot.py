@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyMatrix, content_lines, scan_tokens, split_matrix_literal
+from .laurent import (
+    LaurentPoly, PolyMatrix, canonical_coeff, content_lines, rational_matmul, scan_tokens,
+    split_matrix_literal,
+)
 from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
 from .wgraph import phi_image, zeta_reciprocal
@@ -26,27 +29,27 @@ class Representation:
     """Phi = rho tensor alpha: constant invertible rational matrices
     rho(x_i) twisted by integer abelianization exponents alpha(x_i).
 
-    `phi[i]` holds Phi(x_i) = rho(x_i) * t^alpha(x_i) and its inverse
-    rho(x_i)^-1 * t^-alpha(x_i); each distinct rho is inverted once.
+    `rho[i]` is the pair (rho(x_i), rho(x_i)^-1), each a flat row-major
+    tuple of canonical coefficients, shared by generators with equal rho;
+    each distinct rho is inverted once.  `exps[i]` is alpha(x_i), and
     `rho_is_identity` says every rho(x_i) is the identity matrix.
+    `apply_phi` evaluates Phi(w) = rho(w) * t^alpha(w).
     """
 
     def __init__(self, dim: int, mats: dict, exps: dict):
         self.dim = dim
-        self.exps = dict(exps)
-        self.phi = {}
-        identity = [int(r == c) for r in range(dim) for c in range(dim)]
-        self.rho_is_identity = all(list(m) == identity for m in mats.values())
-        rho_inv = {}
+        self.exps = {i: exps[i] for i in mats}
+        self.rho = {}
+        pairs = {}
         for i, m in mats.items():
             if len(m) != dim * dim:
                 raise ValueError("matrix for generator %d is not %dx%d" % (i, dim, dim))
-            m, e = tuple(m), self.exps[i]
-            if m not in rho_inv:
-                # det(Phi) = det(rho) t^(dim alpha) is a unit iff rho is invertible
-                rho_inv[m] = PolyMatrix(dim, dim, [LaurentPoly.const(x) for x in m]).inverse_unit_det()
-            phi = PolyMatrix(dim, dim, [LaurentPoly.monomial(x, e) for x in m])
-            self.phi[i] = (phi, rho_inv[m].scale(LaurentPoly.t(-e)))
+            m = tuple([canonical_coeff(x) for x in m])
+            if m not in pairs:
+                pairs[m] = (m, _rational_inverse(m, dim))
+            self.rho[i] = pairs[m]
+        identity = tuple([int(r == c) for r in range(dim) for c in range(dim)])
+        self.rho_is_identity = all(m == identity for m in pairs)
 
     @staticmethod
     def trivial(gen_indices) -> "Representation":
@@ -57,19 +60,26 @@ class Representation:
         return Representation.trivial([g.index for g in p.generators])
 
 
+def _rational_inverse(m, k: int) -> tuple:
+    """The inverse of the constant k x k matrix m, by
+    `PolyMatrix.inverse_unit_det`, whose unit-determinant check proves m
+    invertible (det(Phi) = det(rho) t^(k alpha) is a unit iff det(rho) != 0)."""
+    inv = PolyMatrix(k, k, [LaurentPoly.const(x) for x in m]).inverse_unit_det()
+    return tuple([q.coeff(0) for q in inv.entries])
+
+
 def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
-    if set(r1.phi) != set(r2.phi):
+    if set(r1.rho) != set(r2.rho):
         raise ValueError("representations have different generator sets")
     if r1.exps != r2.exps:
         raise ValueError("abelianization exponents disagree")
     k1, k2 = r1.dim, r2.dim
-    zero = LaurentPoly.zero()
     mats = {}
-    for i, (a, _) in r1.phi.items():
-        b = r2.phi[i][0]
-        rows = [list(a.row(x)) + [zero] * k2 for x in range(k1)]
-        rows += [[zero] * k1 + list(b.row(x)) for x in range(k2)]
-        mats[i] = [q.coeff(r1.exps[i]) for row in rows for q in row]  # Phi = rho t^alpha
+    for i, (a, _) in r1.rho.items():
+        b = r2.rho[i][0]
+        rows = [list(a[x * k1:(x + 1) * k1]) + [0] * k2 for x in range(k1)]
+        rows += [[0] * k1 + list(b[x * k2:(x + 1) * k2]) for x in range(k2)]
+        mats[i] = [x for row in rows for x in row]
     return Representation(k1 + k2, mats, r1.exps)
 
 
@@ -78,10 +88,9 @@ def rep_conjugate(r: Representation, p) -> Representation:
     k = r.dim
     if len(p) != k or any(len(row) != k for row in p):
         raise ValueError("conjugating matrix must be %dx%d" % (k, k))
-    pm = PolyMatrix(k, k, [LaurentPoly.const(x) for row in p for x in row])
-    pinv = pm.inverse_unit_det()
-    mats = {i: [q.coeff(r.exps[i]) for q in (pm * phi * pinv).entries]
-            for i, (phi, _) in r.phi.items()}
+    pm = [x for row in p for x in row]
+    pinv = _rational_inverse(pm, k)
+    mats = {i: rational_matmul(rational_matmul(pm, m, k), pinv, k) for i, (m, _) in r.rho.items()}
     return Representation(k, mats, r.exps)
 
 
@@ -385,7 +394,8 @@ def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup
     report = check_assumption(p, rep)
     if not report.all_certified:
         raise ValueError("presentation not certified: %s" % report.entries)
-    denom = (PolyMatrix.identity(rep.dim) - rep.phi[0][0]).det()
+    phi1 = PolyMatrix(rep.dim, rep.dim, [LaurentPoly.monomial(x, rep.exps[0]) for x in rep.rho[0][0]])
+    denom = (PolyMatrix.identity(rep.dim) - phi1).det()
     return AlexanderSetup(p, denom)
 
 

@@ -23,6 +23,13 @@ def canonical_coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def rational_matmul(a, b, n: int) -> list:
+    """The product of two n x n rational matrices, each a flat row-major
+    sequence of `int` and `Fraction` entries; entries are not canonicalised."""
+    return [sum([a[i + k] * b[k * n + j] for k in range(n)])
+            for i in range(0, n * n, n) for j in range(n)]
+
+
 class LaurentPoly:
     """A Laurent polynomial c_e * t^e + ... with rational coefficients,
     each an `int` or a `Fraction` with denominator > 1."""
@@ -261,10 +268,11 @@ def split_matrix_literal(text: str):
 
 
 # a sign, a coefficient n or n/d with its own sign (`+ -2`), then t, t^e or
-# t^{e}; a `*` must be followed by t or end the text, so `2*-1` is an error
+# t^{e}; a `*` stands only between a coefficient and t, so `2*-1`, `2*` and
+# `*t` are errors, and an exponent's braces come in pairs
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?)?\s*(?:\*\s*(?=t|$))?"
-    r"(?P<t>t(?:\^\{?(?P<exp>[+-]?\d+)\}?)?)?\s*"
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?\s*(?:\*\s*(?=t))?)?"
+    r"(?P<t>t(?:\^(?P<brace>\{)?(?P<exp>[+-]?\d+)(?(brace)\}))?)?\s*"
 )
 
 

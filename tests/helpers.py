@@ -82,6 +82,26 @@ def random_word(rng, n_gens: int, max_len: int = 12) -> Word:
     return Word(letters)
 
 
+def apply_phi_by_products(e, rep) -> PolyMatrix:
+    """Phi(e) as the sum over its terms (w, c) of c times the product of
+    one Laurent matrix Phi(x_g)^+-1 = rho(x_g)^+-1 t^(+-alpha(x_g)) per
+    letter of w: an oracle independent of the library's evaluation on
+    constant matrices and exponent sums."""
+    k = rep.dim
+
+    def phi(g, s):
+        m = rep.rho[g][0 if s == 1 else 1]
+        return PolyMatrix(k, k, [LaurentPoly.monomial(x, s * rep.exps[g]) for x in m])
+
+    acc = PolyMatrix.zeros(k, k)
+    for w, c in e.terms.items():
+        term = PolyMatrix.identity(k)
+        for g, s in w.letters:
+            term = term * phi(g, s)
+        acc = acc + term.scale(LaurentPoly.const(c))
+    return acc
+
+
 def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
     """Leibniz-formula determinant, an oracle independent of the library's
     Bareiss and cofactor routines."""

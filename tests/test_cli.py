@@ -366,6 +366,13 @@ def test_zero_denominator_is_bad_input(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("cell", ["t^{2", "t^2}", "2*", "1 + 2*", "*t", "+ * t"])
+def test_a_malformed_laurent_cell_exits_2(tmp_path, capsys, cell):
+    g = _write(tmp_path, "g.wg", "vertex u dim=1\nedge e1 u -> u weight=[[%s]]\n" % cell)
+    assert main(["zeta", "--graph", g]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def _last_json(out: str) -> dict:
     return json.loads(out.splitlines()[-1])
 

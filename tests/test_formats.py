@@ -159,7 +159,8 @@ def test_laurent_text_reads_as_written(case):
     assert parse_laurent(text) == p
 
 
-@pytest.mark.parametrize("text", ["1/0", "2*-1", "t t", "1 +", "--t", "t^", "2 3"])
+@pytest.mark.parametrize("text", ["1/0", "2*-1", "t t", "1 +", "--t", "t^", "2 3",
+                                  "t^{2", "t^2}", "2*", "1 + 2*", "*t", "+ * t"])
 def test_malformed_laurent_text_is_an_error(text):
     with pytest.raises(ValueError):
         parse_laurent(text)

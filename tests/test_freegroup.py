@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from holozeta.freegroup import (
     GroupRingElt,
     Word,
@@ -8,8 +11,9 @@ from holozeta.freegroup import (
     parse_word,
 )
 from holozeta.knot import Representation
+from holozeta.laurent import PolyMatrix, rational_matmul
 
-from helpers import assert_canonical, random_word, seeded_rng
+from helpers import apply_phi_by_products, assert_canonical, random_word, seeded_rng
 
 
 NAMES = {0: "x", 1: "y", 2: "z"}
@@ -91,6 +95,57 @@ def test_apply_phi_is_linear():
         a = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(2))
         b = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(-1, 2))
         assert apply_phi(a + b, rep) == apply_phi(a, rep) + apply_phi(b, rep)
+
+
+_COEFFS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+_WORDS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=6).map(Word)
+
+
+@st.composite
+def _reps(draw):
+    """A rep of x0, x1, x2 of dimension 1-3 whose rho are all the identity,
+    permutations, unipotent, or invertible with `Fraction` entries (a unit
+    lower triangular times an upper triangular with a nonzero diagonal);
+    each alpha(x_i) is negative, zero or positive."""
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("identity", "permutation", "unipotent", "fraction")))
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    mats = {}
+    for g in range(3):
+        if kind == "identity":
+            m = [int(r == c) for r, c in cells]
+        elif kind == "permutation":
+            perm = draw(st.permutations(range(k)))
+            m = [int(perm[r] == c) for r, c in cells]
+        elif kind == "unipotent":
+            m = [1 if r == c else draw(_COEFFS) if c > r else 0 for r, c in cells]
+        else:
+            lower = [1 if r == c else draw(_COEFFS) if c < r else 0 for r, c in cells]
+            upper = [draw(_COEFFS.filter(bool)) if r == c else draw(_COEFFS) if c > r else 0
+                     for r, c in cells]
+            m = rational_matmul(lower, upper, k)
+        mats[g] = m
+    exps = {g: draw(st.integers(-3, 3)) for g in range(3)}
+    return Representation(k, mats, exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_reps(), terms=st.dictionaries(_WORDS, _COEFFS, max_size=4))
+def test_apply_phi_matches_the_product_route(rep, terms):
+    k = rep.dim
+    zero, empty = GroupRingElt.zero(), GroupRingElt.one()
+    assert apply_phi(zero, rep) == PolyMatrix.zeros(k, k) == apply_phi_by_products(zero, rep)
+    assert apply_phi(empty, rep) == PolyMatrix.identity(k) == apply_phi_by_products(empty, rep)
+    e = GroupRingElt(terms)
+    got = apply_phi(e, rep)
+    assert got == apply_phi_by_products(e, rep)
+    assert_canonical([c for p in got.entries for c in p.terms.values()])
+
+
+def test_apply_phi_names_a_missing_generator():
+    rep = Representation.trivial((0, 1))
+    with pytest.raises(KeyError, match="generator 2 not defined in representation"):
+        apply_phi(GroupRingElt.from_word(Word.gen(2)), rep)
 
 
 def test_augmentation():

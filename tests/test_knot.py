@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from holozeta.freegroup import GroupRingElt, Word, apply_phi, fox_derivative
 from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent
 from holozeta.knot import (
     KnotDiagram,
@@ -24,7 +25,7 @@ from holozeta.presentation import build_group_weighted_graph
 from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
-from helpers import torus_gauss
+from helpers import apply_phi_by_products, torus_gauss
 
 
 TREFOIL_GAUSS = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -113,6 +114,25 @@ def _s3_rep_text(n: int) -> str:
     """The dihedral S3 rep of T(2,n), 3 | n: arc i goes to reflection i mod 3."""
     reflections = ("[[0,1],[1,0]]", "[[-1,0],[-1,1]]", "[[1,-1],[0,-1]]")
     return "".join("x%d: %s exp=1\n" % (i + 1, reflections[i % 3]) for i in range(n))
+
+
+def test_apply_phi_multiplies_no_laurent_matrices(monkeypatch):
+    # rho(w) is a product of constant matrices and alpha(w) an exponent
+    # sum, so an S3 Fox derivative needs no Laurent product
+    p = wirtinger_presentation(parse_gauss(torus_gauss(9)))
+    s3 = parse_rep(_s3_rep_text(9), p.name_to_index())
+    assert not s3.rho_is_identity
+    derivs = [fox_derivative(r, g) for r in p.relations for g in sorted(r.generators())]
+    expected = [apply_phi_by_products(e, s3) for e in derivs]
+
+    def forbidden(*args):
+        raise AssertionError("Laurent product in apply_phi")
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", forbidden)
+    monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
+    got = [apply_phi(e, s3) for e in derivs]
+    monkeypatch.undo()
+    assert got == expected
 
 
 def test_knot_determinants_match_laurent_bareiss():
@@ -210,7 +230,8 @@ def test_rep_direct_sum_and_conjugate():
     s3 = parse_rep(_s3_rep_text(9), p9.name_to_index())
     s3c = rep_conjugate(s3, [[1, 1], [0, 1]])
     t = parse_laurent("t")
-    assert s3c.phi[0][0] == PolyMatrix.from_rows([[t, LaurentPoly.zero()], [t, -t]])
+    x1 = GroupRingElt.from_word(Word.gen(0))
+    assert apply_phi(x1, s3c) == PolyMatrix.from_rows([[t, LaurentPoly.zero()], [t, -t]])
     for route in ("graph", "direct"):
         assert twisted_alexander(d9, s3c, route).numerator == twisted_alexander(d9, s3, route).numerator
     # the raw numerator multiplies over a direct sum, by both routes
@@ -367,5 +388,7 @@ def test_each_distinct_rho_is_inverted_once(monkeypatch):
     s3 = parse_rep(_s3_rep_text(9), wirtinger_presentation(parse_gauss(torus_gauss(9))).name_to_index())
     for rep in (mixed, s3):
         one = PolyMatrix.identity(rep.dim)
-        for phi, phi_inv in rep.phi.values():
+        for i in rep.rho:
+            phi = apply_phi(GroupRingElt.from_word(Word.gen(i)), rep)
+            phi_inv = apply_phi(GroupRingElt.from_word(Word.gen(i, -1)), rep)
             assert phi * phi_inv == one and phi_inv * phi == one
