@@ -249,7 +249,7 @@ def _cmd_graph_verify(args):
     g = parse_graph(_read(args.graph))
     h = parse_graph(_read(args.expect))
     steps = parse_graph_script(_read(args.script))
-    report = verify_equivalence(g, steps, h, mode=args.mode)
+    report = verify_equivalence(g, steps, h)
     _flag("verified", report.ok)
     if report.zeta_left is not None:
         print("zeta-left: %s" % report.zeta_left)
@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--script", required=True)
     p.add_argument("--expect", required=True)
-    p.add_argument("--mode", choices=("exact", "up_to_units"), default="exact")
     p.set_defaults(func=_cmd_graph_verify)
 
     p = sub.add_parser("quandle-check", help="validate a quandle table")

@@ -6,7 +6,9 @@ from __future__ import annotations
 from .freegroup import Generator, GroupRingElt, Word
 from .presentation import BasedPresentation, TietzeMove, build_group_weighted_graph
 from .wgraph import Edge, TransformStep, WeightedDigraph
-from .knot import KnotDiagram, Crossing, ReidemeisterMove, parse_gauss, parse_pd
+from .knot import (
+    KnotDiagram, Crossing, ReidemeisterMove, parse_gauss, parse_pd, reidemeister_apply,
+)
 
 
 # generator indices for the slide fixtures
@@ -150,16 +152,12 @@ def r3_pair():
     """A diagram with an all-positive triangle site and the result of
     sliding it; both are closures of conjugate positive braid words."""
     before = parse_gauss(BRAID_SLIDE_GAUSS_BEFORE)
-    from .knot import reidemeister_apply
-
     after = reidemeister_apply(before, ReidemeisterMove("R3", crossings=(1, 2, 3)))
     return before, after
 
 
 def reidemeister_fixture_pairs():
     """(label, before, after) pairs for each move kind."""
-    from .knot import reidemeister_apply
-
     tre = trefoil()
     pairs = []
     for kind in ("R1_1", "R1_2"):

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .laurent import (
-    LaurentPoly, PolyMatrix, canonical_coeff, content_lines, rational_matmul, scan_tokens,
-    split_matrix_literal,
+    LaurentPoly, PolyMatrix, canonical_coeff, content_lines, parse_laurent, rational_matmul,
+    scan_tokens, split_matrix_literal,
 )
 from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
@@ -108,10 +107,10 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix for %s is not square: row lengths %s"
                              % (name, [len(row) for row in rows]))
-        try:
-            flat = [Fraction(cell) for row in rows for cell in row]
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % mattext) from None
+        cells = [parse_laurent(cell) for row in rows for cell in row]
+        if any(c.terms.keys() - {0} for c in cells):
+            raise ValueError("matrix for %s has a non-constant cell" % name)
+        flat = [c.coeff(0) for c in cells]
         exp = int(exptext) if exptext else 1
         if name == "all":
             default = (len(rows), flat, exp)
@@ -340,7 +339,6 @@ def wirtinger_presentation(d: KnotDiagram) -> BasedPresentation:
 class TwistedAlexander:
     numerator: LaurentPoly  # unit-normalized (zero stays zero)
     denominator: LaurentPoly  # unit-normalized (zero stays zero)
-    route: str
     raw_numerator: LaurentPoly = field(default=None)
     raw_denominator: LaurentPoly = field(default=None)
 
@@ -415,7 +413,6 @@ def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph",
     return TwistedAlexander(
         numerator=_norm(num_raw),
         denominator=_norm(setup.raw_denominator),
-        route=route,
         raw_numerator=num_raw,
         raw_denominator=setup.raw_denominator,
     )
@@ -436,18 +433,27 @@ def _fresh_arcs(existing, count: int):
     return tuple(out)
 
 
-def _retarget_under_in(crossings, old: str, new: str):
-    return [
-        Crossing(c.sign, new if c.under_in == old else c.under_in, c.under_out, c.over)
-        for c in crossings
-    ]
+def _split(d: KnotDiagram, a: str, new, added) -> KnotDiagram:
+    """d with the arcs `new` following arc a along the strand: the crossing
+    that a ended at now ends the last new arc, and the `added` crossings join."""
+    last = new[-1] if new else a
+    crossings = [Crossing(c.sign, last, c.under_out, c.over) if c.under_in == a else c
+                 for c in d.crossings]
+    i = d.arcs.index(a)
+    return KnotDiagram(d.arcs[:i + 1] + new + d.arcs[i + 1:], tuple(crossings + added))
 
 
-def _substitute_arc(crossings, old: str, new: str):
-    def sub(a):
-        return new if a == old else a
+def _fold(d: KnotDiagram, ks, a: str, folded) -> KnotDiagram:
+    """d without the crossings at ks and with the arcs `folded` merged back
+    into arc a, in one substitution pass; a folded into itself stays."""
+    gone = set(folded) - {a}
 
-    return [Crossing(c.sign, sub(c.under_in), sub(c.under_out), sub(c.over)) for c in crossings]
+    def sub(x):
+        return a if x in gone else x
+
+    rest = [Crossing(c.sign, sub(c.under_in), sub(c.under_out), sub(c.over))
+            for k, c in enumerate(d.crossings) if k not in ks]
+    return KnotDiagram(tuple([x for x in d.arcs if x not in gone]), tuple(rest))
 
 
 def _crossings_at(d: KnotDiagram, ks, count: int, move: str):
@@ -473,14 +479,9 @@ def _apply_r1(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
         raise MoveMismatch("no arc %r" % a)
     if not d.crossings:
         # a kink on the bare unknot crosses the single arc with itself
-        return KnotDiagram(d.arcs, (Crossing(m.sign, a, a, a),))
+        return _split(d, a, (), [Crossing(m.sign, a, a, a)])
     (b,) = m.new_ids or _fresh_arcs(d.arcs, 1)
-    crossings = _retarget_under_in(list(d.crossings), a, b)
-    over = b if m.kind == "R1_1" else a
-    crossings.append(Crossing(m.sign, a, b, over))
-    i = d.arcs.index(a)
-    arcs = d.arcs[: i + 1] + (b,) + d.arcs[i + 1 :]
-    return KnotDiagram(arcs, tuple(crossings))
+    return _split(d, a, (b,), [Crossing(m.sign, a, b, b if m.kind == "R1_1" else a)])
 
 
 def _undo_r1(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
@@ -488,14 +489,8 @@ def _undo_r1(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
     expect_over = c.under_out if m.kind == "R1_1" else c.under_in
     if c.over != expect_over:
         raise MoveMismatch("crossing is not an %s kink" % m.kind)
-    a, b = c.under_in, c.under_out
-    rest = [x for k, x in enumerate(d.crossings) if k != m.crossing]
-    if a == b:
-        # an arc that passes under itself is the whole diagram: one kink
-        return KnotDiagram((a,), ())
-    rest = _substitute_arc(rest, b, a)
-    arcs = tuple([x for x in d.arcs if x != b])
-    return KnotDiagram(arcs, tuple(rest))
+    # an arc that passes under itself is the whole diagram, one kink: it stays
+    return _fold(d, (m.crossing,), c.under_in, (c.under_out,))
 
 
 def _apply_r2(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
@@ -505,35 +500,20 @@ def _apply_r2(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
     if a == c:
         raise MoveMismatch("R2 strands must be distinct arcs")
     mid, b = m.new_ids or _fresh_arcs(d.arcs, 2)
-    crossings = _retarget_under_in(list(d.crossings), a, b)
-    crossings.append(Crossing(m.sign, a, mid, c))
-    crossings.append(Crossing(-m.sign, mid, b, c))
-    i = d.arcs.index(a)
-    arcs = d.arcs[: i + 1] + (mid, b) + d.arcs[i + 1 :]
-    return KnotDiagram(arcs, tuple(crossings))
+    return _split(d, a, (mid, b), [Crossing(m.sign, a, mid, c), Crossing(-m.sign, mid, b, c)])
 
 
 def _undo_r2(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:
     c1, c2 = _crossings_at(d, m.crossings, 2, "R2 removal")
-    k1, k2 = m.crossings
     if c1.under_out != c2.under_in or c1.over != c2.over or c1.sign != -c2.sign:
         raise MoveMismatch("crossings do not form an R2 pair")
     a, mid, b = c1.under_in, c1.under_out, c2.under_out
     if c1.over in (a, mid, b):
         raise MoveMismatch("over strand entangled with the R2 site")
     for k, c in enumerate(d.crossings):
-        if k in (k1, k2):
-            continue
-        if mid in (c.under_in, c.under_out, c.over):
+        if k not in m.crossings and mid in (c.under_in, c.under_out, c.over):
             raise MoveMismatch("middle arc is not free")
-    rest = [c for k, c in enumerate(d.crossings) if k not in (k1, k2)]
-    if b == a:
-        # the whole diagram was just this clasp
-        return KnotDiagram((a,), ())
-    rest = _substitute_arc(rest, mid, a)
-    rest = _substitute_arc(rest, b, a)
-    arcs = tuple([x for x in d.arcs if x not in (mid, b)])
-    return KnotDiagram(arcs, tuple(rest))
+    return _fold(d, m.crossings, a, (mid, b))
 
 
 def _apply_r3(d: KnotDiagram, m: ReidemeisterMove) -> KnotDiagram:

@@ -21,6 +21,7 @@ from .freegroup import (
     parse_word,
 )
 from .laurent import content_lines
+from .wgraph import Edge, WeightedDigraph
 
 # tuples are built from lists: one grown from a generator is resized and kept on
 # CPython's free list until a full collection, which peak memory then follows
@@ -334,8 +335,6 @@ def build_group_weighted_graph(p: BasedPresentation):
     Weights stay in the free group ring; the projection to the quotient
     group is deferred to Phi.
     """
-    from .wgraph import WeightedDigraph, Edge
-
     names = p.names()
     vertices = tuple([(g.display_name, 1) for g in sorted(p.generators, key=lambda g: g.index)])
     edges = []

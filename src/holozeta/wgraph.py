@@ -6,7 +6,7 @@ phi_image maps through Phi to matrix weights.  The zeta reciprocal of a
 matrix-weighted graph is det(I - A); the Euler product over prime cycle
 classes is kept as an independent oracle.  apply_step applies the
 elementary rewrite rules that leave the zeta function fixed, looked up
-in one rule table per weight ring.
+in one table of step kinds with their fields and their rule per weight ring.
 """
 from __future__ import annotations
 
@@ -125,7 +125,7 @@ class TransformStep:
     gen_map: Optional[dict] = None  # vertex id -> generator index for the witness
 
     def __post_init__(self):
-        if self.kind not in _MATRIX_STEPS:
+        if self.kind not in _STEPS:
             raise ValueError("unknown transform kind %r" % self.kind)
 
 
@@ -295,10 +295,14 @@ def _replace_edges(g: WeightedDigraph, edges) -> WeightedDigraph:
 def apply_step(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     """Apply one elementary transformation: the matrix-level rules, or
     (G1)-(G4) on a group-weighted graph."""
-    steps = _MATRIX_STEPS if g.kind == "matrix" else _GROUP_STEPS
-    if s.kind not in steps:
+    entry = _STEPS[s.kind][g.kind]
+    if entry is None:
         raise InvalidStep("unsupported group-level step %r" % s.kind)
-    return steps[s.kind](g, s)
+    fields, rule = entry
+    for name in fields:
+        if getattr(s, name) is None:
+            raise InvalidStep("%s needs field %r" % (s.kind, name))
+    return rule(g, s)
 
 
 def _change_basis(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
@@ -307,7 +311,7 @@ def _change_basis(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("no vertex %r" % v)
     a = g.dims()[v]
     p = s.matrix
-    if p is None or (p.rows, p.cols) != (a, a):
+    if (p.rows, p.cols) != (a, a):
         raise InvalidStep("basis matrix must be %dx%d" % (a, a))
     try:
         pinv = p.inverse_unit_det()
@@ -327,8 +331,6 @@ def _change_basis(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
 def _null_add(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     if not (g.has_vertex(s.src) and g.has_vertex(s.tgt)):
         raise InvalidStep("null edge endpoints missing")
-    if not s.edge:
-        raise InvalidStep("null_add needs an edge id (edge=)")
     w = _zero_weight(g, s.src, s.tgt)
     return _replace_edges(g, g.edges + (Edge(s.edge, s.src, s.tgt, w),))
 
@@ -354,7 +356,7 @@ def _merge(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
 
 def _split(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     e = g.edge(s.edge)
-    if not s.summands or len(s.summands) < 2:
+    if len(s.summands) < 2:
         raise InvalidStep("split needs at least two summands")
     total = s.summands[0]
     for w in s.summands[1:]:
@@ -418,10 +420,6 @@ def _hub_unresolve(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     v1, v2, u = s.src, s.tgt, s.weight
     if v1 == v2:
         raise InvalidStep("hub edge endpoints must differ")
-    if u is None:
-        raise InvalidStep("hub_unresolve needs the hub edge weight")
-    if not s.edge:
-        raise InvalidStep("hub_unresolve needs the hub edge id (edge=)")
     out = {f.id: f for f in g.out_edges(v2)}
     pairs = s.pairs or ()
     if sorted(out) != sorted(fid for _, fid in pairs):
@@ -471,8 +469,6 @@ def _g3_eliminate(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
         raise InvalidStep("no vertex %r" % v)
     if g.in_edges(v):
         raise InvalidStep("vertex %r is not a source" % v)
-    if s.witness is None:
-        raise InvalidStep("source elimination needs a witness word")
     _verify_witness(g, v, s)
     return _eliminate(g, s)
 
@@ -481,8 +477,6 @@ def _g3_insert(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     h = _insert(g, s)
     if h.in_edges(s.vertex):
         raise InvalidStep("inserted group vertex must be a source")
-    if s.witness is None:
-        raise InvalidStep("source insertion needs a witness word")
     _verify_witness(h, s.vertex, s)
     return h
 
@@ -509,29 +503,23 @@ def _verify_witness(g: WeightedDigraph, v: str, s: TransformStep):
             )
 
 
-_MATRIX_STEPS = {
-    "change_basis": _change_basis,
-    "null_add": _null_add,
-    "null_remove": _null_remove,
-    "merge": _merge,
-    "split": _split,
-    "eliminate": _eliminate,
-    "insert": _insert,
-    "hub_resolve": _hub_resolve,
-    "hub_unresolve": _hub_unresolve,
-    "reverse_all": _reverse_all,
-}
-
-# the group ring has no basis change and no transpose
-_GROUP_STEPS = {
-    "null_add": _g1_null_add,
-    "null_remove": _g1_null_remove,
-    "merge": _merge,
-    "split": _split,
-    "eliminate": _g3_eliminate,
-    "insert": _g3_insert,
-    "hub_resolve": _hub_resolve,
-    "hub_unresolve": _hub_unresolve,
+# kind -> for each weight ring, (fields the step needs, rule), or None where
+# the ring has no rule: the group ring has no basis change and no transpose,
+# and its source moves (G3) need a witness word
+_STEPS = {
+    "change_basis": {"matrix": (("vertex", "matrix"), _change_basis), "group": None},
+    "null_add": {"matrix": (("edge", "src", "tgt"), _null_add),
+                 "group": (("edge", "src", "tgt"), _g1_null_add)},
+    "null_remove": {"matrix": (("edge",), _null_remove), "group": (("edge",), _g1_null_remove)},
+    "merge": {"matrix": (("src", "tgt"), _merge), "group": (("src", "tgt"), _merge)},
+    "split": {"matrix": (("edge", "summands"), _split), "group": (("edge", "summands"), _split)},
+    "eliminate": {"matrix": (("vertex",), _eliminate),
+                  "group": (("vertex", "witness"), _g3_eliminate)},
+    "insert": {"matrix": (("vertex",), _insert), "group": (("vertex", "witness"), _g3_insert)},
+    "hub_resolve": {"matrix": (("edge",), _hub_resolve), "group": (("edge",), _hub_resolve)},
+    "hub_unresolve": {"matrix": (("edge", "src", "tgt", "weight"), _hub_unresolve),
+                      "group": (("edge", "src", "tgt", "weight"), _hub_unresolve)},
+    "reverse_all": {"matrix": ((), _reverse_all), "group": None},
 }
 
 
@@ -540,8 +528,6 @@ _GROUP_STEPS = {
 @dataclass
 class VerificationReport:
     ok: bool
-    structural_match: bool
-    zeta_match: bool
     failing_step: Optional[int]
     message: str
     zeta_left: Optional[LaurentPoly] = None
@@ -554,40 +540,29 @@ def _edge_signature(g: WeightedDigraph):
                   key=lambda x: (x[0], x[1], str(x[2])))
 
 
-def verify_equivalence(
-    g: WeightedDigraph,
-    script,
-    h: WeightedDigraph,
-    rep=None,
-    mode: str = "exact",
-) -> VerificationReport:
+def verify_equivalence(g: WeightedDigraph, script, h: WeightedDigraph,
+                       rep=None) -> VerificationReport:
     """Replay `script` on `g`, then compare the result with `h` edge by edge
     and zeta(g) with zeta(h); a `rep` maps all three through phi_image
     first, and without one group-weighted graphs compare structurally only."""
-    if mode not in ("exact", "up_to_units"):
-        raise ValueError("mode must be exact or up_to_units")
     cur = g
     for idx, step in enumerate(script):
         try:
             cur = apply_step(cur, step)
         except InvalidStep as exc:
-            return VerificationReport(
-                False, False, False, idx, "step %d rejected: %s" % (idx, exc)
-            )
+            return VerificationReport(False, idx, "step %d rejected: %s" % (idx, exc))
     if rep is not None:
         g, cur, h = (phi_image(x, rep) for x in (g, cur, h))
     structural = sorted(cur.vertices) == sorted(h.vertices) and (
         _edge_signature(cur) == _edge_signature(h))
     zl = zr = None  # group-ring weights only become polynomials through a rep
-    zmatch = True
     if g.kind == "matrix":
         zl, zr = zeta_reciprocal(g), zeta_reciprocal(h)
-        zmatch = zl == zr if mode == "exact" else zl.eq_up_to_units(zr)
-    ok = structural and zmatch
+    ok = structural and zl == zr
     msg = "verified" if ok else (
         "graphs differ structurally" if not structural else "zeta mismatch"
     )
-    return VerificationReport(ok, structural, zmatch, None, msg, zl, zr)
+    return VerificationReport(ok, None, msg, zl, zr)
 
 
 # -- text formats ---------------------------------------------------------

@@ -357,6 +357,28 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_rep_cells_are_constant_laurent_cells(tmp_path, capsys):
+    pd = _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)
+    for cell in ("1.5", "1e3", "1_000", ".5", "3.", "t", "1 + t^-1"):
+        rep = _write(tmp_path, "bad.rep", "all: [[%s]] exp=1\n" % cell)
+        assert main(["alexander", "--pd", pd, "--rep", rep]) == 2, cell
+        assert capsys.readouterr().out == "", cell
+    outs = []
+    for cell in ("-1", "\u22121"):
+        rep = _write(tmp_path, "neg.rep", "all: [[%s]] exp=1\n" % cell)
+        assert main(["alexander", "--pd", pd, "--rep", rep]) == 0, cell
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_graph_verify_has_no_mode_option(tmp_path, capsys):
+    path = _graph_file(tmp_path)
+    script = _write(tmp_path, "s.gs", "null_add z1 u v\nnull_remove z1\n")
+    assert main(["graph-verify", "--graph", path, "--script", script, "--expect", path,
+                 "--mode", "exact"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_zero_denominator_is_bad_input(tmp_path, capsys):
     g = _write(tmp_path, "g.wg", "vertex u dim=1\nedge e1 u -> u weight=[[1/0]]\n")
     assert main(["zeta", "--graph", g]) == 2

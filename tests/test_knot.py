@@ -25,7 +25,7 @@ from holozeta.presentation import build_group_weighted_graph
 from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
-from helpers import apply_phi_by_products, torus_gauss
+from helpers import apply_phi_by_products, seeded_rng, torus_gauss
 
 
 TREFOIL_GAUSS = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -292,6 +292,32 @@ def test_r2_roundtrip():
         ),
     )
     assert back == d
+
+
+def test_move_chains_undone_last_first_give_back_the_diagram():
+    # each move appends its crossings, so a removal made last first finds
+    # its own at the end of the list
+    rng = seeded_rng(44)
+    for d in (fixtures.unknot(), fixtures.trefoil(), parse_gauss(torus_gauss(5))):
+        rep = Representation.trivial(range(len(d.arcs)))
+        delta = twisted_alexander(d, rep, "direct").numerator
+        for _ in range(6):
+            e, undo = d, []
+            for _ in range(rng.randint(1, 30)):
+                kind = rng.choice(("R1_1", "R1_2", "R2") if len(e.arcs) > 1 else ("R1_1", "R1_2"))
+                a, sign, n = rng.choice(e.arcs), rng.choice((1, -1)), len(e.crossings)
+                if kind == "R2":
+                    c = rng.choice([x for x in e.arcs if x != a])
+                    e = reidemeister_apply(e, ReidemeisterMove("R2", arc=a, over_arc=c, sign=sign))
+                    undo.append(ReidemeisterMove("R2", forward=False, crossings=(n, n + 1)))
+                else:
+                    e = reidemeister_apply(e, ReidemeisterMove(kind, arc=a, sign=sign))
+                    undo.append(ReidemeisterMove(kind, forward=False, crossing=n))
+            rep = Representation.trivial(range(len(e.arcs)))
+            assert twisted_alexander(e, rep, "direct").numerator == delta
+            for m in reversed(undo):
+                e = reidemeister_apply(e, m)
+            assert e == d
 
 
 def test_r3_roundtrip():

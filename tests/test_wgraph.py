@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,46 @@ def test_group_level_round_trips():
     assert s.has_vertex("s") and s.out_edges("s") == [Edge("f", "s", "xi", GroupRingElt.one())]
     assert apply_step(s, TransformStep("eliminate", vertex="s", witness=Word.gen(0),
                                        gen_map=gm)) == g
+
+
+# kind -> the fields a step needs on a matrix graph, on a group graph (None:
+# the group ring has no basis change and no transpose)
+_STEP_FIELDS = {
+    "change_basis": (("vertex", "matrix"), None),
+    "null_add": (("edge", "src", "tgt"), ("edge", "src", "tgt")),
+    "null_remove": (("edge",), ("edge",)),
+    "merge": (("src", "tgt"), ("src", "tgt")),
+    "split": (("edge", "summands"), ("edge", "summands")),
+    "eliminate": (("vertex",), ("vertex", "witness")),
+    "insert": (("vertex",), ("vertex", "witness")),
+    "hub_resolve": (("edge",), ("edge",)),
+    "hub_unresolve": (("edge", "src", "tgt", "weight"), ("edge", "src", "tgt", "weight")),
+    "reverse_all": ((), None),
+}
+
+
+def test_a_missing_step_field_is_a_rejected_step():
+    one = PolyMatrix.identity(1)
+    value = dict(vertex="v", edge="a", src="u", tgt="v", matrix=one, summands=(one, one),
+                 weight=one, witness=Word.gen(0))
+    # each graph with a valid first step, so the bad step is step 1
+    rings = ((_base_graph(), TransformStep("null_add", edge="n0", src="u", tgt="v")),
+             (fixtures.slide_graph_before(),
+              TransformStep("null_add", edge="n0", src="xi", tgt="xk")))
+    for kind, needs in _STEP_FIELDS.items():
+        for (g, first), fields in zip(rings, needs):
+            if fields is None:
+                with pytest.raises(InvalidStep, match="unsupported group-level step"):
+                    apply_step(g, TransformStep(kind))
+                continue
+            for name in fields:
+                step = TransformStep(kind, **{f: value[f] for f in fields if f != name})
+                message = "%s needs field %r" % (kind, name)
+                with pytest.raises(InvalidStep, match="^%s$" % re.escape(message)):
+                    apply_step(g, step)
+                report = verify_equivalence(g, (first, step), g)
+                assert (report.ok, report.failing_step, report.message) == (
+                    False, 1, "step 1 rejected: " + message)
 
 
 def test_verify_equivalence_reports():
