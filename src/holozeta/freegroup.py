@@ -106,7 +106,7 @@ class Word:
         )
 
 
-_WORD_TOKEN = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\^(?P<exp>[+-]?\d+))?$")
+_WORD_TOKEN = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\^(?P<exp>[+-]?[0-9]+))?$")
 
 
 def parse_word(text: str, name_to_index) -> Word:
@@ -234,7 +234,7 @@ def apply_phi(e: GroupRingElt, rep) -> PolyMatrix:
             a += s * exps[g]
             if not identity:
                 r = rho[g][0 if s == 1 else 1]
-                m = r if m is None else rational_matmul(m, r, k)
+                m = r if m is None else rational_matmul(m, r, k, k, k)
         if m is None:  # rho(w) = I
             for d in range(0, k * k, k + 1):
                 grid[d][a] = grid[d].get(a, 0) + c

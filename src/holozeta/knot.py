@@ -89,7 +89,7 @@ def rep_conjugate(r: Representation, p) -> Representation:
         raise ValueError("conjugating matrix must be %dx%d" % (k, k))
     pm = [x for row in p for x in row]
     pinv = _rational_inverse(pm, k)
-    mats = {i: rational_matmul(rational_matmul(pm, m, k), pinv, k) for i, (m, _) in r.rho.items()}
+    mats = {i: rational_matmul(rational_matmul(pm, m, k, k, k), pinv, k, k, k) for i, (m, _) in r.rho.items()}
     return Representation(k, mats, r.exps)
 
 
@@ -99,7 +99,7 @@ def parse_rep(text: str, name_to_index: dict) -> Representation:
     entries = {}
     default = None
     for line in content_lines(text):
-        m = re.match(r"(\S+)\s*:\s*(\[\[.*\]\])\s*(?:exp=([+-]?\d+))?$", line)
+        m = re.match(r"(\S+)\s*:\s*(\[\[.*\]\])\s*(?:exp=([+-]?[0-9]+))?$", line)
         if not m:
             raise ValueError("bad representation line %r" % line)
         name, mattext, exptext = m.groups()
@@ -237,9 +237,10 @@ def _build_from_crossing_edges(n: int, data):
     return KnotDiagram(tuple(names), tuple(crossings))
 
 
-# a crossing or pass after its separators; `$` reads the separators that end the text
-_PD_TOKEN = re.compile(r"[ \t,;]*(?:[Xx]\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]|$)")
-_GAUSS_TOKEN = re.compile(r"[ \t,;]*(?:([OUou])(\d+)([+-])|$)")
+# a crossing or pass after its separators; `$` reads the separators that end the
+# text; labels are ASCII digits
+_PD_TOKEN = re.compile(r"[ \t,;]*(?:[Xx]\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]|$)")
+_GAUSS_TOKEN = re.compile(r"[ \t,;]*(?:([OUou])([0-9]+)([+-])|$)")
 
 
 def parse_pd(text: str) -> KnotDiagram:

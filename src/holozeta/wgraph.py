@@ -18,8 +18,11 @@ from .laurent import (
     LaurentPoly,
     PolyMatrix,
     TruncatedSeries,
+    cell_ring,
     content_lines,
+    det_one_minus_x_cells,
     parse_laurent,
+    rational_matmul,
     split_matrix_literal,
 )
 from .freegroup import GroupRingElt, Word, fox_derivative, apply_phi
@@ -57,6 +60,9 @@ class WeightedDigraph:
                 raise ValueError("vertex %r has negative dimension %d" % (vid, d))
         ids = set()
         for e in self.edges:
+            # one token of the text format: not empty, no whitespace, no comment
+            if "#" in e.id or e.id.split() != [e.id]:
+                raise ValueError("edge id %r is empty or has whitespace or '#'" % e.id)
             if e.id in ids:
                 raise ValueError("duplicate edge id %r" % e.id)
             ids.add(e.id)
@@ -256,24 +262,53 @@ def prime_cycle_classes(g: WeightedDigraph, max_len: int):
 def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSeries:
     """Product over prime cycle classes C of det(I - u^|C| w(C))^-1,
     truncated at u^max_len, where w(C) is the ordered product of the edge
-    weights along C.  Each det(I - x W) is a polynomial of degree at most
-    dim W (`PolyMatrix.det_one_minus_x`); the product of these polynomials
-    is inverted once at the end."""
+    weights along C.  The weight products and the factors run in the
+    `cell_ring` of the weights' cells: packed as integers, or as they are
+    when too wide to pack.  A class with 2|C| <= max_len gives the
+    polynomial det(I - x w(C)), of degree at most dim w(C)
+    (`det_one_minus_x_cells`).  A longer class gives only 1 - u^|C| tr w(C),
+    and the product of two of these lies past u^max_len, so they enter as
+    one factor 1 - sum_l u^l S_l, S_l the sum of their traces for |C| = l;
+    each trace is sum_(i,m) P_im w_mi over the product P of all weights but
+    the last, w, so the last product is not formed.  The factors are
+    multiplied as Laurent polynomials and inverted once at the end."""
     _matrix_only(g)
-    weight = {e.id: e.weight for e in g.edges}
+    classes = prime_cycle_classes(g, max_len)
+    dims = g.dims()
+    ring = cell_ring([p for e in g.edges for p in e.weight.entries], max_len,
+                     len(classes), max(dims.values(), default=0))
+    zero = ring.zero
+    weight = {e.id: (dims[e.src], dims[e.tgt], [ring.pack(p) for p in e.weight.entries])
+              for e in g.edges}
     coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * max_len
+    traces = [zero] * (max_len + 1)  # traces[l] = S_l
+    factors = []
     prefix = []  # (edge id, weight product up to it) along the previous class
-    for c in prime_cycle_classes(g, max_len):
+    for c in classes:
+        n = c.length
+        whole = 2 * n <= max_len or n == 1  # a loop's trace needs no prefix
+        need = n if whole else n - 1
         # the classes come sorted, so neighbours share a prefix of edges
         keep = 0
-        while keep < min(len(prefix), c.length) and prefix[keep][0] == c.edges[keep]:
+        while keep < min(len(prefix), need) and prefix[keep][0] == c.edges[keep]:
             keep += 1
         del prefix[keep:]
-        for eid in c.edges[keep:]:
-            prefix.append((eid, prefix[-1][1] * weight[eid] if prefix else weight[eid]))
-        w = prefix[-1][1]
-        poly = w.det_one_minus_x(min(w.rows, max_len // c.length))
-        factor = [(c.length * j, cj) for j, cj in enumerate(poly) if j and cj.terms]
+        rows = weight[c.edges[0]][0]
+        for eid in c.edges[keep:need]:
+            k, cols, w = weight[eid]
+            prefix.append((eid, rational_matmul(prefix[-1][1], w, rows, k, cols, zero)
+                           if prefix else w))
+        if whole:
+            poly = det_one_minus_x_cells(prefix[-1][1], rows, min(rows, max_len // n), ring)
+            factors.append([(n * j, ring.unpack(cj, n * j)) for j, cj in enumerate(poly) if j])
+        else:
+            k, _, w = weight[c.edges[-1]]
+            p = prefix[-1][1]
+            traces[n] = traces[n] + sum([p[i * k + m] * w[m * rows + i]
+                                         for i in range(rows) for m in range(k)], zero)
+    factors.append([(n, -ring.unpack(s, n)) for n, s in enumerate(traces) if s])
+    for factor in factors:
+        factor = [(k, f) for k, f in factor if f.terms]
         # multiply in place, from the top so each coeffs[n - k] is still the old one
         for n in range(max_len, 0, -1):
             acc = coeffs[n]
@@ -580,7 +615,7 @@ def parse_graph(text: str) -> WeightedDigraph:
     edges = []
     for line in content_lines(text):
         if line.startswith("vertex"):
-            m = re.match(r"vertex\s+(\S+)\s+dim=(\d+)$", line)
+            m = re.match(r"vertex\s+(\S+)\s+dim=([0-9]+)$", line)
             if not m:
                 raise ValueError("bad vertex line %r" % line)
             vertices.append((m.group(1), int(m.group(2))))

@@ -2,11 +2,15 @@
 import itertools
 import os
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from holozeta import laurent
 from holozeta.laurent import LaurentPoly, PolyMatrix, TruncatedSeries
 from holozeta.freegroup import Word
-from holozeta.wgraph import Edge, WeightedDigraph
+from holozeta.wgraph import Edge, WeightedDigraph, prime_cycle_classes
 
 
 def seeded_rng(salt: int = 0) -> random.Random:
@@ -137,6 +141,104 @@ def series_det_inverse_by_exp(m: PolyMatrix, order: int) -> TruncatedSeries:
         power = power * m
         log_coeffs.append(power.trace().scale(Fraction(1, k)))
     return TruncatedSeries(order, log_coeffs).exp()
+
+
+@contextmanager
+def pack_width_limit(bits: int):
+    """`laurent.PACK_WIDTH_BITS` set to `bits` within the block: 0 keeps every
+    cell a `LaurentPoly`, 10**9 packs every cell of the tests (a hypothesis
+    test cannot take pytest's function-scoped monkeypatch)."""
+    saved, laurent.PACK_WIDTH_BITS = laurent.PACK_WIDTH_BITS, bits
+    try:
+        yield
+    finally:
+        laurent.PACK_WIDTH_BITS = saved
+
+
+# coefficients with mixed denominators, and the 1-norms of extreme cells
+_PACK_COEFFS = st.integers(-5, 5) | st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7, 9]))
+_PACK_NORMS = st.sampled_from([1, 3, 2 ** 16 - 1, 2 ** 16, 3 ** 20]) | st.integers(1, 10 ** 6)
+
+
+@st.composite
+def packing_cells(draw, count: int) -> list:
+    """`count` Laurent cells for differentials of packed against Laurent
+    arithmetic: zero cells, sparse cells with mixed denominators and
+    exponents -40..90, or, in one draw of four, every cell -nu/den * t^k for
+    one nu and den, so the values read back are at the packing bound and
+    every packed digit borrows."""
+    exps = st.integers(-40, 90)
+    if draw(st.integers(0, 3)) == 0:
+        c = Fraction(-draw(_PACK_NORMS), draw(st.sampled_from([1, 1, 2, 6])))
+        return [LaurentPoly.monomial(c, draw(exps)) for _ in range(count)]
+    return [LaurentPoly(draw(st.dictionaries(exps, _PACK_COEFFS, max_size=3)))
+            for _ in range(count)]
+
+
+@st.composite
+def packing_graphs(draw) -> WeightedDigraph:
+    """Matrix-weighted graphs of 1-3 vertices of dims 1-3 and up to 3 edges
+    with `packing_cells` weights; one in three is acyclic (every edge goes to
+    a later vertex)."""
+    nv = draw(st.integers(1, 3))
+    vertices = tuple([("v%d" % i, draw(st.integers(1, 3))) for i in range(nv)])
+    acyclic = draw(st.integers(0, 2)) == 0
+    edges = []
+    for k in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, nv - 1))
+        b = draw(st.integers(a + 1, nv)) if acyclic else draw(st.integers(0, nv - 1))
+        if b == nv:
+            continue
+        r, c = vertices[a][1], vertices[b][1]
+        edges.append(Edge("e%d" % k, vertices[a][0], vertices[b][0],
+                          PolyMatrix(r, c, draw(packing_cells(r * c)))))
+    return WeightedDigraph("matrix", vertices, tuple(edges))
+
+
+def det_one_minus_x_by_laurent(m: PolyMatrix, top: int) -> list:
+    """The coefficients c_0..c_top of det(I - x*M) by Newton's identities on
+    the power traces tr(M^k), with every product a `LaurentPoly` one: an
+    oracle independent of the library's packed cells."""
+    n = m.rows
+    zero = LaurentPoly.zero()
+    powers = [None, m]
+    for _ in range(2, (top + 1) // 2 + 1):
+        powers.append(powers[-1] * m)
+    p = [None, m.trace()]
+    for k in range(2, top + 1):
+        x, y = powers[(k + 1) // 2], powers[k // 2]
+        acc = zero
+        for i in range(n):
+            for j in range(n):
+                acc = acc + x[i, j] * y[j, i]
+        p.append(acc)
+    e = [LaurentPoly.one()]
+    for j in range(1, top + 1):
+        acc = zero
+        for i in range(1, j + 1):
+            term = e[j - i] * p[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc.scale(Fraction(1, j)))
+    return [-ej if j % 2 else ej for j, ej in enumerate(e)]
+
+
+def euler_product_by_laurent(g, max_len: int) -> TruncatedSeries:
+    """The product over the prime cycle classes C up to max_len of
+    det(I - u^|C| w(C))^-1, each w(C) a product of Laurent matrices and each
+    factor from `det_one_minus_x_by_laurent`, truncated at u^max_len: an
+    oracle independent of the library's packed cells and trace sums."""
+    weight = {e.id: e.weight for e in g.edges}
+    series = TruncatedSeries.one(max_len)
+    for c in prime_cycle_classes(g, max_len):
+        w = weight[c.edges[0]]
+        for eid in c.edges[1:]:
+            w = w * weight[eid]
+        coeffs = [LaurentPoly.zero()] * (max_len + 1)
+        for j, cj in enumerate(det_one_minus_x_by_laurent(w, min(w.rows, max_len // c.length))):
+            coeffs[c.length * j] = cj
+        series = series * TruncatedSeries(max_len, coeffs)
+    return series.inverse()
 
 
 def torus_gauss(n: int, sign: str = "+") -> str:

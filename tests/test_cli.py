@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from holozeta.cli import main
 from holozeta.knot import parse_gauss
-from holozeta.laurent import LaurentPoly, parse_laurent
+from holozeta.laurent import LaurentPoly, TruncatedSeries, parse_laurent
 from holozeta.presentation import format_presentation
 from holozeta.quandle import (
     constant_pair,
@@ -23,8 +23,14 @@ from holozeta.quandle import (
     holonomy_check,
     identity_weights,
 )
-from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_matrix_literal
-from holozeta import fixtures, wgraph
+from holozeta.wgraph import (
+    Edge,
+    WeightedDigraph,
+    euler_product_oracle,
+    format_graph,
+    parse_matrix_literal,
+)
+from holozeta import cli, fixtures, wgraph
 
 from helpers import torus_gauss
 
@@ -94,6 +100,46 @@ def test_sparse_high_degree_zeta_finishes(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout == "zeta-reciprocal: 1 - t^5 - t^100000\n"
+
+
+_WIDE_GRAPHS = {
+    # a 5-cycle of t-edges plus a t^100000 loop, and 2 x 2 weights with a
+    # t^100000 cell: too wide to pack, so the Euler check keeps Laurent cells
+    "cycle": ("".join("vertex v%d dim=1\n" % i for i in range(5))
+              + "".join("edge e%d v%d -> v%d weight=[[t]]\n" % (i, i, (i + 1) % 5)
+                        for i in range(5))
+              + "edge loop v0 -> v0 weight=[[t^100000]]\n", "1 - t^5 - t^100000"),
+    "blocks": ("vertex u dim=2\nvertex v dim=2\n"
+               "edge a u -> v weight=[[1 - t^5, t],[0, -t^100000]]\n"
+               "edge b v -> u weight=[[t, 1],[2, t^3]]\n"
+               "edge c u -> u weight=[[t^-7, 0],[1, t]]\n",
+               "-t^-7 + t^-6 - 4*t + 3*t^2 - t^4 + t^5 + t^6 - t^7 - t^99996 + 2*t^100000"
+               " + t^100003 - t^100004 - 2*t^100005 + t^100009"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_GRAPHS))
+def test_wide_sparse_weights_pass_the_euler_check(tmp_path, name):
+    text, zeta = _WIDE_GRAPHS[name]
+    g = _write(tmp_path, "g.wg", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
+                           "--check-euler"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "zeta-reciprocal: %s\neuler-agrees: true\n" % zeta
+
+
+def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
+    def off_by_one_term(g, max_len):
+        s = euler_product_oracle(g, max_len=max_len)
+        return TruncatedSeries(max_len, s.coeffs[:-1] + (s.coeffs[-1] + LaurentPoly.t(3),))
+
+    monkeypatch.setattr(cli, "euler_product_oracle", off_by_one_term)
+    path = _graph_file(tmp_path)
+    assert main(["zeta", "--graph", path, "--check-euler", "--order", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "euler-agrees: false"
+    assert json.loads(lines[-1]) == {"witness": "euler-product mismatch at order 5"}
 
 
 def test_deep_order_euler_check_finishes(tmp_path):
@@ -393,6 +439,24 @@ def test_a_malformed_laurent_cell_exits_2(tmp_path, capsys, cell):
     g = _write(tmp_path, "g.wg", "vertex u dim=1\nedge e1 u -> u weight=[[%s]]\n" % cell)
     assert main(["zeta", "--graph", g]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_non_ascii_digits_exit_2(tmp_path, capsys):
+    # Arabic-Indic digits, which `\d` and `int` would read as 1, 3/4 and the trefoil
+    pd = _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)
+    cases = [(["zeta", "--graph", "g.wg"], "vertex u dim=1\nedge e1 u -> u weight=[[%s]]\n" % c)
+             for c in ("\u0661", "\u0663/\u0664", "t^\u0662")]
+    cases += [
+        (["zeta", "--graph", "g.wg"], "vertex u dim=\u0661\n"),
+        (["alexander", "--gauss", "g.wg"],
+         "O\u0661+ U\u0662+ O\u0663+ U\u0661+ O\u0662+ U\u0663+"),
+        (["alexander", "--pd", "g.wg"], fixtures.TREFOIL_PD.replace("1", "\u0661")),
+        (["alexander", "--pd", pd, "--rep", "g.wg"], "all: [[1]] exp=\u0661\n"),
+    ]
+    for args, text in cases:
+        path = _write(tmp_path, "g.wg", text)
+        assert main([path if a == "g.wg" else a for a in args]) == 2, text
+        assert capsys.readouterr().out == "", text
 
 
 def _last_json(out: str) -> dict:

@@ -123,7 +123,7 @@ def _reps(draw):
             lower = [1 if r == c else draw(_COEFFS) if c < r else 0 for r, c in cells]
             upper = [draw(_COEFFS.filter(bool)) if r == c else draw(_COEFFS) if c > r else 0
                      for r, c in cells]
-            m = rational_matmul(lower, upper, k)
+            m = rational_matmul(lower, upper, k, k, k)
         mats[g] = m
     exps = {g: draw(st.integers(-3, 3)) for g in range(3)}
     return Representation(k, mats, exps)

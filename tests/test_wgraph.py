@@ -2,11 +2,18 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holozeta import fixtures
 from holozeta.freegroup import GroupRingElt, Word, apply_phi
 from holozeta.knot import Representation
-from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent, series_det_inverse
+from holozeta.laurent import (
+    LaurentCells,
+    LaurentPoly,
+    PolyMatrix,
+    parse_laurent,
+    series_det_inverse,
+)
 from holozeta.wgraph import (
     Edge,
     InvalidStep,
@@ -26,7 +33,11 @@ from holozeta.wgraph import (
 )
 
 from helpers import (
+    assert_canonical,
     cycle_classes_by_walks,
+    euler_product_by_laurent,
+    pack_width_limit,
+    packing_graphs,
     random_laurent,
     random_matrix,
     random_matrix_graph,
@@ -121,6 +132,34 @@ def test_euler_product_matches_determinant_at_dimension_3():
         assert euler_product_oracle(g, max_len=6) == series_det_inverse(
             adjacency_matrix(g), 6
         )
+
+
+@settings(max_examples=75, deadline=None)
+@given(g=packing_graphs(), order=st.integers(1, 5))
+def test_euler_product_matches_the_laurent_route(g, order):
+    expect = euler_product_by_laurent(g, order)
+    assert expect == series_det_inverse(adjacency_matrix(g), order)
+    # packed cells, then the same loop on LaurentPoly cells
+    for limit in (10 ** 9, 0):
+        with pack_width_limit(limit):
+            s = euler_product_oracle(g, max_len=order)
+        assert s == expect
+        for c in s.coeffs:
+            assert_canonical(c.terms.values())
+
+
+def test_euler_product_packs_narrow_weights(monkeypatch):
+    # weights of span 1: every product and factor runs on packed integers
+    def refuse(*args):
+        raise AssertionError("Laurent cells or matrix products on a narrow graph")
+
+    rng = seeded_rng(34)
+    graphs = [random_matrix_graph(rng, max_vertices=4, max_dim=2, extra_edges=3)
+              for _ in range(10)]
+    expect = [euler_product_by_laurent(g, 8) for g in graphs]
+    monkeypatch.setattr(PolyMatrix, "__mul__", refuse)
+    monkeypatch.setattr(LaurentCells, "pack", refuse)
+    assert [euler_product_oracle(g, max_len=8) for g in graphs] == expect
 
 
 def test_series_det_inverse_recovers_the_determinant():
@@ -325,6 +364,16 @@ def test_a_missing_step_field_is_a_rejected_step():
                 report = verify_equivalence(g, (first, step), g)
                 assert (report.ok, report.failing_step, report.message) == (
                     False, 1, "step 1 rejected: " + message)
+
+
+def test_an_edge_id_without_a_text_form_is_refused():
+    g = parse_graph("vertex u dim=1\nedge e u -> u weight=[[t]]\n")
+    for eid in ("", "a b", "a\tb", "e#1"):
+        with pytest.raises(ValueError, match="edge id"):
+            WeightedDigraph("matrix", g.vertices, (Edge(eid, "u", "u", PolyMatrix.identity(1)),))
+        # a step that would build such a graph fails as one that repeats an id does
+        with pytest.raises(ValueError, match="edge id"):
+            apply_step(g, TransformStep("null_add", edge=eid, src="u", tgt="u"))
 
 
 def test_verify_equivalence_reports():
