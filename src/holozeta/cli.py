@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .laurent import LaurentPoly, content_lines, series_det_inverse
+from .laurent import LaurentPoly, content_lines, parse_int, series_det_inverse
 from .freegroup import parse_word
 from .presentation import (
     TietzeMove,
@@ -128,7 +128,7 @@ def _insert_fields(vertex, dim, *rest):
         raise ValueError("insert edges come in id src tgt matrix groups")
     edges = tuple([(rest[k], rest[k + 1], rest[k + 2], parse_matrix_literal(rest[k + 3]))
                    for k in range(0, len(rest), 4)])
-    return dict(vertex=vertex, dim=int(dim), edges=edges)
+    return dict(vertex=vertex, dim=parse_int(dim), edges=edges)
 
 
 def _split_fields(edge, *chunks):
@@ -140,10 +140,11 @@ def _split_fields(edge, *chunks):
 # kind -> (usage, builder of (TietzeMove fields, word text or None)); words
 # are resolved at replay time, since an add_generator may name a letter
 _TIETZE_SCRIPT = {
-    "invert": ("invert <i>", lambda i: ({"i": int(i)}, None)),
-    "conjugate": ("conjugate <i> <word>", lambda i, w: ({"i": int(i)}, w)),
-    "multiply": ("multiply <i> <k>", lambda i, k: ({"i": int(i), "k": int(k)}, None)),
-    "multiply_inv": ("multiply_inv <i> <k>", lambda i, k: ({"i": int(i), "k": int(k)}, None)),
+    "invert": ("invert <i>", lambda i: ({"i": parse_int(i)}, None)),
+    "conjugate": ("conjugate <i> <word>", lambda i, w: ({"i": parse_int(i)}, w)),
+    "multiply": ("multiply <i> <k>", lambda i, k: ({"i": parse_int(i), "k": parse_int(k)}, None)),
+    "multiply_inv": ("multiply_inv <i> <k>",
+                     lambda i, k: ({"i": parse_int(i), "k": parse_int(k)}, None)),
     "add_generator": ("add_generator <name> <word>", lambda name, w: ({"name": name}, w)),
     "remove_generator": ("remove_generator <name>", lambda name: ({"name": name}, None)),
 }
@@ -325,7 +326,7 @@ def _cmd_export_dot(args):
 def _count(text: str) -> int:
     """An argparse type for counts and orders: a non-negative integer."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
     if value < 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .laurent import LaurentPoly, PolyMatrix, canonical_coeff, rational_matmul
 
@@ -82,10 +81,6 @@ class Word:
 
     def generators(self):
         return {g for g, _ in self.letters}
-
-    def exponent_sum(self, i: int = None):
-        """Total exponent, of one generator or of all letters."""
-        return sum(s for g, s in self.letters if i is None or g == i)
 
     def occurrences(self, i: int):
         """Positions of letters with generator i, either sign."""
@@ -188,10 +183,6 @@ class GroupRingElt:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def augmentation(self) -> "int | Fraction":
-        """Sum of coefficients (the map sending every generator to 1)."""
-        return canonical_coeff(sum(self.terms.values()))
 
     def __repr__(self):
         return "GroupRingElt(%s)" % {w: str(c) for w, c in self.terms.items()}

@@ -27,7 +27,10 @@ def canonical_coeff(c):
 def rational_matmul(a, b, r: int, k: int, c: int, zero=0) -> list:
     """The r x c product of an r x k and a k x c matrix, each a flat
     row-major sequence.  The entries are `int` and `Fraction`, or the cells
-    of a `cell_ring`, whose zero is then `zero`; they are not canonicalised."""
+    of a `cell_ring` or `LaurentPoly`, whose zero is then `zero`; they are not
+    canonicalised.  With k = 0 the product is r x c zeros."""
+    if not k:
+        return [zero] * (r * c)
     return [sum([a[i + m] * b[m * c + j] for m in range(k)], zero)
             for i in range(0, r * k, k) for j in range(c)]
 
@@ -75,10 +78,6 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def t(k: int = 1) -> "LaurentPoly":
-        return LaurentPoly({k: 1})
-
-    @staticmethod
     def monomial(c, k: int) -> "LaurentPoly":
         return LaurentPoly({k: c})
 
@@ -90,9 +89,6 @@ class LaurentPoly:
     def is_unit(self) -> bool:
         """Units of Q[t,t^-1] are the single-term polynomials q*t^k."""
         return len(self.terms) == 1
-
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -175,13 +171,6 @@ class LaurentPoly:
             return self.is_zero() and other.is_zero()
         return self.unit_normalize() == other.unit_normalize()
 
-    def unit_quotient(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Return the unit u with self = u * other, or raise."""
-        if not self.eq_up_to_units(other) or self.is_zero():
-            raise ValueError("not associates")
-        ks, ko = self.min_exp(), other.min_exp()
-        return LaurentPoly({ks - ko: Fraction(self.terms[ks]) / other.terms[ko]})
-
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if other does not divide self."""
         if other.is_zero():
@@ -259,6 +248,17 @@ def scan_tokens(token_re, text: str):
             raise ValueError("unexpected text at column %d: %r" % (pos + 1, text[pos:pos + 20]))
         yield m
         pos = m.end()
+
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional sign and nothing
+    else; `int` also reads other Unicode digits (`٣`), `_` and spaces."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
 
 
 def split_matrix_literal(text: str):
@@ -502,25 +502,11 @@ class PolyMatrix:
             self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
         )
 
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [-a for a in self.entries])
-
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix mul")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a.terms:
-                        b = other.entries[k * other.cols + j]
-                        if b.terms:
-                            acc = acc + a * b
-                out.append(acc)
-        return PolyMatrix(self.rows, other.cols, out)
+        return PolyMatrix(self.rows, other.cols, rational_matmul(
+            self.entries, other.entries, self.rows, self.cols, other.cols, LaurentPoly()))
 
     def scale(self, p: LaurentPoly) -> "PolyMatrix":
         return PolyMatrix(self.rows, self.cols, [p * a for a in self.entries])
@@ -532,13 +518,11 @@ class PolyMatrix:
             [self[i, j] for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def trace(self) -> LaurentPoly:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        acc = LaurentPoly.zero()
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
+    def minor(self, i: int, j: int) -> "PolyMatrix":
+        """The matrix without row i and column j."""
+        n, e = self.cols, self.entries
+        return PolyMatrix(self.rows - 1, n - 1, [
+            e[r * n + c] for r in range(self.rows) if r != i for c in range(n) if c != j])
 
     def det_one_minus_x(self, top: int) -> list:
         """The coefficients c_0..c_top of det(I - x*M) = sum_j c_j x^j, by
@@ -567,17 +551,7 @@ class PolyMatrix:
             a = self[0, j]
             if a.is_zero():
                 continue
-            minor = PolyMatrix(
-                n - 1,
-                n - 1,
-                [
-                    self[i, jj]
-                    for i in range(1, n)
-                    for jj in range(n)
-                    if jj != j
-                ],
-            )
-            term = a * minor.det_cofactor()
+            term = a * self.minor(0, j).det_cofactor()
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
@@ -710,18 +684,7 @@ class PolyMatrix:
         cof = []
         for i in range(n):
             for j in range(n):
-                minor = PolyMatrix(
-                    n - 1,
-                    n - 1,
-                    [
-                        self[ii, jj]
-                        for ii in range(n)
-                        if ii != i
-                        for jj in range(n)
-                        if jj != j
-                    ],
-                )
-                c = minor.det()
+                c = self.minor(i, j).det()
                 cof.append(c if (i + j) % 2 == 0 else -c)
         adj = PolyMatrix(n, n, cof).transpose()
         return adj.scale(dinv)

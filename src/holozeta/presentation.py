@@ -20,7 +20,7 @@ from .freegroup import (
     apply_phi,
     parse_word,
 )
-from .laurent import content_lines
+from .laurent import content_lines, parse_int
 from .wgraph import Edge, WeightedDigraph
 
 # tuples are built from lists: one grown from a generator is resized and kept on
@@ -344,11 +344,8 @@ def build_group_weighted_graph(p: BasedPresentation):
         g, _ = p.base[i]
         f = p.solved_form(i)
         for j in sorted(f.generators()):
-            d = fox_derivative(f, j)
-            if d.is_zero():
-                continue
             edges.append(
-                Edge("e%d_%s" % (i, names[j]), names[g], names[j], d)
+                Edge("e%d_%s" % (i, names[j]), names[g], names[j], fox_derivative(f, j))
             )
     return WeightedDigraph("group", vertices, tuple(edges))
 
@@ -378,7 +375,7 @@ def parse_presentation(text: str) -> BasedPresentation:
                 nmap = {g.display_name: g.index for g in generators}
                 if name not in nmap:
                     raise ValueError("unknown base generator %r" % name)
-                bp = (nmap[name], int(occ))
+                bp = (nmap[name], parse_int(occ))
             w = parse_word(body, {g.display_name: g.index for g in generators})
             relations.append(w)
             if bp is not None:

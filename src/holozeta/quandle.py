@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 
-from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_laurent
+from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_int, parse_laurent
 from .wgraph import WeightedDigraph, Edge
 
 # tuples are built from lists: one grown from a generator is resized and kept on
@@ -446,7 +446,7 @@ def _read_tables(text: str, what: str, blocks: int, read_row):
     lines = list(content_lines(text))
     if not lines:
         raise ValueError("empty %s file" % what)
-    n = int(lines[0])
+    n = parse_int(lines[0])
     if len(lines) != blocks * n + 1:
         raise ValueError("expected %d rows, got %d" % (blocks * n, len(lines) - 1))
     rows = [read_row(line, n) for line in lines[1:]]
@@ -468,7 +468,8 @@ def _poly_row(line: str, n: int) -> tuple:
 
 def parse_quandle(text: str) -> FiniteQuandle:
     """First line n, then n rows of n integers (the 0-based table)."""
-    _, (table,) = _read_tables(text, "quandle", 1, lambda line, n: [int(x) for x in line.split()])
+    _, (table,) = _read_tables(text, "quandle", 1,
+                               lambda line, n: [parse_int(x) for x in line.split()])
     return quandle_check(table)
 
 

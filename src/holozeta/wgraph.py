@@ -109,7 +109,6 @@ class WeightedDigraph:
 @dataclass(frozen=True)
 class CycleClass:
     edges: tuple  # edge ids, the least rotation in g.edges order
-    length: int
     prime: bool
 
 
@@ -168,14 +167,14 @@ def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
     for vid, dim in g.vertices:
         offsets[vid] = total
         total += dim
-    rows = [[LaurentPoly.zero()] * total for _ in range(total)]
+    entries = [LaurentPoly.zero()] * (total * total)
     for e in g.edges:
         w = e.weight
         r0, c0 = offsets[e.src], offsets[e.tgt]
-        for i in range(w.rows):
-            for j in range(w.cols):
-                rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] + w[i, j]
-    return PolyMatrix.from_rows(rows) if total else PolyMatrix(0, 0, [])
+        for k, x in enumerate(w.entries):
+            at = (r0 + k // w.cols) * total + c0 + k % w.cols
+            entries[at] = entries[at] + x
+    return PolyMatrix(total, total, entries)
 
 
 def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
@@ -243,7 +242,7 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
         if n % p == 0 and here == edges[path[0]].src:
             # a necklace, prime when it is Lyndon; ids from a list, so the tuple
             # gets its exact size (from a generator: +3.7% zeta-euler peak RSS)
-            classes.append(CycleClass(tuple([ids[i] for i in path]), n, p == n))
+            classes.append(CycleClass(tuple([ids[i] for i in path]), p == n))
         if n == max_len:
             continue
         # x extends the prenecklace only if x >= path[n - p]
@@ -285,7 +284,7 @@ def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSerie
     factors = []
     prefix = []  # (edge id, weight product up to it) along the previous class
     for c in classes:
-        n = c.length
+        n = len(c.edges)
         whole = 2 * n <= max_len or n == 1  # a loop's trace needs no prefix
         need = n if whole else n - 1
         # the classes come sorted, so neighbours share a prefix of edges
@@ -442,8 +441,6 @@ def _hub_resolve(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
     edges = [x for x in g.edges if x.id != e.id]
     added = []
     for f in g.out_edges(e.tgt):
-        if f.id == e.id:
-            continue
         added.append(Edge("%s*%s" % (e.id, f.id), e.src, f.tgt, u * f.weight))
     return _replace_edges(g, edges + added)
 
@@ -517,13 +514,10 @@ def _g3_insert(g: WeightedDigraph, s: TransformStep) -> WeightedDigraph:
 
 
 def _verify_witness(g: WeightedDigraph, v: str, s: TransformStep):
-    gen_of = s.gen_map
-    if gen_of is None:
-        gen_of = {vid: i for i, (vid, _) in enumerate(g.vertices)}
     f = s.witness
     sums = {}
     for e in g.out_edges(v):
-        j = gen_of.get(e.tgt)
+        j = s.gen_map.get(e.tgt)
         if j is None:
             raise InvalidStep("no generator for vertex %r" % e.tgt)
         sums[j] = sums.get(j, GroupRingElt.zero()) + e.weight
@@ -540,7 +534,7 @@ def _verify_witness(g: WeightedDigraph, v: str, s: TransformStep):
 
 # kind -> for each weight ring, (fields the step needs, rule), or None where
 # the ring has no rule: the group ring has no basis change and no transpose,
-# and its source moves (G3) need a witness word
+# and its source moves (G3) need a witness word and the generator of each vertex
 _STEPS = {
     "change_basis": {"matrix": (("vertex", "matrix"), _change_basis), "group": None},
     "null_add": {"matrix": (("edge", "src", "tgt"), _null_add),
@@ -549,8 +543,9 @@ _STEPS = {
     "merge": {"matrix": (("src", "tgt"), _merge), "group": (("src", "tgt"), _merge)},
     "split": {"matrix": (("edge", "summands"), _split), "group": (("edge", "summands"), _split)},
     "eliminate": {"matrix": (("vertex",), _eliminate),
-                  "group": (("vertex", "witness"), _g3_eliminate)},
-    "insert": {"matrix": (("vertex",), _insert), "group": (("vertex", "witness"), _g3_insert)},
+                  "group": (("vertex", "witness", "gen_map"), _g3_eliminate)},
+    "insert": {"matrix": (("vertex",), _insert),
+               "group": (("vertex", "witness", "gen_map"), _g3_insert)},
     "hub_resolve": {"matrix": (("edge",), _hub_resolve), "group": (("edge",), _hub_resolve)},
     "hub_unresolve": {"matrix": (("edge", "src", "tgt", "weight"), _hub_unresolve),
                       "group": (("edge", "src", "tgt", "weight"), _hub_unresolve)},

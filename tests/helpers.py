@@ -139,7 +139,8 @@ def series_det_inverse_by_exp(m: PolyMatrix, order: int) -> TruncatedSeries:
     power = PolyMatrix.identity(m.rows)
     for k in range(1, order + 1):
         power = power * m
-        log_coeffs.append(power.trace().scale(Fraction(1, k)))
+        trace = sum([power[i, i] for i in range(m.rows)], LaurentPoly.zero())
+        log_coeffs.append(trace.scale(Fraction(1, k)))
     return TruncatedSeries(order, log_coeffs).exp()
 
 
@@ -205,7 +206,7 @@ def det_one_minus_x_by_laurent(m: PolyMatrix, top: int) -> list:
     powers = [None, m]
     for _ in range(2, (top + 1) // 2 + 1):
         powers.append(powers[-1] * m)
-    p = [None, m.trace()]
+    p = [None, sum([m[i, i] for i in range(n)], zero)]
     for k in range(2, top + 1):
         x, y = powers[(k + 1) // 2], powers[k // 2]
         acc = zero
@@ -235,8 +236,9 @@ def euler_product_by_laurent(g, max_len: int) -> TruncatedSeries:
         for eid in c.edges[1:]:
             w = w * weight[eid]
         coeffs = [LaurentPoly.zero()] * (max_len + 1)
-        for j, cj in enumerate(det_one_minus_x_by_laurent(w, min(w.rows, max_len // c.length))):
-            coeffs[c.length * j] = cj
+        n = len(c.edges)
+        for j, cj in enumerate(det_one_minus_x_by_laurent(w, min(w.rows, max_len // n))):
+            coeffs[n * j] = cj
         series = series * TruncatedSeries(max_len, coeffs)
     return series.inverse()
 
@@ -248,11 +250,12 @@ def torus_gauss(n: int, sign: str = "+") -> str:
 
 def braid_gauss(word, strands: int = 3):
     """Signed Gauss code of the closure of a braid word, a list of (i, e)
-    for sigma_i^e, or None when the closure is not a knot.  sigma_i^e
+    for sigma_i^e, or None when the closure is not a knot: a knot's strand
+    runs through all `strands` positions before it closes.  sigma_i^e
     crosses the strands at positions i - 1 and i; the strand moving right
     passes over when e = 1."""
     toks, pos = [], 0
-    for _ in range(strands):
+    for passes in range(1, strands + 1):
         for k, (i, e) in enumerate(word):
             if pos in (i - 1, i):
                 right = pos == i - 1
@@ -260,7 +263,8 @@ def braid_gauss(word, strands: int = 3):
                 pos = i if right else i - 1
         if pos == 0:
             break
-    return " ".join(toks) if word and len(toks) == 2 * len(word) else None
+    closed = pos == 0 and passes == strands
+    return " ".join(toks) if word and closed and len(toks) == 2 * len(word) else None
 
 
 def colorings_by_sweep(q, d) -> list:

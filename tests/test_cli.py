@@ -64,10 +64,11 @@ def test_zeta_with_euler_check(tmp_path, capsys):
 
 def test_negative_order_exits_2(tmp_path, capsys):
     path = _graph_file(tmp_path)
-    assert main(["zeta", "--graph", path, "--check-euler", "--order", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--order" in captured.err
+    for order in ("-1", "abc"):
+        assert main(["zeta", "--graph", path, "--check-euler", "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--order" in captured.err
 
 
 def test_zeta_missing_file(tmp_path, capsys):
@@ -132,7 +133,8 @@ def test_wide_sparse_weights_pass_the_euler_check(tmp_path, name):
 def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
     def off_by_one_term(g, max_len):
         s = euler_product_oracle(g, max_len=max_len)
-        return TruncatedSeries(max_len, s.coeffs[:-1] + (s.coeffs[-1] + LaurentPoly.t(3),))
+        return TruncatedSeries(max_len,
+                               s.coeffs[:-1] + (s.coeffs[-1] + LaurentPoly.monomial(1, 3),))
 
     monkeypatch.setattr(cli, "euler_product_oracle", off_by_one_term)
     path = _graph_file(tmp_path)
@@ -140,6 +142,24 @@ def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == "euler-agrees: false"
     assert json.loads(lines[-1]) == {"witness": "euler-product mismatch at order 5"}
+
+
+def test_route_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
+    real = cli.twisted_alexander
+
+    def direct_off_by_one(d, rep, route, setup=None):
+        res = real(d, rep, route, setup=setup)
+        if route == "direct":
+            res.numerator = res.numerator + LaurentPoly.one()
+        return res
+
+    monkeypatch.setattr(cli, "twisted_alexander", direct_off_by_one)
+    pd = _write(tmp_path, "tre.pd", fixtures.TREFOIL_PD)
+    assert main(["alexander", "--pd", pd, "--route", "both"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "routes-agree: false"
+    assert json.loads(lines[-1]) == {"witness": "route mismatch", "graph": "1 - t + t^2",
+                                     "direct": "2 - t + t^2"}
 
 
 def test_deep_order_euler_check_finishes(tmp_path):
@@ -346,11 +366,13 @@ def test_negative_perturb_exits_2(tmp_path, capsys):
     qf = _write(tmp_path, "q3.txt", format_quandle(q))
     f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
     wf = _write(tmp_path, "w.txt", format_weights_file(f_twisted_weights(f, q)))
-    assert main(["holonomy-check", "--quandle", qf, "--weights", wf,
-                 "--perturb", "-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--perturb" in captured.err
+    empty = _write(tmp_path, "empty.txt", "0\n")
+    for args, err in ((["--weights", wf, "--perturb", "-3"], "--perturb"),
+                      (["--weights", empty], "weights size 0 does not match quandle size 3")):
+        assert main(["holonomy-check", "--quandle", qf] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert err in captured.err
 
 
 def test_colorings(tmp_path, capsys):
@@ -452,6 +474,25 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys):
          "O\u0661+ U\u0662+ O\u0663+ U\u0661+ O\u0662+ U\u0663+"),
         (["alexander", "--pd", "g.wg"], fixtures.TREFOIL_PD.replace("1", "\u0661")),
         (["alexander", "--pd", pd, "--rep", "g.wg"], "all: [[1]] exp=\u0661\n"),
+    ]
+    # the integer fields, which `int` would read too: option values, script
+    # indices and dimensions, base points and quandle sizes (x@0 is a valid base)
+    graph = _write(tmp_path, "one.wg", "vertex u dim=1\nedge e1 u -> u weight=[[2]]\n")
+    pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
+    q3_text = format_quandle(dihedral_quandle(3))
+    q3 = _write(tmp_path, "q3.txt", q3_text)
+    weights = _write(tmp_path, "w.txt", format_weights_file(identity_weights(3)))
+    noop = _write(tmp_path, "noop.tz", "# no moves\n")
+    cases += [
+        (["zeta", "--graph", graph, "--check-euler", "--order", "\u0663"], ""),
+        (["holonomy-check", "--quandle", q3, "--weights", weights, "--perturb", "\u0663"], ""),
+        (["graph-verify", "--graph", graph, "--script", "g.wg", "--expect", graph],
+         "insert w \u0663\n"),
+        (["tietze-verify", "--pres", pres, "--script", "g.wg", "--expect", pres],
+         "invert \u0663\n"),
+        (["tietze-verify", "--pres", "g.wg", "--script", noop, "--expect", pres],
+         "gens: x y\nrel: x y  base: x@\u0660\n"),
+        (["quandle-check", "--quandle", "g.wg"], "\u0663" + q3_text[1:]),
     ]
     for args, text in cases:
         path = _write(tmp_path, "g.wg", text)
