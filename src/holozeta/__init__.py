@@ -6,6 +6,7 @@ from .laurent import (
     PolyMatrix,
     TruncatedSeries,
     parse_laurent,
+    series_det,
     series_det_inverse,
 )
 from .freegroup import (

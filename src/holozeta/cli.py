@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .laurent import LaurentPoly, content_lines, parse_int, series_det_inverse
+from .laurent import LaurentPoly, content_lines, parse_int, series_det
 from .freegroup import parse_word
 from .presentation import (
     TietzeMove,
@@ -195,8 +195,9 @@ def _cmd_zeta(args):
     if args.check_euler:
         # the oracle may reject the order, so it runs before anything is printed
         order = args.order
+        # both sides are 1/zeta = det(I - uA) truncated at u^order
         lhs = euler_product_oracle(g, max_len=order)
-        rhs = series_det_inverse(adjacency_matrix(g), order)
+        rhs = series_det(adjacency_matrix(g), order)
     print("zeta-reciprocal: %s" % z)
     if args.check_euler:
         if not _flag("euler-agrees", lhs == rhs):

@@ -375,36 +375,54 @@ class LaurentCells:
         return x.scale(Fraction(1, j))
 
 
-def cell_ring(cells, length: int, count: int, dim: int):
-    """The cells in which to compute values from products of up to `length`
-    matrices made of `cells`, each at most dim x dim: a `PackedCells` wide
-    enough for every value read back, or `LaurentCells` when its packed
-    values would be wider than PACK_WIDTH_BITS.  A value read back is one of
-    - the coefficient c_j of det(I - xW), W a product of l matrices, with
-      l*j <= length;
-    - a sum of at most `count` traces of products of l <= length matrices.
+def cell_ring(cells, length: int, cycle_lengths, dim: int):
+    """The cells in which to compute the coefficients of u^0..u^length of a
+    product of factors det(I - u^l W), one for each l in `cycle_lengths`,
+    each W a product of l matrices made of `cells`, each matrix at most
+    dim x dim: a `PackedCells` wide enough for those coefficients, or
+    `LaurentCells` when its packed values would be wider than
+    PACK_WIDTH_BITS.  One det(I - uM) is cycle_lengths = (1,).
 
-    The bound, in 1-norms (sums of |coefficient|).  Let nu be the largest
-    1-norm of a scaled cell den * t^(-lo) * p and d = dim.
+    Only those coefficients are read back.  A value met on the way (a matrix
+    power, a trace, a c_j, a partial product) may overflow its digits:
+    evaluation at 2^bits is a ring homomorphism Z[t] -> Z, so a value read
+    back is still its own integer polynomial evaluated at 2^bits, and the
+    division of j*e_j by j in Newton's identities stays exact.  The bound is
+    on the coefficients, not on how they are formed: the factors with
+    2l > length may enter as one 1 - sum_l u^l S_l, S_l a sum of traces,
+    which is their product modulo u^(length+1).
+
+    The bound, in 1-norms (sums of |coefficient|) of the values scaled by
+    den^power t^(-lo*power).  Let nu be the largest 1-norm of a scaled cell
+    den * t^(-lo) * p and d = dim.
     - An entry of a product of l matrices sums at most d^(l-1) products of l
       cells, so its 1-norm is at most d^(l-1) nu^l.
-    - A trace of such a product sums at most d entries, so a sum of n traces
-      is at most n (nu d)^l.
-    - c_j of a k x k matrix with entries of 1-norm at most m sums C(k, j)
-      principal minors of j! products each, so it is at most (k m)^j; for W
-      a product of l matrices that is at most (nu d)^(l*j).
-    So every value read back, c_0 = 1 included, has coefficients below
-    count (nu d)^length, taking count >= 1, and that is below 2^(bits - 1)
-    for bits = bitlen(count) + length bitlen(nu d) + 1.  A product of l cells
-    spans l (hi - lo) exponents, hi the greatest exponent, so a packed value
-    is about (length (hi - lo) + 1) bits wide."""
+    - c_j of a k x k matrix, k <= d, with entries of 1-norm at most m sums
+      C(k, j) principal minors of j! products each, so it is at most (k m)^j;
+      for W a product of l matrices that is at most (nu d)^(l*j), and l*j is
+      the degree in u of the term c_j u^(l*j) of det(I - u^l W).
+    - The coefficient of u^n of the product sums the products of one term
+      c_j u^(l*j) from each factor, with the degrees l*j summing to n, and
+      each such product is at most (nu d)^n.  At most w_n tuples of j >= 0
+      have that sum, w_n the coefficient of u^n in the product over the
+      factors of 1/(1 - u^l), so the coefficient of u^n is at most
+      w_n (nu d)^n.
+    As w_n < 2^bitlen(max_n w_n) and (nu d)^n <= 2^(length bitlen(nu d)),
+    every coefficient, 1 at u^0 included, is below 2^(bits - 1) for
+    bits = bitlen(max_n w_n) + length bitlen(nu d) + 1.  A product of l
+    cells spans l (hi - lo) exponents, hi the greatest exponent, so a value
+    read back is about (length (hi - lo) + 1) bits wide."""
     live = [p.terms for p in cells if p.terms]
     exps = [e for terms in live for e in terms]
     lo, hi = (min(exps), max(exps)) if exps else (0, 0)
     den = math.lcm(*[c.denominator for terms in live for c in terms.values()])
     nu = max([sum([abs(c.numerator) * (den // c.denominator) for c in terms.values()])
               for terms in live], default=0)
-    bits = max(count, 1).bit_length() + length * (nu * dim).bit_length() + 1
+    ways = [1] + [0] * length  # ways[n] = w_n, one factor 1/(1 - u^l) at a time
+    for l in cycle_lengths:
+        for n in range(l, length + 1):
+            ways[n] += ways[n - l]
+    bits = max(ways).bit_length() + length * (nu * dim).bit_length() + 1
     if (length * (hi - lo) + 1) * bits > PACK_WIDTH_BITS:
         return LaurentCells()
     return PackedCells(den, lo, bits)
@@ -531,7 +549,7 @@ class PolyMatrix:
         with j > dim M is 0, so callers need no top above dim M."""
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        ring = cell_ring(self.entries, top, 1, self.rows)
+        ring = cell_ring(self.entries, top, (1,), self.rows)
         x = [ring.pack(p) for p in self.entries]
         return [ring.unpack(c, j)
                 for j, c in enumerate(det_one_minus_x_cells(x, self.rows, top, ring))]
@@ -796,10 +814,13 @@ class TruncatedSeries:
     __repr__ = __str__
 
 
-def series_det_inverse(m: PolyMatrix, order: int) -> TruncatedSeries:
-    """det(I - u*M)^-1 truncated at u^order: the polynomial det(I - u*M),
-    of degree at most dim M, from `PolyMatrix.det_one_minus_x`, inverted
-    once as a series."""
+def series_det(m: PolyMatrix, order: int) -> TruncatedSeries:
+    """det(I - u*M) truncated at u^order: the polynomial from
+    `PolyMatrix.det_one_minus_x`, of degree at most dim M, padded with zeros."""
     coeffs = m.det_one_minus_x(min(m.rows, order))
-    coeffs += [LaurentPoly.zero()] * (order + 1 - len(coeffs))
-    return TruncatedSeries(order, coeffs).inverse()
+    return TruncatedSeries(order, coeffs + [LaurentPoly.zero()] * (order + 1 - len(coeffs)))
+
+
+def series_det_inverse(m: PolyMatrix, order: int) -> TruncatedSeries:
+    """det(I - u*M)^-1 truncated at u^order: `series_det` inverted once."""
+    return series_det(m, order).inverse()

@@ -259,29 +259,30 @@ def prime_cycle_classes(g: WeightedDigraph, max_len: int):
 
 
 def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSeries:
-    """Product over prime cycle classes C of det(I - u^|C| w(C))^-1,
-    truncated at u^max_len, where w(C) is the ordered product of the edge
-    weights along C.  The weight products and the factors run in the
-    `cell_ring` of the weights' cells: packed as integers, or as they are
-    when too wide to pack.  A class with 2|C| <= max_len gives the
-    polynomial det(I - x w(C)), of degree at most dim w(C)
-    (`det_one_minus_x_cells`).  A longer class gives only 1 - u^|C| tr w(C),
-    and the product of two of these lies past u^max_len, so they enter as
-    one factor 1 - sum_l u^l S_l, S_l the sum of their traces for |C| = l;
-    each trace is sum_(i,m) P_im w_mi over the product P of all weights but
-    the last, w, so the last product is not formed.  The factors are
-    multiplied as Laurent polynomials and inverted once at the end."""
+    """Product over prime cycle classes C of det(I - u^|C| w(C)), truncated
+    at u^max_len, where w(C) is the ordered product of the edge weights
+    along C: the reciprocal 1/zeta of the Euler product, which the paper's
+    determinant formula equates with det(I - uA).  The weight products, the
+    factors and their product run in the `cell_ring` of the weights' cells:
+    packed as integers, or as they are when too wide to pack.  A class with
+    2|C| <= max_len gives the polynomial det(I - x w(C)), of degree at most
+    dim w(C) (`det_one_minus_x_cells`).  A longer class gives only
+    1 - u^|C| tr w(C), and the product of two of these lies past u^max_len,
+    so they enter as one factor 1 - sum_l u^l S_l, S_l the sum of their
+    traces for |C| = l; each trace is sum_(i,m) P_im w_mi over the product P
+    of all weights but the last, w, so the last product is not formed.  Only
+    the coefficient of u^n of the whole product is read back, once, at
+    power n."""
     _matrix_only(g)
     classes = prime_cycle_classes(g, max_len)
     dims = g.dims()
     ring = cell_ring([p for e in g.edges for p in e.weight.entries], max_len,
-                     len(classes), max(dims.values(), default=0))
+                     [len(c.edges) for c in classes], max(dims.values(), default=0))
     zero = ring.zero
     weight = {e.id: (dims[e.src], dims[e.tgt], [ring.pack(p) for p in e.weight.entries])
               for e in g.edges}
-    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * max_len
     traces = [zero] * (max_len + 1)  # traces[l] = S_l
-    factors = []
+    factors = []  # each a list of (degree in u, nonzero coefficient)
     prefix = []  # (edge id, weight product up to it) along the previous class
     for c in classes:
         n = len(c.edges)
@@ -299,25 +300,25 @@ def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSerie
                            if prefix else w))
         if whole:
             poly = det_one_minus_x_cells(prefix[-1][1], rows, min(rows, max_len // n), ring)
-            factors.append([(n * j, ring.unpack(cj, n * j)) for j, cj in enumerate(poly) if j])
+            factors.append([(n * j, cj) for j, cj in enumerate(poly) if j and cj])
         else:
             k, _, w = weight[c.edges[-1]]
             p = prefix[-1][1]
             traces[n] = traces[n] + sum([p[i * k + m] * w[m * rows + i]
                                          for i in range(rows) for m in range(k)], zero)
-    factors.append([(n, -ring.unpack(s, n)) for n, s in enumerate(traces) if s])
+    factors.append([(n, -s) for n, s in enumerate(traces) if s])
+    coeffs = [ring.one] + [zero] * max_len
     for factor in factors:
-        factor = [(k, f) for k, f in factor if f.terms]
         # multiply in place, from the top so each coeffs[n - k] is still the old one
         for n in range(max_len, 0, -1):
             acc = coeffs[n]
             for k, f in factor:
                 if k > n:
                     break
-                if coeffs[n - k].terms:
+                if coeffs[n - k]:
                     acc = acc + f * coeffs[n - k]
             coeffs[n] = acc
-    return TruncatedSeries(max_len, coeffs).inverse()
+    return TruncatedSeries(max_len, [ring.unpack(x, n) for n, x in enumerate(coeffs)])
 
 
 # -- transform engine ----------------------------------------------------

@@ -226,9 +226,9 @@ def det_one_minus_x_by_laurent(m: PolyMatrix, top: int) -> list:
 
 def euler_product_by_laurent(g, max_len: int) -> TruncatedSeries:
     """The product over the prime cycle classes C up to max_len of
-    det(I - u^|C| w(C))^-1, each w(C) a product of Laurent matrices and each
-    factor from `det_one_minus_x_by_laurent`, truncated at u^max_len: an
-    oracle independent of the library's packed cells and trace sums."""
+    det(I - u^|C| w(C)), each w(C) a product of Laurent matrices and each
+    factor from `det_one_minus_x_by_laurent`, truncated at u^max_len: 1/zeta
+    by an oracle independent of the library's packed cells and trace sums."""
     weight = {e.id: e.weight for e in g.edges}
     series = TruncatedSeries.one(max_len)
     for c in prime_cycle_classes(g, max_len):
@@ -240,7 +240,7 @@ def euler_product_by_laurent(g, max_len: int) -> TruncatedSeries:
         for j, cj in enumerate(det_one_minus_x_by_laurent(w, min(w.rows, max_len // n))):
             coeffs[n * j] = cj
         series = series * TruncatedSeries(max_len, coeffs)
-    return series.inverse()
+    return series
 
 
 def torus_gauss(n: int, sign: str = "+") -> str:

@@ -131,17 +131,42 @@ def test_wide_sparse_weights_pass_the_euler_check(tmp_path, name):
 
 
 def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
-    def off_by_one_term(g, max_len):
-        s = euler_product_oracle(g, max_len=max_len)
-        return TruncatedSeries(max_len,
-                               s.coeffs[:-1] + (s.coeffs[-1] + LaurentPoly.monomial(1, 3),))
-
-    monkeypatch.setattr(cli, "euler_product_oracle", off_by_one_term)
+    # the check compares 1/zeta truncated at u^5 from the Euler product with
+    # the padded det(I - uA); a t^3 off in one coefficient of either side fails
+    real = {"euler_product_oracle": euler_product_oracle, "series_det": cli.series_det}
     path = _graph_file(tmp_path)
-    assert main(["zeta", "--graph", path, "--check-euler", "--order", "5"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == "euler-agrees: false"
-    assert json.loads(lines[-1]) == {"witness": "euler-product mismatch at order 5"}
+    for binding in sorted(real):
+        for at in (-1, 1):
+            def off_by_one_term(g_or_m, max_len, fn=real[binding], at=at):
+                c = list(fn(g_or_m, max_len).coeffs)
+                c[at] = c[at] + LaurentPoly.monomial(1, 3)
+                return TruncatedSeries(max_len, c)
+
+            monkeypatch.setattr(cli, binding, off_by_one_term)
+            assert main(["zeta", "--graph", path, "--check-euler", "--order", "5"]) == 1
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-2] == "euler-agrees: false"
+            assert json.loads(lines[-1]) == {"witness": "euler-product mismatch at order 5"}
+            monkeypatch.undo()
+
+
+_PADDING_GRAPHS = (
+    # no edges, dim A = 3: both sides are 1 at every order
+    ("vertex a dim=2\nvertex b dim=1\n", 3, "1"),
+    # two loops, one with 1/2 cells, and a vertex without edges: dim A = 2
+    ("vertex u dim=1\nvertex v dim=1\nedge a u -> u weight=[[2 - t]]\n"
+     "edge b u -> u weight=[[1/2 - 1/2*t]]\n", 2, "-3/2 + 3/2*t"),
+)
+
+
+def test_euler_check_pads_the_determinant_side(tmp_path, capsys):
+    # det(I - uA) has degree at most dim A, so the orders 0, 1, dim A and
+    # dim A + 3 cover no padding, padding up to u^1 and past the degree
+    for text, dim, zeta in _PADDING_GRAPHS:
+        path = _write(tmp_path, "g.wg", text)
+        for order in sorted({0, 1, dim, dim + 3}):
+            assert main(["zeta", "--graph", path, "--check-euler", "--order", str(order)]) == 0
+            assert capsys.readouterr().out == "zeta-reciprocal: %s\neuler-agrees: true\n" % zeta
 
 
 def test_route_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):

@@ -368,7 +368,7 @@ def test_det_one_minus_x_matches_the_laurent_route(m, extra):
     # packed cells, then the same loop on LaurentPoly cells
     for limit, kind in ((10 ** 9, PackedCells), (0, LaurentCells)):
         with pack_width_limit(limit):
-            assert isinstance(cell_ring(m.entries, top, 1, m.rows), kind)
+            assert isinstance(cell_ring(m.entries, top, (1,), m.rows), kind)
             coeffs = m.det_one_minus_x(top)
         assert coeffs == expect
         for c in coeffs:
@@ -382,12 +382,12 @@ def test_packed_cells_read_back_what_they_pack():
                                                              rng.choice([1, 2, 3, 7]))
                               for _ in range(rng.randint(0, 4))}) for _ in range(4)]
         with pack_width_limit(10 ** 9):
-            ring = cell_ring(cells, 1, 1, 1)
+            ring = cell_ring(cells, 1, (1,), 1)
         assert isinstance(ring, PackedCells)
         for p in cells:
             assert ring.unpack(ring.pack(p), 1) == p
     # a value with negative digits, each borrowing from the one above it
-    ring = cell_ring([LaurentPoly.monomial(-5, 3)], 1, 1, 1)
+    ring = cell_ring([LaurentPoly.monomial(-5, 3)], 1, (1,), 1)
     assert ring.bits == 5  # bitlen(1) + bitlen(5) + 1
     x = ring.pack(LaurentPoly({3: -5, 4: -5, 5: 5}))
     assert ring.unpack(x, 1) == LaurentPoly({3: -5, 4: -5, 5: 5})
@@ -397,9 +397,9 @@ def test_cell_ring_packs_up_to_the_width_limit():
     # span 10, length 8 and bits = bitlen(1) + 8 bitlen(2) + 1 = 18: 81 * 18 bits
     cells = [LaurentPoly({0: 1, 10: 1})]
     with pack_width_limit(81 * 18):
-        assert isinstance(cell_ring(cells, 8, 1, 1), PackedCells)
+        assert isinstance(cell_ring(cells, 8, (1,), 1), PackedCells)
     with pack_width_limit(81 * 18 - 1):
-        assert isinstance(cell_ring(cells, 8, 1, 1), LaurentCells)
+        assert isinstance(cell_ring(cells, 8, (1,), 1), LaurentCells)
 
 
 BIG = 3 ** 40 + 1  # above 2**53: a float quotient of it is off in the low bits

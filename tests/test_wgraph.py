@@ -10,8 +10,12 @@ from holozeta.knot import Representation
 from holozeta.laurent import (
     LaurentCells,
     LaurentPoly,
+    PackedCells,
     PolyMatrix,
+    TruncatedSeries,
+    cell_ring,
     parse_laurent,
+    series_det,
     series_det_inverse,
 )
 from holozeta.wgraph import (
@@ -35,6 +39,7 @@ from holozeta.wgraph import (
 from helpers import (
     assert_canonical,
     cycle_classes_by_walks,
+    det_one_minus_x_by_laurent,
     euler_product_by_laurent,
     pack_width_limit,
     packing_graphs,
@@ -109,18 +114,17 @@ def test_cycle_classes_match_the_closed_walks():
 def test_euler_product_matches_determinant_fixed():
     g = _scalar_graph([("a", "u", "v", "t"), ("b", "v", "u", "1"),
                        ("c", "u", "u", "1 - t"), ("d", "v", "v", "2")])
-    assert euler_product_oracle(g, max_len=8) == series_det_inverse(
-        adjacency_matrix(g), 8
-    )
+    s = euler_product_oracle(g, max_len=8)
+    assert s == series_det(adjacency_matrix(g), 8)
+    # and as zeta itself, the series the check compared before
+    assert s.inverse() == series_det_inverse(adjacency_matrix(g), 8)
 
 
 def test_euler_product_matches_determinant_random():
     rng = seeded_rng(30)
     for _ in range(25):
         g = random_matrix_graph(rng)
-        assert euler_product_oracle(g, max_len=6) == series_det_inverse(
-            adjacency_matrix(g), 6
-        )
+        assert euler_product_oracle(g, max_len=6) == series_det(adjacency_matrix(g), 6)
 
 
 def test_euler_product_matches_determinant_at_dimension_3():
@@ -128,16 +132,14 @@ def test_euler_product_matches_determinant_at_dimension_3():
     rng = seeded_rng(31)
     for _ in range(12):
         g = random_matrix_graph(rng, max_vertices=3, max_dim=3)
-        assert euler_product_oracle(g, max_len=6) == series_det_inverse(
-            adjacency_matrix(g), 6
-        )
+        assert euler_product_oracle(g, max_len=6) == series_det(adjacency_matrix(g), 6)
 
 
 @settings(max_examples=75, deadline=None)
 @given(g=packing_graphs(), order=st.integers(1, 5))
 def test_euler_product_matches_the_laurent_route(g, order):
     expect = euler_product_by_laurent(g, order)
-    assert expect == series_det_inverse(adjacency_matrix(g), order)
+    assert expect == series_det(adjacency_matrix(g), order)
     # packed cells, then the same loop on LaurentPoly cells
     for limit in (10 ** 9, 0):
         with pack_width_limit(limit):
@@ -148,17 +150,88 @@ def test_euler_product_matches_the_laurent_route(g, order):
 
 
 def test_euler_product_packs_narrow_weights(monkeypatch):
-    # weights of span 1: every product and factor runs on packed integers
+    # weights of span 1: every product and factor, and the multiply-in of the
+    # factors, run on packed integers, and no series is inverted
     def refuse(*args):
-        raise AssertionError("Laurent cells or matrix products on a narrow graph")
+        raise AssertionError("Laurent cells, Laurent products or a series inverse"
+                             " on a narrow graph")
 
     rng = seeded_rng(34)
     graphs = [random_matrix_graph(rng, max_vertices=4, max_dim=2, extra_edges=3)
               for _ in range(10)]
     expect = [euler_product_by_laurent(g, 8) for g in graphs]
     monkeypatch.setattr(PolyMatrix, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(TruncatedSeries, "inverse", refuse)
     monkeypatch.setattr(LaurentCells, "pack", refuse)
     assert [euler_product_oracle(g, max_len=8) for g in graphs] == expect
+
+
+def _two_loop_graph(span: int):
+    """One vertex of dim 2 and two loops whose cells all have positive
+    coefficients and 1-norm 3, t standing for t^span: no entry of a weight
+    product cancels, and the classes are the 71 Lyndon words of length <= 8
+    in two letters."""
+    def weight(rows):
+        return PolyMatrix.from_rows([[parse_laurent(x.replace("t", "t^%d" % span)) for x in row]
+                                     for row in rows])
+
+    return WeightedDigraph("matrix", (("u", 2),), (
+        Edge("a", "u", "u", weight([["1 + 2*t", "3"], ["3*t", "2 + t"]])),
+        Edge("b", "u", "u", weight([["3", "2 + t"], ["1 + 2*t", "3*t"]]))))
+
+
+def _euler_ring(g, order: int):
+    dims = g.dims()
+    return cell_ring([p for e in g.edges for p in e.weight.entries], order,
+                     [len(c.edges) for c in prime_cycle_classes(g, order)], max(dims.values()))
+
+
+def test_euler_product_bound_covers_a_cancellation_free_product(monkeypatch):
+    g = _two_loop_graph(1)
+    classes = prime_cycle_classes(g, 8)
+    assert len(classes) == 71
+    # nu = 3 and d = 2; the ways w_8 to pick degrees summing to 8 from the
+    # classes are the 2^8 words of length 8, each one product of Lyndon words
+    # (Chen, Fox and Lyndon): bits = bitlen(256) + 8 bitlen(6) + 1 = 9 + 24 + 1
+    ring = _euler_ring(g, 8)
+    assert isinstance(ring, PackedCells) and ring.bits == 34
+    # the product the bound is proved for, with every coefficient of every
+    # term c_j of every factor replaced by its absolute value: its u^8
+    # coefficient outgrows the digits of one det(I - uM), cycle_lengths (1,), and
+    # stays inside those of the 71 factors
+    weight = {e.id: e.weight for e in g.edges}
+    majorant = [1] + [0] * 8
+    for c in classes:
+        w = weight[c.edges[0]]
+        for eid in c.edges[1:]:
+            w = w * weight[eid]
+        n = len(c.edges)
+        factor = [(n * j, sum([abs(x) for x in cj.terms.values()]))
+                  for j, cj in enumerate(det_one_minus_x_by_laurent(w, min(2, 8 // n))) if j]
+        for k in range(8, 0, -1):
+            majorant[k] += sum([v * majorant[k - m] for m, v in factor if m <= k])
+    one_factor = cell_ring([p for e in g.edges for p in e.weight.entries], 8, (1,), 2).bits
+    assert 2 ** (one_factor - 1) <= majorant[8] < 2 ** (ring.bits - 1)
+    expect = euler_product_by_laurent(g, 8)
+    assert expect == series_det(adjacency_matrix(g), 8)
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda *args: pytest.fail("Laurent product"))
+    assert euler_product_oracle(g, max_len=8) == expect
+
+
+def test_euler_product_packs_up_to_the_width_limit(monkeypatch):
+    # the 71 classes keep bits = 34 at every span, so the packed width
+    # (8 span + 1) 34 is 6290 bits at span 23 and 6018 at span 22, on the
+    # two sides of PACK_WIDTH_BITS = 6144
+    wide = _two_loop_graph(23)
+    assert isinstance(_euler_ring(wide, 8), LaurentCells)
+    assert euler_product_oracle(wide, max_len=8) == euler_product_by_laurent(wide, 8)
+    narrow = _two_loop_graph(22)
+    ring = _euler_ring(narrow, 8)
+    assert isinstance(ring, PackedCells) and ring.bits == 34
+    expect = euler_product_by_laurent(narrow, 8)
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda *args: pytest.fail("Laurent product"))
+    assert euler_product_oracle(narrow, max_len=8) == expect
 
 
 def test_series_det_inverse_recovers_the_determinant():
@@ -190,9 +263,7 @@ def test_euler_factor_of_a_3x3_cycle_weight():
                          Edge("c", "u", "u", c)))
     assert not (a * b).det().is_zero()
     for order in (6, 7):
-        assert euler_product_oracle(g, max_len=order) == series_det_inverse(
-            adjacency_matrix(g), order
-        )
+        assert euler_product_oracle(g, max_len=order) == series_det(adjacency_matrix(g), order)
 
 
 def _base_graph():
