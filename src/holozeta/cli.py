@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .laurent import LaurentPoly, content_lines, parse_int, series_det
+from .laurent import COUNT_LIMIT, LaurentPoly, content_lines, parse_int, series_det
 from .freegroup import parse_word
 from .presentation import (
     TietzeMove,
@@ -126,9 +126,12 @@ def _split_pair(chunk: str, sep: str) -> tuple:
 def _insert_fields(vertex, dim, *rest):
     if len(rest) % 4:
         raise ValueError("insert edges come in id src tgt matrix groups")
+    dim = parse_int(dim)
+    if dim > COUNT_LIMIT:
+        raise ValueError("dim %d is above the limit of %d" % (dim, COUNT_LIMIT))
     edges = tuple([(rest[k], rest[k + 1], rest[k + 2], parse_matrix_literal(rest[k + 3]))
                    for k in range(0, len(rest), 4)])
-    return dict(vertex=vertex, dim=parse_int(dim), edges=edges)
+    return dict(vertex=vertex, dim=dim, edges=edges)
 
 
 def _split_fields(edge, *chunks):
@@ -284,6 +287,8 @@ def _cmd_pair_check(args):
 
 
 def _cmd_holonomy_check(args):
+    if args.perturb > COUNT_LIMIT:
+        raise InputError("--perturb %d is above the limit of %d" % (args.perturb, COUNT_LIMIT))
     q = qmod.parse_quandle(_read(args.quandle))
     g = qmod.parse_weights_file(_read(args.weights))
     if g.n != q.n:
@@ -291,8 +296,8 @@ def _cmd_holonomy_check(args):
     if args.perturb and not q.n:
         raise InputError("--perturb %d has no entry to perturb on the empty quandle (0 elements)"
                          % args.perturb)
-    report = qmod.holonomy_check(q, g)
-    _flag("holonomy-preserved", report.ok)
+    failures = qmod.holonomy_check(q, g)
+    _flag("holonomy-preserved", not failures)
     if args.perturb:
         rng = random.Random(_seed())
         names = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
@@ -304,8 +309,8 @@ def _cmd_holonomy_check(args):
             if next(qmod.holonomy_failures(q, bad), None) is not None:
                 failed += 1
         print("perturbations-rejected: %d/%d" % (failed, args.perturb))
-    if not report.ok:
-        cond, witness, detail = report.failures[0]
+    if failures:
+        cond, witness, detail = failures[0]
         raise VerificationFailed({"witness": "condition %s fails" % cond, "at": str(witness),
                                   "detail": detail})
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, PolyMatrix, canonical_coeff, rational_matmul
+from .laurent import LaurentPoly, PolyMatrix, COUNT_LIMIT, canonical_coeff, rational_matmul
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,6 @@ class Word:
         # list keeps resized tuples of up to 20 items until a full collection
         return Word.from_reduced(tuple([(g, -s) for g, s in reversed(self.letters)]))
 
-    def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inv()
-        out = Word.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -120,6 +113,9 @@ def parse_word(text: str, name_to_index) -> Word:
         if name not in name_to_index:
             raise ValueError("unknown generator %r" % name)
         e = int(m.group("exp")) if m.group("exp") else 1
+        if abs(e) > COUNT_LIMIT:
+            raise ValueError("word token %r: exponent %d is above the limit of %d"
+                             % (tok, e, COUNT_LIMIT))
         sign = 1 if e > 0 else -1
         letters.extend([(name_to_index[name], sign)] * abs(e))
     return Word(letters)

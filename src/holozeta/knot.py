@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .laurent import (
-    LaurentPoly, PolyMatrix, canonical_coeff, content_lines, parse_laurent, rational_matmul,
-    scan_tokens, split_matrix_literal,
+    LaurentPoly, PolyMatrix, canonical_coeff, content_lines, parse_laurent, scan_tokens,
+    split_matrix_literal,
 )
 from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
@@ -65,32 +65,6 @@ def _rational_inverse(m, k: int) -> tuple:
     invertible (det(Phi) = det(rho) t^(k alpha) is a unit iff det(rho) != 0)."""
     inv = PolyMatrix(k, k, [LaurentPoly.const(x) for x in m]).inverse_unit_det()
     return tuple([q.coeff(0) for q in inv.entries])
-
-
-def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
-    if set(r1.rho) != set(r2.rho):
-        raise ValueError("representations have different generator sets")
-    if r1.exps != r2.exps:
-        raise ValueError("abelianization exponents disagree")
-    k1, k2 = r1.dim, r2.dim
-    mats = {}
-    for i, (a, _) in r1.rho.items():
-        b = r2.rho[i][0]
-        rows = [list(a[x * k1:(x + 1) * k1]) + [0] * k2 for x in range(k1)]
-        rows += [[0] * k1 + list(b[x * k2:(x + 1) * k2]) for x in range(k2)]
-        mats[i] = [x for row in rows for x in row]
-    return Representation(k1 + k2, mats, r1.exps)
-
-
-def rep_conjugate(r: Representation, p) -> Representation:
-    """Conjugate every rho(x_i) by a constant invertible matrix P."""
-    k = r.dim
-    if len(p) != k or any(len(row) != k for row in p):
-        raise ValueError("conjugating matrix must be %dx%d" % (k, k))
-    pm = [x for row in p for x in row]
-    pinv = _rational_inverse(pm, k)
-    mats = {i: rational_matmul(rational_matmul(pm, m, k, k, k), pinv, k, k, k) for i, (m, _) in r.rho.items()}
-    return Representation(k, mats, r.exps)
 
 
 def parse_rep(text: str, name_to_index: dict) -> Representation:
@@ -390,9 +364,9 @@ def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup
         if not holds:
             raise ValueError("rep violates relation %d (%s): Phi(r) != I"
                              % (i, r.display(p.names())))
-    report = check_assumption(p, rep)
-    if not report.all_certified:
-        raise ValueError("presentation not certified: %s" % report.entries)
+    entries = check_assumption(p, rep)
+    if not all(ok for _, ok, _ in entries):
+        raise ValueError("presentation not certified: %s" % entries)
     phi1 = PolyMatrix(rep.dim, rep.dim, [LaurentPoly.monomial(x, rep.exps[0]) for x in rep.rho[0][0]])
     denom = (PolyMatrix.identity(rep.dim) - phi1).det()
     return AlexanderSetup(p, denom)

@@ -129,18 +129,6 @@ class LaurentPoly:
         """Multiply every coefficient by the rational c, an `int` or `Fraction`."""
         return LaurentPoly._ring_result({e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise ValueError("not a unit of the Laurent ring: %s" % self)
@@ -165,11 +153,6 @@ class LaurentPoly:
         k = self.min_exp()
         c = self.terms[k]
         return LaurentPoly({e - k: Fraction(v) / c for e, v in self.terms.items()})
-
-    def eq_up_to_units(self, other: "LaurentPoly") -> bool:
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.unit_normalize() == other.unit_normalize()
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if other does not divide self."""
@@ -259,6 +242,14 @@ def parse_int(text: str) -> int:
     if not _INT_RE.fullmatch(text):
         raise ValueError("not an integer: %r" % text)
     return int(text)
+
+
+# the largest count an input may ask for: a graph's total vertex dimension
+# (its adjacency matrix has that many squared entries) or an inserted
+# vertex's, the exponent of a letter in a word (written out, it is that many
+# letters) and the number of `holonomy-check` perturbations.  Every shipped
+# example, test and benchmark input stays far below it
+COUNT_LIMIT = 1000
 
 
 def split_matrix_literal(text: str):
@@ -542,18 +533,6 @@ class PolyMatrix:
         return PolyMatrix(self.rows - 1, n - 1, [
             e[r * n + c] for r in range(self.rows) if r != i for c in range(n) if c != j])
 
-    def det_one_minus_x(self, top: int) -> list:
-        """The coefficients c_0..c_top of det(I - x*M) = sum_j c_j x^j, by
-        `det_one_minus_x_cells` on the cells of M in their `cell_ring`:
-        packed as integers, or as they are when too wide to pack.  Every c_j
-        with j > dim M is 0, so callers need no top above dim M."""
-        if self.rows != self.cols:
-            raise ValueError("square matrix required")
-        ring = cell_ring(self.entries, top, (1,), self.rows)
-        x = [ring.pack(p) for p in self.entries]
-        return [ring.unpack(c, j)
-                for j, c in enumerate(det_one_minus_x_cells(x, self.rows, top, ring))]
-
     # -- determinants -------------------------------------------------
 
     def det_cofactor(self) -> LaurentPoly:
@@ -815,10 +794,18 @@ class TruncatedSeries:
 
 
 def series_det(m: PolyMatrix, order: int) -> TruncatedSeries:
-    """det(I - u*M) truncated at u^order: the polynomial from
-    `PolyMatrix.det_one_minus_x`, of degree at most dim M, padded with zeros."""
-    coeffs = m.det_one_minus_x(min(m.rows, order))
-    return TruncatedSeries(order, coeffs + [LaurentPoly.zero()] * (order + 1 - len(coeffs)))
+    """det(I - u*M) truncated at u^order, the one entry for det(I - uM).
+    Its coefficients c_0..c_top, top = min(dim M, order), come from
+    `det_one_minus_x_cells` on the cells of M in their `cell_ring`: packed
+    as integers, or as they are when too wide to pack.  Every c_j with
+    j > dim M is 0, so the rest are zeros."""
+    if m.rows != m.cols:
+        raise ValueError("square matrix required")
+    top = min(m.rows, order)
+    ring = cell_ring(m.entries, top, (1,), m.rows)
+    x = [ring.pack(p) for p in m.entries]
+    coeffs = [ring.unpack(c, j) for j, c in enumerate(det_one_minus_x_cells(x, m.rows, top, ring))]
+    return TruncatedSeries(order, coeffs + [LaurentPoly.zero()] * (order - top))
 
 
 def series_det_inverse(m: PolyMatrix, order: int) -> TruncatedSeries:

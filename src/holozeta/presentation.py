@@ -9,7 +9,7 @@ fields and its inverse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .freegroup import (
@@ -299,33 +299,25 @@ def presentations_equal(p: BasedPresentation, q: BasedPresentation) -> bool:
     return _canonical_form(p) == _canonical_form(q)
 
 
-@dataclass
-class AssumptionReport:
-    entries: list = field(default_factory=list)  # (relation index, certified, detail)
-
-    @property
-    def all_certified(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-
-def check_assumption(p: BasedPresentation, rep) -> AssumptionReport:
-    """Certify, per relation, that Phi(1 - df_i/dx_i) is nonzero.
+def check_assumption(p: BasedPresentation, rep) -> list:
+    """Certify, per relation, that Phi(1 - df_i/dx_i) is nonzero: one entry
+    (relation index, certified, detail) per relation, in order.
 
     This is a sound certificate for the group-ring condition
     pr(dr_i/dx_i) != 0; a failure only means "not certified".
     """
-    report = AssumptionReport()
+    entries = []
     for i in range(len(p.relations)):
         if i not in p.base:
-            report.entries.append((i, False, "no base point"))
+            entries.append((i, False, "no base point"))
             continue
         g, _ = p.base[i]
         f = p.solved_form(i)
         elt = GroupRingElt.one() - fox_derivative(f, g)
         mat = apply_phi(elt, rep)
         ok = not mat.is_zero()
-        report.entries.append((i, ok, "Phi(1 - df/dx) %s" % ("nonzero" if ok else "zero")))
-    return report
+        entries.append((i, ok, "Phi(1 - df/dx) %s" % ("nonzero" if ok else "zero")))
+    return entries
 
 
 def build_group_weighted_graph(p: BasedPresentation):

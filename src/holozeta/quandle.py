@@ -9,7 +9,6 @@ Weights are 1x1 Laurent polynomials; unit entries keep inversion exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import islice, product
 
 from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_int, parse_laurent
@@ -126,13 +125,6 @@ def alexander_pair_check(q: FiniteQuandle, f1, f2) -> AlexanderPairTable:
     return AlexanderPairTable(n, f1, f2)
 
 
-def constant_pair(q: FiniteQuandle, p1: LaurentPoly, p2: LaurentPoly) -> AlexanderPairTable:
-    n = q.n
-    return alexander_pair_check(
-        q, [[p1] * n for _ in range(n)], [[p2] * n for _ in range(n)]
-    )
-
-
 def derived_star(p, r, f: AlexanderPairTable, q: FiniteQuandle):
     """The quandle operation on Q x R:
     (a,x) star (b,y) = (a*b, f1(a,b)x + f2(a,b)y)."""
@@ -177,22 +169,6 @@ def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeight
         g1n.append(tuple(r1n))
         g2n.append(tuple(r2n))
     return CrossingWeights(n, tuple(g1p), tuple(g2p), tuple(g1n), tuple(g2n))
-
-
-def identity_weights(n: int) -> CrossingWeights:
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    ones = tuple([(one,) * n for _ in range(n)])
-    zeros = tuple([(zero,) * n for _ in range(n)])
-    return CrossingWeights(n, ones, zeros, ones, zeros)
-
-
-@dataclass
-class HolonomyReport:
-    failures: list  # (condition, witness, detail)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def holonomy_failures(q: FiniteQuandle, g: CrossingWeights):
@@ -244,9 +220,11 @@ def holonomy_failures(q: FiniteQuandle, g: CrossingWeights):
             yield cond, witness, "%s != %s" % (lhs, rhs)
 
 
-def holonomy_check(q: FiniteQuandle, g: CrossingWeights) -> HolonomyReport:
-    """Exhaustively check the holonomy conditions (A), (B-1), (B-2), (C)."""
-    return HolonomyReport(list(holonomy_failures(q, g)))
+def holonomy_check(q: FiniteQuandle, g: CrossingWeights) -> list:
+    """Exhaustively check the holonomy conditions (A), (B-1), (B-2), (C):
+    the list of every failing identity from `holonomy_failures`, empty when
+    the weights preserve holonomy."""
+    return list(holonomy_failures(q, g))
 
 
 def recover_pair(q: FiniteQuandle, g: CrossingWeights) -> AlexanderPairTable:
@@ -258,30 +236,6 @@ def recover_pair(q: FiniteQuandle, g: CrossingWeights) -> AlexanderPairTable:
     n = q.n
     f1 = [[g.g1_neg[q.star(a, b)][b] for b in range(n)] for a in range(n)]
     f2 = [[g.g2_neg[q.star(a, b)][b] for b in range(n)] for a in range(n)]
-    return alexander_pair_check(q, f1, f2)
-
-
-def random_alexander_pair(q: FiniteQuandle, rng) -> AlexanderPairTable:
-    """A random valid pair with unit f1 entries: pick a unit u and a
-    unit-valued twist c on Q, then f1(a,b) = u c(a*b) c(a)^-1 and
-    f2(a,b) = (1-u) c(a*b) c(b)^-1."""
-
-    def unit():
-        num = rng.choice([-3, -2, -1, 1, 2, 3])
-        den = rng.choice([1, 1, 2])
-        return LaurentPoly.monomial(Fraction(num, den), rng.randint(-2, 2))
-
-    u = unit()
-    tw = [unit() for _ in range(q.n)]
-    one = LaurentPoly.one()
-    f1 = [
-        [u * tw[q.star(a, b)] * tw[a].unit_inverse() for b in range(q.n)]
-        for a in range(q.n)
-    ]
-    f2 = [
-        [(one - u) * tw[q.star(a, b)] * tw[b].unit_inverse() for b in range(q.n)]
-        for a in range(q.n)
-    ]
     return alexander_pair_check(q, f1, f2)
 
 
@@ -299,15 +253,6 @@ def _check_coloring(q: FiniteQuandle, d, colors: dict):
         if colors[c.under_out] != out:
             return c
     return None
-
-
-def coloring_from_map(q: FiniteQuandle, d, colors: dict) -> QuandleColoring:
-    if set(colors) != set(d.arcs):
-        raise ValueError("coloring must assign every arc")
-    bad = _check_coloring(q, d, colors)
-    if bad is not None:
-        raise ValueError("coloring violates the crossing constraint at %r" % (bad,))
-    return QuandleColoring(tuple([(a, colors[a]) for a in d.arcs]))
 
 
 def _coloring_plan(q: FiniteQuandle, d) -> list:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .laurent import (
+    COUNT_LIMIT,
     LaurentPoly,
     PolyMatrix,
     TruncatedSeries,
@@ -609,12 +610,18 @@ def parse_graph(text: str) -> WeightedDigraph:
     matrix-weighted graph format."""
     vertices = []
     edges = []
+    total = 0
     for line in content_lines(text):
         if line.startswith("vertex"):
             m = re.match(r"vertex\s+(\S+)\s+dim=([0-9]+)$", line)
             if not m:
                 raise ValueError("bad vertex line %r" % line)
-            vertices.append((m.group(1), int(m.group(2))))
+            dim = int(m.group(2))
+            total += dim
+            if total > COUNT_LIMIT:
+                raise ValueError("vertex %r: dim=%d takes the total dimension above the limit of %d"
+                                 % (m.group(1), dim, COUNT_LIMIT))
+            vertices.append((m.group(1), dim))
         elif line.startswith("edge"):
             m = re.match(r"edge\s+(\S+)\s+(\S+)\s*->\s*(\S+)\s+weight=(.*)$", line)
             if not m:

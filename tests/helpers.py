@@ -1,4 +1,5 @@
-"""Shared randomized generators and independent oracles for the tests."""
+"""Shared randomized generators, input builders and independent oracles for
+the tests."""
 import itertools
 import os
 import random
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from holozeta import laurent
 from holozeta.laurent import LaurentPoly, PolyMatrix, TruncatedSeries
 from holozeta.freegroup import Word
+from holozeta.knot import Representation
+from holozeta.quandle import AlexanderPairTable, FiniteQuandle, alexander_pair_check
 from holozeta.wgraph import Edge, WeightedDigraph, prime_cycle_classes
 
 
@@ -282,3 +285,63 @@ def colorings_by_sweep(q, d) -> list:
         else:
             found.append(tuple(zip(d.arcs, colors)))
     return found
+
+
+def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:
+    if set(r1.rho) != set(r2.rho):
+        raise ValueError("representations have different generator sets")
+    if r1.exps != r2.exps:
+        raise ValueError("abelianization exponents disagree")
+    k1, k2 = r1.dim, r2.dim
+    mats = {}
+    for i, (a, _) in r1.rho.items():
+        b = r2.rho[i][0]
+        rows = [list(a[x * k1:(x + 1) * k1]) + [0] * k2 for x in range(k1)]
+        rows += [[0] * k1 + list(b[x * k2:(x + 1) * k2]) for x in range(k2)]
+        mats[i] = [x for row in rows for x in row]
+    return Representation(k1 + k2, mats, r1.exps)
+
+
+def rep_conjugate(r: Representation, p) -> Representation:
+    """Conjugate every rho(x_i) by a constant invertible matrix P."""
+    k = r.dim
+    if len(p) != k or any(len(row) != k for row in p):
+        raise ValueError("conjugating matrix must be %dx%d" % (k, k))
+    pm = PolyMatrix.from_rows([[LaurentPoly.const(x) for x in row] for row in p])
+    pinv = pm.inverse_unit_det()
+    mats = {}
+    for i, (m, _) in r.rho.items():
+        rho = PolyMatrix(k, k, [LaurentPoly.const(x) for x in m])
+        mats[i] = [c.coeff(0) for c in (pm * rho * pinv).entries]
+    return Representation(k, mats, r.exps)
+
+
+def constant_pair(q: FiniteQuandle, p1: LaurentPoly, p2: LaurentPoly) -> AlexanderPairTable:
+    n = q.n
+    return alexander_pair_check(
+        q, [[p1] * n for _ in range(n)], [[p2] * n for _ in range(n)]
+    )
+
+
+def random_alexander_pair(q: FiniteQuandle, rng) -> AlexanderPairTable:
+    """A random valid pair with unit f1 entries: pick a unit u and a
+    unit-valued twist c on Q, then f1(a,b) = u c(a*b) c(a)^-1 and
+    f2(a,b) = (1-u) c(a*b) c(b)^-1."""
+
+    def unit():
+        num = rng.choice([-3, -2, -1, 1, 2, 3])
+        den = rng.choice([1, 1, 2])
+        return LaurentPoly.monomial(Fraction(num, den), rng.randint(-2, 2))
+
+    u = unit()
+    tw = [unit() for _ in range(q.n)]
+    one = LaurentPoly.one()
+    f1 = [
+        [u * tw[q.star(a, b)] * tw[a].unit_inverse() for b in range(q.n)]
+        for a in range(q.n)
+    ]
+    f2 = [
+        [(one - u) * tw[q.star(a, b)] * tw[b].unit_inverse() for b in range(q.n)]
+        for a in range(q.n)
+    ]
+    return alexander_pair_check(q, f1, f2)

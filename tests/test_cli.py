@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,18 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holozeta.cli import main
+from holozeta.freegroup import Word, parse_word
 from holozeta.knot import parse_gauss
 from holozeta.laurent import LaurentPoly, TruncatedSeries, parse_laurent
 from holozeta.presentation import format_presentation
 from holozeta.quandle import (
-    constant_pair,
     dihedral_quandle,
     f_twisted_weights,
     format_pair_file,
     format_quandle,
     format_weights_file,
     holonomy_check,
-    identity_weights,
 )
 from holozeta.wgraph import (
     Edge,
@@ -32,7 +32,7 @@ from holozeta.wgraph import (
 )
 from holozeta import cli, fixtures, wgraph
 
-from helpers import torus_gauss
+from helpers import constant_pair, torus_gauss
 
 
 def _write(tmp_path, name, text):
@@ -212,6 +212,60 @@ def test_order_past_the_search_budget_exits_2(tmp_path, capsys):
         assert "--order" in captured.err
 
 
+def test_counts_above_the_limit_exit_2(tmp_path, capsys):
+    # in-process, so a missing check fails here: dim=1000000 would ask for a
+    # 10^12-entry adjacency matrix and x^(10^18) for 10^18 letters, both
+    # refused at once with a MemoryError, and a count just past the limit
+    # would run and exit 0 or 1
+    graph = _graph_file(tmp_path)
+    pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
+    noop = _write(tmp_path, "noop.tz", "# no moves\n")
+    q3 = _write(tmp_path, "q3.txt", format_quandle(dihedral_quandle(3)))
+    weights = _write(tmp_path, "w.txt", format_weights_file(f_twisted_weights(
+        constant_pair(dihedral_quandle(3), parse_laurent("t"), parse_laurent("1 - t")),
+        dihedral_quandle(3))))
+    huge = "x^1000000000000000000"
+    cases = [
+        (["zeta", "--graph", "in.txt"], "vertex a dim=1000000\n", "'a': dim=1000000"),
+        (["export-dot", "--graph", "in.txt"], "vertex a dim=600\nvertex b dim=401\n",
+         "'b': dim=401"),
+        (["graph-verify", "--graph", graph, "--script", "in.txt", "--expect", graph],
+         "insert w 1001\n", "dim 1001"),
+        (["tietze-verify", "--pres", "in.txt", "--script", noop, "--expect", pres],
+         "gens: x y\nrel: y %s  base: y@0\n" % huge, repr(huge)),
+        (["tietze-verify", "--pres", pres, "--script", "in.txt", "--expect", pres],
+         "conjugate 0 x^1001\n", "'x^1001'"),
+        (["tietze-verify", "--pres", pres, "--script", "in.txt", "--expect", pres],
+         "add_generator z y^-1001\n", "'y^-1001'"),
+        (["holonomy-check", "--quandle", q3, "--weights", weights, "--perturb", "1001"],
+         "", "--perturb 1001"),
+    ]
+    for args, text, field in cases:
+        path = _write(tmp_path, "in.txt", text)
+        start = time.perf_counter()
+        assert main([path if a == "in.txt" else a for a in args]) == 2, text
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert field in captured.err and "above the limit of 1000" in captured.err, captured.err
+    # at the limit a word is read
+    assert parse_word("x^1000 x^-1000 y^1000", {"x": 0, "y": 1}) == Word(((1, 1),) * 1000)
+
+
+def test_perturb_above_the_limit_exits_2_at_once(tmp_path):
+    # in a subprocess: without the check, 10^9 perturbations take about a day
+    d3 = dihedral_quandle(3)
+    q3 = _write(tmp_path, "q3.txt", format_quandle(d3))
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
+    weights = _write(tmp_path, "w.txt", format_weights_file(identity))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "holonomy-check", "--quandle", q3,
+                           "--weights", weights, "--perturb", "1000000000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: --perturb 1000000000 is above the limit of 1000\n"
+
+
 def test_euler_check_past_the_search_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(wgraph, "CYCLE_SEARCH_BUDGET", 5)
     path = _graph_file(tmp_path)
@@ -362,7 +416,7 @@ def test_holonomy_check_perturbs_a_failing_base(tmp_path, capsys):
     q = dihedral_quandle(3)
     f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
     g = f_twisted_weights(f, q).perturbed("g2_neg", 0, 1, LaurentPoly.one())
-    assert holonomy_check(q, g).failures == [
+    assert holonomy_check(q, g) == [
         ("B-1", (1, 0), "1 != 0"), ("B-1", (2, 1), "t^-1 != 0"), ("B-2", (0, 1), "1 != 0")]
     argv = ["holonomy-check", "--quandle", _write(tmp_path, "q3.txt", format_quandle(q)),
             "--weights", _write(tmp_path, "w.txt", format_weights_file(g)), "--perturb", "5"]
@@ -504,9 +558,11 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys):
     # indices and dimensions, base points and quandle sizes (x@0 is a valid base)
     graph = _write(tmp_path, "one.wg", "vertex u dim=1\nedge e1 u -> u weight=[[2]]\n")
     pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
-    q3_text = format_quandle(dihedral_quandle(3))
+    d3 = dihedral_quandle(3)
+    q3_text = format_quandle(d3)
     q3 = _write(tmp_path, "q3.txt", q3_text)
-    weights = _write(tmp_path, "w.txt", format_weights_file(identity_weights(3)))
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
+    weights = _write(tmp_path, "w.txt", format_weights_file(identity))
     noop = _write(tmp_path, "noop.tz", "# no moves\n")
     cases += [
         (["zeta", "--graph", graph, "--check-euler", "--order", "\u0663"], ""),
@@ -543,12 +599,14 @@ def test_witness_line_is_json(tmp_path, capsys):
     pres = _write(tmp_path, "p.txt", "gens: x y\nrel: x y  base: y@0\n")
     quote = _write(tmp_path, "quote.tz", 'add_generator z"q x\n')
     bad_q = _write(tmp_path, "bad.txt", "2\n1 0\n0 1\n")
-    f = constant_pair(dihedral_quandle(3), parse_laurent("t"), parse_laurent("1 - t"))
+    d3 = dihedral_quandle(3)
+    f = constant_pair(d3, parse_laurent("t"), parse_laurent("1 - t"))
     lines = format_pair_file(f).splitlines()
     lines[4] = ", ".join(["7"] * 3)
     bad_pair = _write(tmp_path, "badpair.txt", "\n".join(lines))
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
     bad_w = _write(tmp_path, "w.txt", format_weights_file(
-        identity_weights(3).perturbed("g1_pos", 0, 1, LaurentPoly.one())))
+        identity.perturbed("g1_pos", 0, 1, LaurentPoly.one())))
     graph = _graph_file(tmp_path)
     bad_gs = _write(tmp_path, "bad.gs", "null_remove e1\n")
     runs = [

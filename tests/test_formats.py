@@ -11,7 +11,6 @@ from holozeta.knot import parse_gauss, parse_pd, parse_rep
 from holozeta.laurent import LaurentPoly, PolyMatrix, parse_laurent
 from holozeta.presentation import BasedPresentation, format_presentation, parse_presentation
 from holozeta.quandle import (
-    constant_pair,
     dihedral_quandle,
     f_twisted_weights,
     format_pair_file,
@@ -20,11 +19,12 @@ from holozeta.quandle import (
     parse_pair_file,
     parse_quandle,
     parse_weights_file,
-    random_alexander_pair,
     trivial_quandle,
 )
 from holozeta.wgraph import Edge, WeightedDigraph, format_graph, parse_graph, parse_matrix_literal
 from holozeta import fixtures
+
+from helpers import constant_pair, random_alexander_pair
 
 
 R3 = dihedral_quandle(3)

@@ -26,8 +26,6 @@ def test_free_reduction():
     w = Word(((0, 1), (1, 1), (1, -1), (0, -1), (2, 1)))
     assert w == Word.gen(2)
     assert (w * w.inv()).is_identity()
-    assert Word.gen(0) ** 3 == Word(((0, 1),) * 3)
-    assert Word.gen(0) ** -2 == Word(((0, -1), (0, -1)))
 
 
 def test_parse_display_roundtrip():

@@ -16,8 +16,6 @@ from holozeta.knot import (
     parse_pd,
     parse_rep,
     reidemeister_apply,
-    rep_conjugate,
-    rep_direct_sum,
     twisted_alexander,
     wirtinger_presentation,
 )
@@ -25,7 +23,7 @@ from holozeta.presentation import build_group_weighted_graph
 from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
-from helpers import apply_phi_by_products, seeded_rng, torus_gauss
+from helpers import apply_phi_by_products, rep_conjugate, rep_direct_sum, seeded_rng, torus_gauss
 
 
 TREFOIL_GAUSS = "O1+ U2+ O3+ U1+ O2+ U3+"

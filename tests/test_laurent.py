@@ -12,6 +12,7 @@ from holozeta.laurent import (
     TruncatedSeries,
     cell_ring,
     parse_laurent,
+    series_det,
     series_det_inverse,
 )
 
@@ -70,8 +71,8 @@ def test_units_and_normalization():
     p = parse_laurent("2*t^3 - 2*t^4")
     n = p.unit_normalize()
     assert n == parse_laurent("1 - t")
-    assert p.eq_up_to_units(n)
-    assert not p.eq_up_to_units(parse_laurent("1 + t"))
+    assert p.unit_normalize() == n.unit_normalize()
+    assert p.unit_normalize() != parse_laurent("1 + t").unit_normalize()
     assert p.divexact(n).is_unit()
 
 
@@ -315,7 +316,7 @@ def test_series_det_inverse_single_entry():
     m = PolyMatrix.from_rows([[c]])
     for order in (6, 2000):
         s = series_det_inverse(m, order)
-        expect = TruncatedSeries(order, [c ** k for k in range(order + 1)])
+        expect = TruncatedSeries(order, [LaurentPoly.monomial(2 ** k, k) for k in range(order + 1)])
         assert s == expect
     # N^2 = 0 with tr N = 0 but sum_ij N_ij^2 != 0, so det(I - uN) = 1
     # only if the half-power traces pair (N^a)_ij with (N^b)_ji
@@ -368,9 +369,9 @@ def test_det_one_minus_x_matches_the_laurent_route(m, extra):
     # packed cells, then the same loop on LaurentPoly cells
     for limit, kind in ((10 ** 9, PackedCells), (0, LaurentCells)):
         with pack_width_limit(limit):
-            assert isinstance(cell_ring(m.entries, top, (1,), m.rows), kind)
-            coeffs = m.det_one_minus_x(top)
-        assert coeffs == expect
+            assert isinstance(cell_ring(m.entries, min(m.rows, top), (1,), m.rows), kind)
+            coeffs = series_det(m, top).coeffs
+        assert list(coeffs) == expect
         for c in coeffs:
             assert_canonical(c.terms.values())
 

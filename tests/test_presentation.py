@@ -192,15 +192,14 @@ def test_presentations_equal_ignores_indexing_and_order():
 def test_check_assumption_conjugation_relations():
     p = fixtures.slide_presentation_before()
     rep = Representation.abelianization(p)
-    report = check_assumption(p, rep)
-    assert report.all_certified
+    entries = check_assumption(p, rep)
+    assert entries and all(ok for _, ok, _ in entries)
 
 
 def test_check_assumption_flags_missing_base():
     p = _pres(["x y x^-1 y^-1"], {})
     rep = Representation.trivial((X, Y, Z))
-    report = check_assumption(p, rep)
-    assert not report.all_certified
+    assert check_assumption(p, rep) == [(0, False, "no base point")]
 
 
 def test_group_weighted_graph_shape():

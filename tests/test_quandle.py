@@ -10,9 +10,8 @@ from holozeta.quandle import (
     CrossingWeights,
     PairConditionError,
     QuandleError,
+    QuandleColoring,
     alexander_pair_check,
-    coloring_from_map,
-    constant_pair,
     derived_star,
     dihedral_quandle,
     enumerate_colorings,
@@ -22,13 +21,11 @@ from holozeta.quandle import (
     format_weights_file,
     holonomy_check,
     holonomy_failures,
-    identity_weights,
     parse_pair_file,
     parse_quandle,
     parse_weights_file,
     quandle_check,
     quandle_weighted_graph,
-    random_alexander_pair,
     recover_pair,
     trivial_quandle,
 )
@@ -36,7 +33,15 @@ from holozeta.quandle import _coloring_plan
 from holozeta.knot import Crossing, KnotDiagram, ReidemeisterMove, parse_gauss, reidemeister_apply
 from holozeta import fixtures
 
-from helpers import braid_gauss, colorings_by_sweep, random_unit, seeded_rng, torus_gauss
+from helpers import (
+    braid_gauss,
+    colorings_by_sweep,
+    constant_pair,
+    random_alexander_pair,
+    random_unit,
+    seeded_rng,
+    torus_gauss,
+)
 
 
 R3 = dihedral_quandle(3)
@@ -125,11 +130,17 @@ def test_derived_star_gives_a_quandle():
 def test_f_twisted_weights_preserve_holonomy():
     for q in (R3, T4):
         for f in _pairs(q):
-            assert holonomy_check(q, f_twisted_weights(f, q)).ok
+            assert holonomy_check(q, f_twisted_weights(f, q)) == []
 
 
 def test_identity_weights_preserve_holonomy():
-    assert holonomy_check(T4, identity_weights(4)).ok
+    # all-ones g1 and all-zero g2 tables: the weights of the constant pair (1, 0)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    for q in (trivial_quandle(1), R3, T4, dihedral_quandle(5)):
+        ones, zeros = ((one,) * q.n,) * q.n, ((zero,) * q.n,) * q.n
+        g = CrossingWeights(q.n, ones, zeros, ones, zeros)
+        assert f_twisted_weights(constant_pair(q, one, zero), q) == g
+        assert holonomy_check(q, g) == []
 
 
 def test_recover_pair_roundtrip():
@@ -152,7 +163,7 @@ def test_perturbed_weights_fail_holonomy():
         which = rng.choice(names)
         a, b = rng.randrange(3), rng.randrange(3)
         bad = g.perturbed(which, a, b, LaurentPoly.one())
-        assert not holonomy_check(R3, bad).ok
+        assert holonomy_check(R3, bad)
 
 
 WEIGHT_TABLES = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
@@ -210,12 +221,12 @@ def test_holonomy_failures_stream_the_exhaustive_check(case):
     """The lazy stream that `holonomy-check --perturb` stops at its first item
     says what the exhaustive check says, failure for failure and in order."""
     q, g, kind = case
-    report = holonomy_check(q, g)
-    assert (next(holonomy_failures(q, g), None) is None) == report.ok
-    assert list(holonomy_failures(q, g)) == report.failures
-    conditions = [cond for cond, _, _ in report.failures]
+    failures = holonomy_check(q, g)
+    assert (next(holonomy_failures(q, g), None) is None) == (failures == [])
+    assert list(holonomy_failures(q, g)) == failures
+    conditions = [cond for cond, _, _ in failures]
     if kind == "pass":
-        assert report.ok
+        assert failures == []
     elif kind == "perturbed":
         # (B-1) and (B-2) read every entry of all four tables, so a changed
         # entry of passing weights fails before the n^3 loop of (C)
@@ -246,7 +257,7 @@ def test_each_identity_of_c_is_checked():
                     {(0, 0): parse_laurent("1 - t")}), [(0, 1, 0)]),
     ]
     for q, (g1p, g2p), witnesses in cases:
-        failures = holonomy_check(q, _weights_from_positive(q, g1p, g2p)).failures
+        failures = holonomy_check(q, _weights_from_positive(q, g1p, g2p))
         assert [(cond, witness) for cond, witness, _ in failures] == [("C", w) for w in witnesses]
 
 
@@ -318,13 +329,18 @@ def test_long_kink_chain_colors():
         assert [c.colors for c in enumerate_colorings(q, d)] == want
 
 
-def test_coloring_from_map_validates():
+def test_quandle_graph_validates_the_coloring():
     d = fixtures.trefoil()
-    coloring_from_map(R3, d, {"a1": 0, "a2": 1, "a3": 2})
-    with pytest.raises(ValueError):
-        coloring_from_map(R3, d, {"a1": 0, "a2": 1, "a3": 1})
-    with pytest.raises(ValueError):
-        coloring_from_map(R3, d, {"a1": 0})
+    g = f_twisted_weights(constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t")), R3)
+    quandle_weighted_graph(d, QuandleColoring((("a1", 0), ("a2", 1), ("a3", 2))), g, R3)
+    with pytest.raises(ValueError, match="crossing constraint"):
+        quandle_weighted_graph(d, QuandleColoring((("a1", 0), ("a2", 1), ("a3", 1))), g, R3)
+    with pytest.raises(ValueError, match="diagram arcs"):
+        quandle_weighted_graph(d, QuandleColoring((("a1", 0),)), g, R3)
+    # the least coloring in the lexicographic order, which the tests below
+    # take, is the all-zero one
+    for k in (fixtures.trefoil(), fixtures.figure_eight(), fixtures.unknot()):
+        assert enumerate_colorings(R3, k)[0].colors == tuple((a, 0) for a in k.arcs)
 
 
 def test_coloring_count_reidemeister_invariant():
@@ -338,17 +354,17 @@ def test_quandle_graph_reproduces_alexander_numerator():
     d = fixtures.trefoil()
     f = constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t"))
     g = f_twisted_weights(f, R3)
-    c = coloring_from_map(R3, d, {a: 0 for a in d.arcs})
+    c = enumerate_colorings(R3, d)[0]
     graph = quandle_weighted_graph(d, c, g, R3)
     z = zeta_reciprocal(graph)
-    assert z.eq_up_to_units(parse_laurent("1 - t + t^2"))
+    assert z.unit_normalize() == parse_laurent("1 - t + t^2").unit_normalize()
 
 
 def test_quandle_graph_unknot():
     d = fixtures.unknot()
     f = constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t"))
     g = f_twisted_weights(f, R3)
-    c = coloring_from_map(R3, d, {"a1": 0})
+    c = enumerate_colorings(R3, d)[0]
     graph = quandle_weighted_graph(d, c, g)
     assert len(graph.vertices) == 1 and not graph.edges
     assert zeta_reciprocal(graph) == LaurentPoly.one()
@@ -361,11 +377,11 @@ def test_quandle_graph_r1_kink_unit_factor():
     e = reidemeister_apply(d, ReidemeisterMove("R1_2", arc="a1", sign=-1))
     f = constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t"))
     g = f_twisted_weights(f, R3)
-    cd = coloring_from_map(R3, d, {a: 0 for a in d.arcs})
-    ce = coloring_from_map(R3, e, {a: 0 for a in e.arcs})
+    cd = enumerate_colorings(R3, d)[0]
+    ce = enumerate_colorings(R3, e)[0]
     zd = zeta_reciprocal(quandle_weighted_graph(d, cd, g, R3))
     ze = zeta_reciprocal(quandle_weighted_graph(e, ce, g, R3))
-    assert zd.eq_up_to_units(ze)
+    assert zd.unit_normalize() == ze.unit_normalize()
     assert ze.divexact(zd).is_unit()
 
 
@@ -373,11 +389,11 @@ def test_quandle_graph_zeta_reidemeister_up_to_units():
     f = constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t"))
     g = f_twisted_weights(f, R3)
     for label, before, after in fixtures.reidemeister_fixture_pairs():
-        cb = coloring_from_map(R3, before, {a: 0 for a in before.arcs})
-        ca = coloring_from_map(R3, after, {a: 0 for a in after.arcs})
+        cb = enumerate_colorings(R3, before)[0]
+        ca = enumerate_colorings(R3, after)[0]
         zb = zeta_reciprocal(quandle_weighted_graph(before, cb, g, R3))
         za = zeta_reciprocal(quandle_weighted_graph(after, ca, g, R3))
-        assert zb.eq_up_to_units(za), label
+        assert zb.unit_normalize() == za.unit_normalize(), label
 
 
 def test_text_roundtrips():
