@@ -296,17 +296,20 @@ def _cmd_holonomy_check(args):
     if args.perturb and not q.n:
         raise InputError("--perturb %d has no entry to perturb on the empty quandle (0 elements)"
                          % args.perturb)
-    failures = qmod.holonomy_check(q, g)
+    # the check and every perturbation run on h = den * g, converted once
+    den, h = qmod.integral_weights(g)
+    failures = qmod.holonomy_check(q, h, den)
     _flag("holonomy-preserved", not failures)
     if args.perturb:
         rng = random.Random(_seed())
         names = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
+        delta = LaurentPoly.const(den)  # 1 added to a cell of g
         failed = 0
         for _ in range(args.perturb):
             which = rng.choice(names)
             a, b = rng.randrange(q.n), rng.randrange(q.n)
-            bad = g.perturbed(which, a, b, LaurentPoly.one())
-            if next(qmod.holonomy_failures(q, bad), None) is not None:
+            bad = h.perturbed(which, a, b, delta)
+            if next(qmod.holonomy_failures(q, bad, den), None) is not None:
                 failed += 1
         print("perturbations-rejected: %d/%d" % (failed, args.perturb))
     if failures:

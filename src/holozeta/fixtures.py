@@ -7,7 +7,7 @@ from .freegroup import Generator, GroupRingElt, Word
 from .presentation import BasedPresentation, TietzeMove, build_group_weighted_graph
 from .wgraph import Edge, TransformStep, WeightedDigraph
 from .knot import (
-    KnotDiagram, Crossing, ReidemeisterMove, parse_gauss, parse_pd, reidemeister_apply,
+    KnotDiagram, ReidemeisterMove, parse_gauss, parse_pd, reidemeister_apply,
 )
 
 

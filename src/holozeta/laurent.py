@@ -710,12 +710,6 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @staticmethod
-    def one(order: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            order, [LaurentPoly.one()] + [LaurentPoly.zero()] * order
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)

@@ -1,6 +1,7 @@
 """Shared randomized generators, input builders and independent oracles for
 the tests."""
 import itertools
+import math
 import os
 import random
 from contextlib import contextmanager
@@ -134,6 +135,11 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
     return total
 
 
+def series_one(order: int) -> TruncatedSeries:
+    """The series 1, truncated at u^order."""
+    return TruncatedSeries(order, [LaurentPoly.one()] + [LaurentPoly.zero()] * order)
+
+
 def series_det_inverse_by_exp(m: PolyMatrix, order: int) -> TruncatedSeries:
     """det(I - u*M)^-1 truncated at u^order as exp(sum_k tr(M^k) u^k / k),
     from all `order` matrix powers: an oracle independent of the library's
@@ -233,7 +239,7 @@ def euler_product_by_laurent(g, max_len: int) -> TruncatedSeries:
     factor from `det_one_minus_x_by_laurent`, truncated at u^max_len: 1/zeta
     by an oracle independent of the library's packed cells and trace sums."""
     weight = {e.id: e.weight for e in g.edges}
-    series = TruncatedSeries.one(max_len)
+    series = series_one(max_len)
     for c in prime_cycle_classes(g, max_len):
         w = weight[c.edges[0]]
         for eid in c.edges[1:]:
@@ -345,3 +351,27 @@ def random_alexander_pair(q: FiniteQuandle, rng) -> AlexanderPairTable:
         for a in range(q.n)
     ]
     return alexander_pair_check(q, f1, f2)
+
+
+def coprime_denominators(count: int, bits: int) -> list:
+    """`count` pairwise coprime integers of `bits` bits each, so that their lcm
+    is their product, as for distinct primes: 1 + c*M for consecutive c and
+    M = lcm(1..count).  A prime dividing two of them divides the difference
+    of their c, which is below count, so it divides M; yet each is 1 mod M."""
+    m = math.lcm(*range(1, count + 1))
+    c = (1 << (bits - 1)) // m + 1
+    out = [1 + (c + i) * m for i in range(count)]
+    if any(d.bit_length() != bits for d in out):
+        raise ValueError("%d bits cannot hold %d such integers" % (bits, count))
+    return out
+
+
+def fraction_weights_text(q: FiniteQuandle, denominators) -> str:
+    """A weights file over q whose 4 n^2 cells are the monomials c/d * t^e,
+    one d from `denominators` per cell in order (cycling), c and e fixed by
+    the cell's place."""
+    n = q.n
+    dens = itertools.cycle(denominators)
+    rows = [", ".join("%d/%d*t^%d" % ((k + b) % 5 - 2 or 1, next(dens), (k * b) % 5 - 2)
+                      for b in range(n)) for k in range(4 * n)]
+    return "%d\n%s\n" % (n, "\n".join(rows))

@@ -6,11 +6,18 @@ belongs in `tests/helpers.py` or nowhere.  A name counts as called when it
 appears as a whole word on another line of the library (not its own `def`
 or `class` line, and not in `__init__.py`, which only re-exports), in the
 benchmark (`perfbench/*.py`), or in `README.md`, which documents the public
-names a user calls.  Dunder methods are called by Python itself.
+names a user calls.  Dunder methods are called by Python itself.  A static
+method `C.m` counts as called only as `C.m`, or as a call `x.m(` through a
+receiver x that is not another library class: `LaurentPoly.one()` does not
+call `TruncatedSeries.one`, while `ring.divide(...)` calls the `divide` of
+either cell ring.
 
-`fixtures.py` is exempt: its functions are the shipped worked examples that
-the README lists as a whole, each a data builder for users to start from,
-not a code path of the library.
+Every name a library module imports is used in it, `fixtures.py` included;
+`__init__.py` is exempt, since its imports are the public names it exports.
+
+`fixtures.py` is exempt from the caller census: its functions are the
+shipped worked examples that the README lists as a whole, each a data
+builder for users to start from, not a code path of the library.
 """
 import ast
 import re
@@ -21,16 +28,29 @@ EXEMPT = {"__init__.py", "fixtures.py"}
 
 
 def _defined_names(tree):
-    """(name, line) of every module-level function and class, and of every
-    method that is not a dunder."""
+    """(name, line, static) of every module-level function and class, and of
+    every method that is not a dunder; static is True for a staticmethod."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")):
-                    yield "%s.%s" % (node.name, sub.name), sub.lineno
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    yield "%s.%s" % (node.name, sub.name), sub.lineno, static
+
+
+def _caller(qualname: str, static: bool, classes: set):
+    """A predicate on a line of text: does it call `qualname`?"""
+    name = qualname.rsplit(".", 1)[-1]
+    if not static:
+        return re.compile(r"\b%s\b" % re.escape(name)).search
+    owner = re.compile(r"\b%s\b" % re.escape(qualname))
+    receiver = re.compile(r"(?:\b(\w+)|[)\]])\.%s\(" % re.escape(name))
+    return lambda text: owner.search(text) or any(
+        m.group(1) not in classes for m in receiver.finditer(text))
 
 
 def uncalled_names() -> list:
@@ -38,14 +58,17 @@ def uncalled_names() -> list:
                for p in sorted((ROOT / "src" / "holozeta").glob("*.py")) if p.name != "__init__.py"}
     outside = "\n".join([p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
                         + [(ROOT / "README.md").read_text()])
+    trees = {module: ast.parse("\n".join(lines)) for module, lines in library.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
     missing = []
-    for module, lines in library.items():
+    for module, tree in trees.items():
         if module in EXEMPT:
             continue
-        for qualname, lineno in _defined_names(ast.parse("\n".join(lines))):
-            word = re.compile(r"\b%s\b" % re.escape(qualname.rsplit(".", 1)[-1]))
-            called = word.search(outside) or any(
-                word.search(line) for other, text in library.items()
+        for qualname, lineno, static in _defined_names(tree):
+            calls = _caller(qualname, static, classes)
+            called = calls(outside) or any(
+                calls(line) for other, text in library.items()
                 for k, line in enumerate(text, 1) if (other, k) != (module, lineno))
             if not called:
                 missing.append("%s:%d %s" % (module, lineno, qualname))
@@ -54,3 +77,26 @@ def uncalled_names() -> list:
 
 def test_every_library_name_has_a_caller_outside_the_tests():
     assert uncalled_names() == []
+
+
+def unused_imports() -> list:
+    """`module:line name` for each name a library module imports and never
+    reads; `from __future__` imports are directives, not names."""
+    unused = []
+    for path in sorted((ROOT / "src" / "holozeta").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append("%s:%d %s" % (path.name, node.lineno, name))
+    return unused
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []

@@ -30,9 +30,9 @@ from holozeta.wgraph import (
     format_graph,
     parse_matrix_literal,
 )
-from holozeta import cli, fixtures, wgraph
+from holozeta import cli, fixtures, quandle, wgraph
 
-from helpers import constant_pair, torus_gauss
+from helpers import coprime_denominators, constant_pair, fraction_weights_text, torus_gauss
 
 
 def _write(tmp_path, name, text):
@@ -424,6 +424,43 @@ def test_holonomy_check_perturbs_a_failing_base(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "holonomy-preserved: false\nperturbations-rejected: 5/5\n"
         '{"witness": "condition B-1 fails", "at": "(1, 0)", "detail": "1 != 0"}\n')
+
+
+def _holonomy_run(argv, capsys):
+    t0 = time.perf_counter()
+    code = main(argv)
+    return code, capsys.readouterr().out, time.perf_counter() - t0
+
+
+def test_holonomy_check_bounds_the_scaling_denominator(tmp_path, capsys, monkeypatch):
+    """Weights whose denominators have an lcm wider than INTEGRAL_DEN_BITS are
+    checked as rational weights: with a distinct 512-bit denominator in each
+    of the 196 cells of a D7 file, scaling them to integers would make every
+    product one of 100 000-bit integers.  Just below the bound the
+    tables are scaled, and the output is still that of the rational route
+    (the bound forced to 0)."""
+    q = dihedral_quandle(7)
+    qf = _write(tmp_path, "d7.txt", format_quandle(q))
+    pool = quandle.INTEGRAL_DEN_BITS // 32
+    files = {
+        "wide": fraction_weights_text(q, coprime_denominators(4 * 49, 512)),
+        "narrow": fraction_weights_text(q, coprime_denominators(pool, 32)),
+    }
+    for name, text in files.items():
+        wf = _write(tmp_path, name + ".txt", text)
+        den, _ = quandle.integral_weights(quandle.parse_weights_file(text))
+        if name == "wide":
+            assert den.bit_length() == 1
+        else:
+            assert quandle.INTEGRAL_DEN_BITS - pool < den.bit_length() <= quandle.INTEGRAL_DEN_BITS
+        argv = ["holonomy-check", "--quandle", qf, "--weights", wf, "--perturb", "1000"]
+        code, out, seconds = _holonomy_run(argv, capsys)
+        assert seconds < 2.0
+        with monkeypatch.context() as m:
+            m.setattr(quandle, "INTEGRAL_DEN_BITS", 0)
+            assert _holonomy_run(argv, capsys)[:2] == (code, out)
+        assert code == 1
+        assert out.startswith("holonomy-preserved: false\nperturbations-rejected: 1000/1000\n")
 
 
 def test_perturb_on_the_empty_quandle_exits_2(tmp_path, capsys):

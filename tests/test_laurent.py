@@ -26,6 +26,7 @@ from helpers import (
     random_matrix,
     seeded_rng,
     series_det_inverse_by_exp,
+    series_one,
 )
 
 
@@ -307,7 +308,7 @@ def test_series_inverse():
     for _ in range(20):
         coeffs = [LaurentPoly.one()] + [random_laurent(rng, 1) for _ in range(order)]
         s = TruncatedSeries(order, coeffs)
-        assert s * s.inverse() == TruncatedSeries.one(order)
+        assert s * s.inverse() == series_one(order)
 
 
 def test_series_det_inverse_single_entry():
@@ -323,7 +324,7 @@ def test_series_det_inverse_single_entry():
     n = PolyMatrix.from_rows([[parse_laurent(x) for x in row] for row in
                               (("t", "t^2"), ("-1", "-t"))])
     assert (n * n).is_zero()
-    assert series_det_inverse(n, 2000) == TruncatedSeries.one(2000)
+    assert series_det_inverse(n, 2000) == series_one(2000)
 
 
 def _sparse_high_degree(rng):
@@ -351,8 +352,8 @@ def test_series_det_inverse_matches_the_exp_route():
             nilpotent = PolyMatrix.from_rows([
                 [random_laurent(rng, 2, -1) if j > i else LaurentPoly.zero() for j in range(n)]
                 for i in range(n)])
-            assert series_det_inverse(nilpotent, order) == TruncatedSeries.one(order)
-            assert series_det_inverse_by_exp(nilpotent, order) == TruncatedSeries.one(order)
+            assert series_det_inverse(nilpotent, order) == series_one(order)
+            assert series_det_inverse_by_exp(nilpotent, order) == series_one(order)
 
 
 @st.composite
@@ -432,8 +433,8 @@ def test_coefficient_division_above_2_53_is_exact():
         assert m.det() == expect
         assert m.det_bareiss() == expect
     s = TruncatedSeries(6, [LaurentPoly.const(BIG)] + [_big_laurent(rng, -1, 1) for _ in range(6)])
-    assert s * s.inverse() == TruncatedSeries.one(6)
-    assert s.inverse() * s == TruncatedSeries.one(6)
+    assert s * s.inverse() == series_one(6)
+    assert s.inverse() * s == series_one(6)
 
 
 def test_coefficients_have_one_canonical_form():

@@ -21,6 +21,7 @@ from holozeta.quandle import (
     format_weights_file,
     holonomy_check,
     holonomy_failures,
+    integral_weights,
     parse_pair_file,
     parse_quandle,
     parse_weights_file,
@@ -31,7 +32,7 @@ from holozeta.quandle import (
 )
 from holozeta.quandle import _coloring_plan
 from holozeta.knot import Crossing, KnotDiagram, ReidemeisterMove, parse_gauss, reidemeister_apply
-from holozeta import fixtures
+from holozeta import fixtures, quandle
 
 from helpers import (
     braid_gauss,
@@ -233,6 +234,47 @@ def test_holonomy_failures_stream_the_exhaustive_check(case):
         assert conditions and conditions[0] != "C"
     else:
         assert conditions and set(conditions) == {"C"}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weights_cases())
+def test_integral_weights_check_what_the_rational_weights_do(case):
+    """The check of h = den * g with den says what the check of g says,
+    failure for failure with the same `detail` text, and adding den to one
+    entry of h is rejected exactly when adding 1 to that entry of g is."""
+    q, g, _ = case
+    den, h = integral_weights(g)
+    tables = [getattr(h, which) for which in WEIGHT_TABLES]
+    assert all(type(c) is int for t in tables for row in t for p in row for c in p.terms.values())
+    assert all(getattr(h, which) == tuple([tuple([p.scale(den) for p in row])
+                                           for row in getattr(g, which)])
+               for which in WEIGHT_TABLES)
+    assert list(holonomy_failures(q, h, den)) == list(holonomy_failures(q, g))
+    one, shift = LaurentPoly.one(), LaurentPoly.const(den)
+    # the diagonal, which (A) reads, and one entry off it in each row
+    for which in WEIGHT_TABLES:
+        for a, b in [(a, b) for a in range(q.n) for b in {a, (a + 1) % q.n}]:
+            scaled = next(holonomy_failures(q, h.perturbed(which, a, b, shift), den), None)
+            plain = next(holonomy_failures(q, g.perturbed(which, a, b, one)), None)
+            assert scaled == plain
+
+
+def test_integral_weights_scale_every_denominator_away():
+    """den is the lcm of the denominators in all four tables; weights with
+    integer coefficients, and those whose lcm is wider than
+    INTEGRAL_DEN_BITS, come back as they are with den = 1."""
+    g = f_twisted_weights(constant_pair(R3, parse_laurent("2/3*t"), parse_laurent("1 - 2/3*t")), R3)
+    den, h = integral_weights(g)
+    assert den == 6  # g1+ = 3/2*t^-1 and g1- = 2/3*t
+    assert h.g1_pos[0][0] == parse_laurent("9*t^-1")
+    integer = f_twisted_weights(constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t")), R3)
+    for kept in (integer, g.perturbed("g2_neg", 1, 2, LaurentPoly.const(
+            Fraction(1, 2 ** quandle.INTEGRAL_DEN_BITS)))):
+        den, h = integral_weights(kept)
+        assert den == 1 and h is kept
+    den, _ = integral_weights(g.perturbed("g2_neg", 1, 2, LaurentPoly.const(
+        Fraction(1, 2 ** (quandle.INTEGRAL_DEN_BITS - 2)))))
+    assert den.bit_length() == quandle.INTEGRAL_DEN_BITS
 
 
 def test_each_identity_of_c_is_checked():
