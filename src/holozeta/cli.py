@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .laurent import COUNT_LIMIT, LaurentPoly, content_lines, parse_int, series_det
+from .laurent import COUNT_LIMIT, content_lines, parse_int, series_det
 from .freegroup import parse_word
 from .presentation import (
     TietzeMove,
@@ -71,7 +71,11 @@ class VerificationFailed(Exception):
 
 
 def _seed() -> int:
-    return int(os.environ.get("HOLOZETA_SEED", "20240901"))
+    text = os.environ.get("HOLOZETA_SEED", "20240901")
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise InputError("HOLOZETA_SEED must be an integer, got %r" % text) from None
 
 
 def _load_diagram(args):
@@ -296,22 +300,14 @@ def _cmd_holonomy_check(args):
     if args.perturb and not q.n:
         raise InputError("--perturb %d has no entry to perturb on the empty quandle (0 elements)"
                          % args.perturb)
-    # the check and every perturbation run on h = den * g, converted once
-    den, h = qmod.integral_weights(g)
-    failures = qmod.holonomy_check(q, h, den)
+    # the seed is read, and the cells to perturb drawn, before any output
+    rng = random.Random(_seed()) if args.perturb else None
+    edits = [(rng.choice(qmod.WEIGHT_TABLES), rng.randrange(q.n), rng.randrange(q.n))
+             for _ in range(args.perturb)]
+    failures = qmod.holonomy_check(q, g)
     _flag("holonomy-preserved", not failures)
-    if args.perturb:
-        rng = random.Random(_seed())
-        names = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
-        delta = LaurentPoly.const(den)  # 1 added to a cell of g
-        failed = 0
-        for _ in range(args.perturb):
-            which = rng.choice(names)
-            a, b = rng.randrange(q.n), rng.randrange(q.n)
-            bad = h.perturbed(which, a, b, delta)
-            if next(qmod.holonomy_failures(q, bad, den), None) is not None:
-                failed += 1
-        print("perturbations-rejected: %d/%d" % (failed, args.perturb))
+    if edits:
+        print("perturbations-rejected: %d/%d" % (qmod.perturbations_rejected(q, g, edits), len(edits)))
     if failures:
         cond, witness, detail = failures[0]
         raise VerificationFailed({"witness": "condition %s fails" % cond, "at": str(witness),

@@ -187,16 +187,12 @@ class GroupRingElt:
 def fox_derivative(w: Word, i: int) -> GroupRingElt:
     """The Fox derivative d(w)/dx_i of a word."""
     out = {}
-    prefix = ()
-    for g, s in w.letters:
+    letters = w.letters
+    for k, (g, s) in enumerate(letters):
         if g == i:
-            if s == 1:
-                key = Word.from_reduced(prefix)
-                out[key] = out.get(key, 0) + 1
-            else:
-                key = Word(prefix + ((g, -1),))
-                out[key] = out.get(key, 0) - 1
-        prefix = prefix + ((g, s),)
+            # x_i^s at k adds s * w[:k + (s == -1)]: a prefix of a reduced word is reduced
+            key = Word.from_reduced(letters[:k + (s == -1)])
+            out[key] = out.get(key, 0) + s
     return GroupRingElt(out)
 
 

@@ -402,11 +402,18 @@ def cell_ring(cells, length: int, cycle_lengths, dim: int):
     every coefficient, 1 at u^0 included, is below 2^(bits - 1) for
     bits = bitlen(max_n w_n) + length bitlen(nu d) + 1.  A product of l
     cells spans l (hi - lo) exponents, hi the greatest exponent, so a value
-    read back is about (length (hi - lo) + 1) bits wide."""
+    read back is about (length (hi - lo) + 1) bits wide.  nu is at least
+    den over the least denominator of a coefficient, so the lcm stops
+    growing as soon as that alone makes the cells too wide to pack."""
     live = [p.terms for p in cells if p.terms]
     exps = [e for terms in live for e in terms]
     lo, hi = (min(exps), max(exps)) if exps else (0, 0)
-    den = math.lcm(*[c.denominator for terms in live for c in terms.values()])
+    dens = {c.denominator for terms in live for c in terms.values()}
+    least, den = min(dens, default=1).bit_length(), 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if (length * (hi - lo) + 1) * (length * (den.bit_length() - least) + 1) > PACK_WIDTH_BITS:
+            return LaurentCells()
     nu = max([sum([abs(c.numerator) * (den // c.denominator) for c in terms.values()])
               for terms in live], default=0)
     ways = [1] + [0] * length  # ways[n] = w_n, one factor 1/(1 - u^l) at a time

@@ -8,12 +8,10 @@ Weights are 1x1 Laurent polynomials; unit entries keep inversion exact.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import islice, product
 
-from .laurent import LaurentPoly, PolyMatrix, content_lines, parse_int, parse_laurent
+from .laurent import LaurentPoly, PolyMatrix, cell_ring, content_lines, parse_int, parse_laurent
 from .wgraph import WeightedDigraph, Edge
 
 # tuples are built from lists: one grown from a generator is resized and kept on
@@ -143,11 +141,6 @@ class CrossingWeights:
     g1_neg: tuple
     g2_neg: tuple
 
-    def perturbed(self, which: str, a: int, b: int, delta: LaurentPoly) -> "CrossingWeights":
-        t = [list(row) for row in getattr(self, which)]
-        t[a][b] = t[a][b] + delta
-        return replace(self, **{which: tuple([tuple(row) for row in t])})
-
 
 def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeights:
     """Crossing weights induced by an Alexander pair:
@@ -173,116 +166,114 @@ def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeight
     return CrossingWeights(n, tuple(g1p), tuple(g2p), tuple(g1n), tuple(g2n))
 
 
-# the widest lcm of the weight tables' coefficient denominators, in bits, that
-# `integral_weights` scales away: past it the check runs on the rational
-# weights.  A scaled product is one of integers about den^2 wide, where the
-# rational route reduces small fractions by a gcd each time, so a wide den
-# costs most on weights whose coefficients each bring their own denominator.
-# In a sweep of `holonomy-check` on D5 (CPython 3.11, a 2-CPU x86-64 Xeon),
-# the exhaustive check of valid Alexander-pair weights took 2.0 ms scaled
-# against 6.6 ms rational at a 4-bit den, 2.5 against 9.8 ms at 385 bits and
-# 7.8 against 12.2 ms at 1538 bits; failing weights whose coefficients were
-# drawn over a pool of 32-bit primes, with --perturb 1000, took 1.4 times the
-# rational time up to a 249-bit den, 1.55 times at 497 bits and 2.2 times at
-# 1334 bits
-INTEGRAL_DEN_BITS = 512
+WEIGHT_TABLES = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
 
 
-def integral_weights(g: CrossingWeights) -> tuple:
-    """(den, h): den the lcm of every coefficient denominator in the four
-    tables of g, and h = den * g, whose coefficients are all `int`; (1, g)
-    when that lcm is 1 or wider than INTEGRAL_DEN_BITS.  The weights g pass
-    the holonomy check exactly when h passes it with that den."""
-    tables = (g.g1_pos, g.g2_pos, g.g1_neg, g.g2_neg)
-    den = 1
-    for c in (c for t in tables for row in t for p in row for c in p.terms.values()):
-        den = math.lcm(den, c.denominator)
-        if den.bit_length() > INTEGRAL_DEN_BITS:
-            return 1, g
-    if den == 1:
-        return 1, g
-    return den, CrossingWeights(
-        g.n, *[tuple([tuple([p.scale(den) for p in row]) for row in t]) for t in tables])
+def _holonomy_ring(g: CrossingWeights, shifted: bool):
+    """The ring in which the holonomy identities of g are decided, the four
+    tables of g packed in it and the same four times pack(1), each as a list
+    of rows of ring values.
+
+    Multiplied by den^2, each side of (A), (B-1), (B-2) and (C) is a sum of
+    at most two products of two cells once 1 is a cell: a lone cell x is
+    x * 1, the constant 1 is 1 * 1, and 1 makes lo <= 0, so pack(1) is an
+    integer.  xy + zw is c_2 of the 2 x 2 matrix [[x, -z], [w, y]] and the
+    bound of `cell_ring` reads only the 1-norms of the cells, so
+    cell_ring(cells, 2, (1,), 2) proves that each side, read at power 2, has
+    its own balanced digits: two sides are equal exactly when their ring
+    values are.  With `shifted` each cell + 1 is a cell too, so this holds
+    with 1 added to any one cell."""
+    one = LaurentPoly.one()
+    cells = [p for which in WEIGHT_TABLES for row in getattr(g, which) for p in row]
+    ring = cell_ring(cells + [one] + ([p + one for p in cells] if shifted else []), 2, (1,), 2)
+    tables = [[[ring.pack(p) for p in row] for row in getattr(g, which)]
+              for which in WEIGHT_TABLES]
+    one = ring.pack(one)
+    # x * pack(1) is x itself when pack(1) is the ring's 1 (integer cells)
+    lone = tables if one == ring.one else [[[x * one for x in row] for row in t] for t in tables]
+    return ring, one, tables, lone
 
 
-def holonomy_failures(q: FiniteQuandle, g: CrossingWeights, den: int = 1):
-    """Yield each failing holonomy identity of the weights g/den as
-    (condition, witness, "lhs != rhs"), lazily and in the order (A), (B-1),
-    (B-2), (C).
-
-    Each identity of g/den is checked multiplied by den^2, which makes it
-    homogeneous of degree 2 in the cells of g: a product of two cells stays,
-    a lone cell is scaled by den and the constant 1 becomes den^2.  On the
-    tables from `integral_weights` every product and sum then runs on `int`;
-    there den = 1 when the lcm of the denominators is wider than
-    INTEGRAL_DEN_BITS, and den = 1 is the check on the rational weights g
-    themselves.  `detail` gives each side scaled back by 1/den^2, the same
-    text as the check of g/den as rational weights.
-
-    A caller that only asks whether weights fail stops at the first
-    failure; the n^3 loop of (C) runs only if everything before it holds."""
+def _identities(q: FiniteQuandle, ring, one, tables, lone):
+    """Yield each holonomy identity of the tables packed in `ring` as
+    (condition, witness, lhs, rhs), both sides ring values at power 2, in
+    the order (A), (B-1), (B-2), (C); `lone` holds each packed cell times
+    pack(1).  A caller that only asks whether weights fail stops at the
+    first failure; the n^3 loop of (C) runs only if everything before it
+    holds."""
     n = q.n
-    one, zero = LaurentPoly.const(den * den), LaurentPoly.zero()
-    g1p, g2p, g1n, g2n = g.g1_pos, g.g2_pos, g.g1_neg, g.g2_neg
+    g1p, g2p, g1n, g2n = tables
+    _, lone_g2p, lone_g1n, lone_g2n = lone
+    unit, zero = one * one, ring.zero  # 1 and 0 at power 2
+    # (A): the kink configuration, where the over arc equals the under arc
+    for a in range(n):
+        yield "A", (a,), lone_g1n[a][a] + lone_g2n[a][a], unit
+    # (B-1): cancelling crossing pair met under-first; X_{j+1} = b *' a,
+    # X_{i+1} = a * b
+    for a in range(n):
+        for b in range(n):
+            jb = q.inv_star(b, a)
+            yield "B-1", (a, b), lone_g2n[b][a] + g1n[b][a] * g2p[jb][a], zero
+            yield "B-1", (a, b), g1n[b][a] * g1p[jb][a], unit
+            ia = q.star(a, b)
+            yield "B-1", (a, b), lone_g2p[a][b] + g1p[a][b] * g2n[ia][b], zero
+            yield "B-1", (a, b), g1p[a][b] * g1n[ia][b], unit
+    # (B-2): the opposite clasp; X_{i+1} = a *' b
+    for a in range(n):
+        for b in range(n):
+            ia = q.inv_star(a, b)
+            yield "B-2", (a, b), lone_g2n[a][b] + g1n[a][b] * g2p[ia][b], zero
+            yield "B-2", (a, b), g1n[a][b] * g1p[ia][b], unit
+    # (C): triangle slide; intermediate arcs a*b before, a*c and b*c after
+    for a, b, c in product(range(n), repeat=3):
+        ab, ac, bc = q.star(a, b), q.star(a, c), q.star(b, c)
+        yield "C", (a, b, c), g1p[a][b] * g1p[ab][c], g1p[a][c] * g1p[ac][bc]
+        yield "C", (a, b, c), g2p[a][b] * g1p[b][c], g1p[a][c] * g2p[ac][bc]
+        # accumulated weight of the two routes from v_i to v_k before the
+        # slide equals the single direct edge after it
+        yield ("C", (a, b, c), g1p[a][b] * g2p[ab][c] + g2p[a][b] * g2p[b][c],
+               lone_g2p[a][c])
 
-    def lone(p):
-        return p if den == 1 else p.scale(den)
 
-    def identities():
-        # (A): the kink configuration, where the over arc equals the under arc
-        for a in range(n):
-            yield "A", (a,), lone(g1n[a][a] + g2n[a][a]), one
-        # (B-1): cancelling crossing pair met under-first; X_{j+1} = b *' a,
-        # X_{i+1} = a * b
-        for a in range(n):
-            for b in range(n):
-                jb = q.inv_star(b, a)
-                yield "B-1", (a, b), lone(g2n[b][a]) + g1n[b][a] * g2p[jb][a], zero
-                yield "B-1", (a, b), g1n[b][a] * g1p[jb][a], one
-                ia = q.star(a, b)
-                yield "B-1", (a, b), lone(g2p[a][b]) + g1p[a][b] * g2n[ia][b], zero
-                yield "B-1", (a, b), g1p[a][b] * g1n[ia][b], one
-        # (B-2): the opposite clasp; X_{i+1} = a *' b
-        for a in range(n):
-            for b in range(n):
-                ia = q.inv_star(a, b)
-                yield "B-2", (a, b), lone(g2n[a][b]) + g1n[a][b] * g2p[ia][b], zero
-                yield "B-2", (a, b), g1n[a][b] * g1p[ia][b], one
-        # (C): triangle slide; intermediate arcs a*b before, a*c and b*c after
-        dg2p = [[lone(p) for p in row] for row in g2p]
-        for a, b, c in product(range(n), repeat=3):
-            ab, ac, bc = q.star(a, b), q.star(a, c), q.star(b, c)
-            yield "C", (a, b, c), g1p[a][b] * g1p[ab][c], g1p[a][c] * g1p[ac][bc]
-            yield "C", (a, b, c), g2p[a][b] * g1p[b][c], g1p[a][c] * g2p[ac][bc]
-            # accumulated weight of the two routes from v_i to v_k before the
-            # slide equals the single direct edge after it
-            yield (
-                "C",
-                (a, b, c),
-                g1p[a][b] * g2p[ab][c] + g2p[a][b] * g2p[b][c],
-                dg2p[a][c],
-            )
-
-    back = Fraction(1, den * den)
-    for cond, witness, lhs, rhs in identities():
+def holonomy_failures(q: FiniteQuandle, g: CrossingWeights):
+    """Yield each failing holonomy identity of the weights g as (condition,
+    witness, "lhs != rhs"), lazily and in the order (A), (B-1), (B-2), (C),
+    checked in the ring of `_holonomy_ring`; `detail` reads both sides back."""
+    ring, *packed = _holonomy_ring(g, False)
+    for cond, witness, lhs, rhs in _identities(q, ring, *packed):
         if lhs != rhs:
-            if den != 1:
-                lhs, rhs = lhs.scale(back), rhs.scale(back)
-            yield cond, witness, "%s != %s" % (lhs, rhs)
+            yield cond, witness, "%s != %s" % (ring.unpack(lhs, 2), ring.unpack(rhs, 2))
 
 
-def holonomy_check(q: FiniteQuandle, g: CrossingWeights, den: int = 1) -> list:
-    """Exhaustively check the holonomy conditions (A), (B-1), (B-2), (C) on
-    the weights g/den: the list of every failing identity from
-    `holonomy_failures`, empty when the weights preserve holonomy."""
-    return list(holonomy_failures(q, g, den))
+def holonomy_check(q: FiniteQuandle, g: CrossingWeights) -> list:
+    """Exhaustively check the holonomy conditions on the weights g: every
+    failure of `holonomy_failures`, empty when the weights preserve holonomy."""
+    return list(holonomy_failures(q, g))
+
+
+def perturbations_rejected(q: FiniteQuandle, g: CrossingWeights, edits) -> int:
+    """How many edits fail the holonomy check, each edit (table name, a, b)
+    the weights g with 1 added to that cell.  The ring, built once, holds
+    each cell + 1; an edit swaps its packed cell and its lone value in, runs
+    the identities to the first failure, formatting nothing, and swaps them
+    back."""
+    ring, one, tables, lone = _holonomy_ring(g, True)
+    rejected = 0
+    for which, a, b in edits:
+        k = WEIGHT_TABLES.index(which)
+        row, lone_row = tables[k][a], lone[k][a]
+        kept = row[b], lone_row[b]
+        row[b] = ring.pack(getattr(g, which)[a][b] + LaurentPoly.one())
+        lone_row[b] = row[b] * one
+        rejected += any(lhs != rhs for _, _, lhs, rhs in _identities(q, ring, one, tables, lone))
+        row[b], lone_row[b] = kept
+    return rejected
 
 
 def recover_pair(q: FiniteQuandle, g: CrossingWeights) -> AlexanderPairTable:
     """Read the Alexander pair back off holonomy-preserving weights:
     f1(a,b) = g1-(a*b, b), f2(a,b) = g2-(a*b, b)."""
-    den, h = integral_weights(g)
-    failures = list(islice(holonomy_failures(q, h, den), 3))
+    failures = list(islice(holonomy_failures(q, g), 3))
     if failures:
         raise ValueError("weights do not preserve holonomy: %s" % failures)
     n = q.n

@@ -1,5 +1,6 @@
 """Shared randomized generators, input builders and independent oracles for
 the tests."""
+import dataclasses
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ from holozeta import laurent
 from holozeta.laurent import LaurentPoly, PolyMatrix, TruncatedSeries
 from holozeta.freegroup import Word
 from holozeta.knot import Representation
-from holozeta.quandle import AlexanderPairTable, FiniteQuandle, alexander_pair_check
+from holozeta.quandle import AlexanderPairTable, CrossingWeights, FiniteQuandle, alexander_pair_check
 from holozeta.wgraph import Edge, WeightedDigraph, prime_cycle_classes
 
 
@@ -327,6 +328,14 @@ def constant_pair(q: FiniteQuandle, p1: LaurentPoly, p2: LaurentPoly) -> Alexand
     return alexander_pair_check(
         q, [[p1] * n for _ in range(n)], [[p2] * n for _ in range(n)]
     )
+
+
+def perturbed(g: CrossingWeights, which: str, a: int, b: int,
+              delta: LaurentPoly) -> CrossingWeights:
+    """The weights g with delta added to cell (a, b) of the table `which`."""
+    t = [list(row) for row in getattr(g, which)]
+    t[a][b] = t[a][b] + delta
+    return dataclasses.replace(g, **{which: tuple([tuple(row) for row in t])})
 
 
 def random_alexander_pair(q: FiniteQuandle, rng) -> AlexanderPairTable:

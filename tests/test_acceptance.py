@@ -34,6 +34,7 @@ from holozeta import fixtures
 
 from helpers import (
     constant_pair,
+    perturbed,
     random_alexander_pair,
     random_laurent,
     random_matrix,
@@ -241,7 +242,7 @@ def test_criterion_7_pair_weight_equivalence():
             a, b = rng.randrange(q.n), rng.randrange(q.n)
             delta = LaurentPoly.monomial(Fraction(rng.choice([1, 2, -1])),
                                          rng.randint(0, 1))
-            assert holonomy_check(q, g.perturbed(which, a, b, delta))
+            assert holonomy_check(q, perturbed(g, which, a, b, delta))
     print("criterion 7 (pair and weight equivalence): PASS")
 
 

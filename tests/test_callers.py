@@ -3,9 +3,10 @@
 `holozeta` ships the paper's objects and what the command line needs; a
 function, class or method that only the tests call is scaffolding, and
 belongs in `tests/helpers.py` or nowhere.  A name counts as called when it
-appears as a whole word on another line of the library (not its own `def`
-or `class` line, and not in `__init__.py`, which only re-exports), in the
-benchmark (`perfbench/*.py`), or in `README.md`, which documents the public
+appears as a whole word in the code of another line of the library (not in
+a comment or a string, not on its own `def` or `class` line, and not in
+`__init__.py`, which only re-exports), in the benchmark (`perfbench/*.py`),
+or in the code spans and blocks of `README.md`, which documents the public
 names a user calls.  Dunder methods are called by Python itself.  A static
 method `C.m` counts as called only as `C.m`, or as a call `x.m(` through a
 receiver x that is not another library class: `LaurentPoly.one()` does not
@@ -20,7 +21,9 @@ shipped worked examples that the README lists as a whole, each a data
 builder for users to start from, not a code path of the library.
 """
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,12 +56,31 @@ def _caller(qualname: str, static: bool, classes: set):
         m.group(1) not in classes for m in receiver.finditer(text))
 
 
+def _code_lines(text: str) -> list:
+    """The lines of a module with its comments and strings blanked out."""
+    lines = [list(line) for line in text.splitlines()]
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in (tokenize.COMMENT, tokenize.STRING):
+            (first, start), (last, end) = tok.start, tok.end
+            for row in range(first, last + 1):
+                line = lines[row - 1]
+                a, b = start if row == first else 0, end if row == last else len(line)
+                line[a:b] = " " * (b - a)
+    return ["".join(line) for line in lines]
+
+
+def _markdown_code(text: str) -> str:
+    """The fenced code blocks and inline code spans of a Markdown text."""
+    return "\n".join(re.findall(r"```.*?```|`[^`]+`", text, re.S))
+
+
 def uncalled_names() -> list:
-    library = {p.name: p.read_text().splitlines()
+    sources = {p.name: p.read_text()
                for p in sorted((ROOT / "src" / "holozeta").glob("*.py")) if p.name != "__init__.py"}
+    library = {module: _code_lines(text) for module, text in sources.items()}
     outside = "\n".join([p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-                        + [(ROOT / "README.md").read_text()])
-    trees = {module: ast.parse("\n".join(lines)) for module, lines in library.items()}
+                        + [_markdown_code((ROOT / "README.md").read_text())])
+    trees = {module: ast.parse(text) for module, text in sources.items()}
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
     missing = []

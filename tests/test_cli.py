@@ -30,9 +30,15 @@ from holozeta.wgraph import (
     format_graph,
     parse_matrix_literal,
 )
-from holozeta import cli, fixtures, quandle, wgraph
+from holozeta import cli, fixtures, laurent, quandle, wgraph
 
-from helpers import coprime_denominators, constant_pair, fraction_weights_text, torus_gauss
+from helpers import (
+    coprime_denominators,
+    constant_pair,
+    fraction_weights_text,
+    perturbed,
+    torus_gauss,
+)
 
 
 def _write(tmp_path, name, text):
@@ -410,12 +416,31 @@ def test_holonomy_check(tmp_path, capsys):
     assert "perturbations-rejected: 3/3" in out
 
 
+def test_a_bad_seed_exits_2_before_any_output(tmp_path, capsys, monkeypatch):
+    """HOLOZETA_SEED is read as ASCII digits, like every integer field,
+    before the first report line."""
+    q = dihedral_quandle(3)
+    f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
+    argv = ["holonomy-check", "--quandle", _write(tmp_path, "q3.txt", format_quandle(q)),
+            "--weights", _write(tmp_path, "w.txt", format_weights_file(f_twisted_weights(f, q))),
+            "--perturb", "3"]
+    for seed in ("abc", "٣", " 7_0 "):
+        monkeypatch.setenv("HOLOZETA_SEED", seed)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "HOLOZETA_SEED" in captured.err
+    monkeypatch.setenv("HOLOZETA_SEED", "-70")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("perturbations-rejected: 3/3\n")
+
+
 def test_holonomy_check_perturbs_a_failing_base(tmp_path, capsys):
     """Failing weights still get their perturbations counted, and the
     witness is the first failure of the exhaustive check."""
     q = dihedral_quandle(3)
     f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
-    g = f_twisted_weights(f, q).perturbed("g2_neg", 0, 1, LaurentPoly.one())
+    g = perturbed(f_twisted_weights(f, q), "g2_neg", 0, 1, LaurentPoly.one())
     assert holonomy_check(q, g) == [
         ("B-1", (1, 0), "1 != 0"), ("B-1", (2, 1), "t^-1 != 0"), ("B-2", (0, 1), "1 != 0")]
     argv = ["holonomy-check", "--quandle", _write(tmp_path, "q3.txt", format_quandle(q)),
@@ -433,32 +458,32 @@ def _holonomy_run(argv, capsys):
 
 
 def test_holonomy_check_bounds_the_scaling_denominator(tmp_path, capsys, monkeypatch):
-    """Weights whose denominators have an lcm wider than INTEGRAL_DEN_BITS are
-    checked as rational weights: with a distinct 512-bit denominator in each
-    of the 196 cells of a D7 file, scaling them to integers would make every
-    product one of 100 000-bit integers.  Just below the bound the
-    tables are scaled, and the output is still that of the rational route
-    (the bound forced to 0)."""
+    """Weights whose packed cells would be wider than PACK_WIDTH_BITS are
+    checked as rational cells: with a distinct 512-bit denominator in each
+    of the 196 cells of a D7 file, packing them would make every product one
+    of 100 000-bit integers.  With 16 32-bit denominators, a den of about
+    512 bits, the cells are still too wide to pack (t^-2..t^2 at power 2 is
+    9 digits of about 1 000 bits); packed anyway, the bound raised, they
+    give the output of the rational route."""
     q = dihedral_quandle(7)
     qf = _write(tmp_path, "d7.txt", format_quandle(q))
-    pool = quandle.INTEGRAL_DEN_BITS // 32
     files = {
         "wide": fraction_weights_text(q, coprime_denominators(4 * 49, 512)),
-        "narrow": fraction_weights_text(q, coprime_denominators(pool, 32)),
+        "narrow": fraction_weights_text(q, coprime_denominators(16, 32)),
     }
     for name, text in files.items():
         wf = _write(tmp_path, name + ".txt", text)
-        den, _ = quandle.integral_weights(quandle.parse_weights_file(text))
-        if name == "wide":
-            assert den.bit_length() == 1
-        else:
-            assert quandle.INTEGRAL_DEN_BITS - pool < den.bit_length() <= quandle.INTEGRAL_DEN_BITS
+        ring = quandle._holonomy_ring(quandle.parse_weights_file(text), True)[0]
+        assert isinstance(ring, laurent.LaurentCells)
         argv = ["holonomy-check", "--quandle", qf, "--weights", wf, "--perturb", "1000"]
         code, out, seconds = _holonomy_run(argv, capsys)
         assert seconds < 2.0
-        with monkeypatch.context() as m:
-            m.setattr(quandle, "INTEGRAL_DEN_BITS", 0)
-            assert _holonomy_run(argv, capsys)[:2] == (code, out)
+        if name == "narrow":
+            with monkeypatch.context() as m:
+                m.setattr(laurent, "PACK_WIDTH_BITS", 10 ** 9)
+                assert isinstance(quandle._holonomy_ring(quandle.parse_weights_file(text), True)[0],
+                                  laurent.PackedCells)
+                assert _holonomy_run(argv, capsys)[:2] == (code, out)
         assert code == 1
         assert out.startswith("holonomy-preserved: false\nperturbations-rejected: 1000/1000\n")
 
@@ -643,7 +668,7 @@ def test_witness_line_is_json(tmp_path, capsys):
     bad_pair = _write(tmp_path, "badpair.txt", "\n".join(lines))
     identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
     bad_w = _write(tmp_path, "w.txt", format_weights_file(
-        identity.perturbed("g1_pos", 0, 1, LaurentPoly.one())))
+        perturbed(identity, "g1_pos", 0, 1, LaurentPoly.one())))
     graph = _graph_file(tmp_path)
     bad_gs = _write(tmp_path, "bad.gs", "null_remove e1\n")
     runs = [

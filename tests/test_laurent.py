@@ -402,6 +402,11 @@ def test_cell_ring_packs_up_to_the_width_limit():
         assert isinstance(cell_ring(cells, 8, (1,), 1), PackedCells)
     with pack_width_limit(81 * 18 - 1):
         assert isinstance(cell_ring(cells, 8, (1,), 1), LaurentCells)
+    # a 3000-bit den scales these cells back to 1 + t^10: nu and bits stay
+    wide_den = [LaurentPoly({0: Fraction(1, 2 ** 3000), 10: Fraction(1, 2 ** 3000)})]
+    with pack_width_limit(81 * 18):
+        ring = cell_ring(wide_den, 8, (1,), 1)
+    assert isinstance(ring, PackedCells) and (ring.den, ring.bits) == (2 ** 3000, 18)
 
 
 BIG = 3 ** 40 + 1  # above 2**53: a float quotient of it is off in the low bits

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from holozeta.laurent import LaurentPoly, parse_laurent
+from holozeta.laurent import LaurentCells, LaurentPoly, PackedCells, parse_laurent
 from holozeta.wgraph import zeta_reciprocal
 from holozeta.quandle import (
+    WEIGHT_TABLES,
     CrossingWeights,
     PairConditionError,
     QuandleError,
@@ -21,10 +22,10 @@ from holozeta.quandle import (
     format_weights_file,
     holonomy_check,
     holonomy_failures,
-    integral_weights,
     parse_pair_file,
     parse_quandle,
     parse_weights_file,
+    perturbations_rejected,
     quandle_check,
     quandle_weighted_graph,
     recover_pair,
@@ -38,6 +39,8 @@ from helpers import (
     braid_gauss,
     colorings_by_sweep,
     constant_pair,
+    pack_width_limit,
+    perturbed,
     random_alexander_pair,
     random_unit,
     seeded_rng,
@@ -163,11 +166,8 @@ def test_perturbed_weights_fail_holonomy():
     for _ in range(20):
         which = rng.choice(names)
         a, b = rng.randrange(3), rng.randrange(3)
-        bad = g.perturbed(which, a, b, LaurentPoly.one())
+        bad = perturbed(g, which, a, b, LaurentPoly.one())
         assert holonomy_check(R3, bad)
-
-
-WEIGHT_TABLES = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
 
 
 def _weights_from_positive(q, g1p, g2p):
@@ -211,7 +211,7 @@ def weights_cases(draw):
         delta = draw(st.sampled_from(("1", "-1", "t", "0")))
         which = draw(st.sampled_from(WEIGHT_TABLES))
         a, b = draw(st.integers(0, q.n - 1)), draw(st.integers(0, q.n - 1))
-        g = g.perturbed(which, a, b, parse_laurent(delta))
+        g = perturbed(g, which, a, b, parse_laurent(delta))
         kind = "pass" if delta == "0" else kind
     return q, g, kind
 
@@ -238,43 +238,65 @@ def test_holonomy_failures_stream_the_exhaustive_check(case):
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(weights_cases())
-def test_integral_weights_check_what_the_rational_weights_do(case):
-    """The check of h = den * g with den says what the check of g says,
-    failure for failure with the same `detail` text, and adding den to one
-    entry of h is rejected exactly when adding 1 to that entry of g is."""
+def test_the_ring_route_equals_the_rational_route(case):
+    """The holonomy check says the same, failure for failure with the same
+    `detail` text, whichever ring `cell_ring` picks: packed integers or the
+    rational cells.  In each, `perturbations_rejected` counts exactly the
+    perturbed tables that a fresh check rejects, with every swapped cell put
+    back."""
     q, g, _ = case
-    den, h = integral_weights(g)
-    tables = [getattr(h, which) for which in WEIGHT_TABLES]
-    assert all(type(c) is int for t in tables for row in t for p in row for c in p.terms.values())
-    assert all(getattr(h, which) == tuple([tuple([p.scale(den) for p in row])
-                                           for row in getattr(g, which)])
-               for which in WEIGHT_TABLES)
-    assert list(holonomy_failures(q, h, den)) == list(holonomy_failures(q, g))
-    one, shift = LaurentPoly.one(), LaurentPoly.const(den)
     # the diagonal, which (A) reads, and one entry off it in each row
-    for which in WEIGHT_TABLES:
-        for a, b in [(a, b) for a in range(q.n) for b in {a, (a + 1) % q.n}]:
-            scaled = next(holonomy_failures(q, h.perturbed(which, a, b, shift), den), None)
-            plain = next(holonomy_failures(q, g.perturbed(which, a, b, one)), None)
-            assert scaled == plain
+    edits = [(which, a, b) for which in WEIGHT_TABLES
+             for a in range(q.n) for b in sorted({a, (a + 1) % q.n})]
+    one = LaurentPoly.one()
+    with pack_width_limit(0):
+        expect = list(holonomy_failures(q, g))
+    verdicts = [next(holonomy_failures(q, perturbed(g, *edit, one)), None) is not None
+                for edit in edits]
+    assert [perturbations_rejected(q, g, [edit]) for edit in edits] == verdicts
+    for limit, kind in ((10 ** 9, PackedCells), (0, LaurentCells)):
+        with pack_width_limit(limit):
+            assert isinstance(quandle._holonomy_ring(g, True)[0], kind)
+            assert list(holonomy_failures(q, g)) == expect
+            assert perturbations_rejected(q, g, edits) == sum(verdicts)
 
 
-def test_integral_weights_scale_every_denominator_away():
-    """den is the lcm of the denominators in all four tables; weights with
-    integer coefficients, and those whose lcm is wider than
-    INTEGRAL_DEN_BITS, come back as they are with den = 1."""
+def test_cell_ring_scales_every_denominator_away():
+    """den is the lcm of the denominators in all four tables, and every
+    packed cell is an integer; cells whose packed values would be wider than
+    PACK_WIDTH_BITS stay rational."""
     g = f_twisted_weights(constant_pair(R3, parse_laurent("2/3*t"), parse_laurent("1 - 2/3*t")), R3)
-    den, h = integral_weights(g)
-    assert den == 6  # g1+ = 3/2*t^-1 and g1- = 2/3*t
-    assert h.g1_pos[0][0] == parse_laurent("9*t^-1")
+    ring, _, tables, _ = quandle._holonomy_ring(g, False)
+    assert isinstance(ring, PackedCells) and ring.den == 6  # g1+ = 3/2*t^-1 and g1- = 2/3*t
+    assert ring.unpack(tables[0][0][0], 1) == g.g1_pos[0][0]
+    assert all(type(x) is int for t in tables for row in t for x in row)
     integer = f_twisted_weights(constant_pair(R3, parse_laurent("t"), parse_laurent("1 - t")), R3)
-    for kept in (integer, g.perturbed("g2_neg", 1, 2, LaurentPoly.const(
-            Fraction(1, 2 ** quandle.INTEGRAL_DEN_BITS)))):
-        den, h = integral_weights(kept)
-        assert den == 1 and h is kept
-    den, _ = integral_weights(g.perturbed("g2_neg", 1, 2, LaurentPoly.const(
-        Fraction(1, 2 ** (quandle.INTEGRAL_DEN_BITS - 2)))))
-    assert den.bit_length() == quandle.INTEGRAL_DEN_BITS
+    assert quandle._holonomy_ring(integer, False)[0].den == 1
+    # the cells span t^-1..t, so a value at power 2 is 5 digits wide
+    wide = perturbed(g, "g2_neg", 1, 2, LaurentPoly.const(Fraction(1, 2 ** 600)))
+    ring = quandle._holonomy_ring(wide, False)[0]
+    assert isinstance(ring, PackedCells) and ring.den == 3 * 2 ** 600
+    with pack_width_limit(5 * ring.bits):
+        assert isinstance(quandle._holonomy_ring(wide, False)[0], PackedCells)
+    with pack_width_limit(5 * ring.bits - 1):
+        ring, _, tables, _ = quandle._holonomy_ring(wide, False)
+    assert isinstance(ring, LaurentCells)
+    assert tables[0][0][0] == g.g1_pos[0][0]
+
+
+def test_weights_without_a_constant_term_are_checked():
+    """Cells that all lie at t^1 or above: 1 is among the ring's cells, so
+    the constant 1 of (A) and (B-1) still packs."""
+    t = parse_laurent("t")
+    g = CrossingWeights(1, ((t,),), ((t,),), ((t,),), ((t,),))
+    assert holonomy_check(trivial_quandle(1), g) == [
+        ("A", (0,), "2*t != 1"),
+        ("B-1", (0, 0), "t + t^2 != 0"), ("B-1", (0, 0), "t^2 != 1"),
+        ("B-1", (0, 0), "t + t^2 != 0"), ("B-1", (0, 0), "t^2 != 1"),
+        ("B-2", (0, 0), "t + t^2 != 0"), ("B-2", (0, 0), "t^2 != 1"),
+        ("C", (0, 0, 0), "2*t^2 != t"),
+    ]
+    assert perturbations_rejected(trivial_quandle(1), g, [("g1_pos", 0, 0)]) == 1
 
 
 def test_each_identity_of_c_is_checked():
