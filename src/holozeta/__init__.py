@@ -39,7 +39,6 @@ from .wgraph import (
     euler_product_oracle,
     parse_graph,
     phi_image,
-    prime_cycle_classes,
     verify_equivalence,
     zeta_reciprocal,
 )

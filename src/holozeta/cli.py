@@ -89,7 +89,7 @@ def _load_diagram(args):
 def _load_rep(args, presentation):
     """The --rep file, else the trivial rep; `alexander_setup` checks it."""
     if not getattr(args, "rep", None):
-        return Representation.abelianization(presentation)
+        return Representation.trivial([g.index for g in presentation.generators])
     return parse_rep(_read(args.rep), presentation.name_to_index())
 
 
@@ -224,11 +224,8 @@ def _cmd_alexander(args):
     if r0.denominator_vanishes:
         _flag("denominator-vanishes", True)
     if args.route == "both":
-        agree = (
-            results[0].numerator == results[1].numerator
-            and results[0].denominator == results[1].denominator
-        )
-        if not _flag("routes-agree", agree):
+        # both denominators are the one setup's, so only the numerators can differ
+        if not _flag("routes-agree", results[0].numerator == results[1].numerator):
             raise VerificationFailed({"witness": "route mismatch",
                                       "graph": str(results[0].numerator),
                                       "direct": str(results[1].numerator)})

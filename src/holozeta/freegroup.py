@@ -40,10 +40,6 @@ class Word:
         object.__setattr__(self, "letters", reduce_letters(letters))
 
     @staticmethod
-    def identity() -> "Word":
-        return Word()
-
-    @staticmethod
     def gen(i: int, sign: int = 1) -> "Word":
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -101,7 +97,7 @@ def parse_word(text: str, name_to_index) -> Word:
     """Parse `x1 x3^-1 x2` (optional `*` separators) against a name map."""
     text = text.strip()
     if text in ("", "1"):
-        return Word.identity()
+        return Word()
     letters = []
     for tok in re.split(r"[\s*]+", text):
         if not tok:
@@ -137,16 +133,12 @@ class GroupRingElt:
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def zero() -> "GroupRingElt":
-        return GroupRingElt()
-
-    @staticmethod
     def one() -> "GroupRingElt":
-        return GroupRingElt({Word.identity(): 1})
+        return GroupRingElt({Word(): 1})
 
     @staticmethod
-    def from_word(w: Word, c=1) -> "GroupRingElt":
-        return GroupRingElt({w: c})
+    def from_word(w: Word) -> "GroupRingElt":
+        return GroupRingElt({w: 1})
 
     def is_zero(self) -> bool:
         return not self.terms

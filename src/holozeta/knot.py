@@ -54,10 +54,6 @@ class Representation:
     def trivial(gen_indices) -> "Representation":
         return Representation(1, {i: (1,) for i in gen_indices}, {i: 1 for i in gen_indices})
 
-    @staticmethod
-    def abelianization(p: BasedPresentation) -> "Representation":
-        return Representation.trivial([g.index for g in p.generators])
-
 
 def _rational_inverse(m, k: int) -> tuple:
     """The inverse of the constant k x k matrix m, by
@@ -372,7 +368,7 @@ def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup
     return AlexanderSetup(p, denom)
 
 
-def twisted_alexander(d: KnotDiagram, rep: Representation, route: str = "graph",
+def twisted_alexander(d: KnotDiagram, rep: Representation, route: str,
                       setup: Optional[AlexanderSetup] = None) -> TwistedAlexander:
     """The twisted Alexander polynomial by one route; pass the `setup` of
     `d` and `rep` to share it between routes."""

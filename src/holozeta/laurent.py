@@ -66,10 +66,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
 
@@ -476,12 +472,12 @@ class PolyMatrix:
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        one, zero = LaurentPoly.one(), LaurentPoly()
         return PolyMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     @staticmethod
     def zeros(r: int, c: int) -> "PolyMatrix":
-        return PolyMatrix(r, c, [LaurentPoly.zero()] * (r * c))
+        return PolyMatrix(r, c, [LaurentPoly()] * (r * c))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -550,7 +546,7 @@ class PolyMatrix:
             return LaurentPoly.one()
         if n == 1:
             return self[0, 0]
-        acc = LaurentPoly.zero()
+        acc = LaurentPoly()
         for j in range(n):
             a = self[0, j]
             if a.is_zero():
@@ -579,12 +575,12 @@ class PolyMatrix:
                         sign = -sign
                         break
                 else:
-                    return LaurentPoly.zero()
+                    return LaurentPoly()
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                     m[i][j] = num.divexact(prev)
-                m[i][k] = LaurentPoly.zero()
+                m[i][k] = LaurentPoly()
             prev = m[k][k]
         d = m[n - 1][n - 1]
         return d if sign == 1 else -d
@@ -736,7 +732,7 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         L = self.order
-        out = [LaurentPoly.zero()] * (L + 1)
+        out = [LaurentPoly()] * (L + 1)
         for i, a in enumerate(self.coeffs):
             if not a.terms:
                 continue
@@ -759,7 +755,7 @@ class TruncatedSeries:
         nonzero = [(k, a) for k, a in enumerate(self.coeffs) if k and a.terms]
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = LaurentPoly.zero()
+            acc = LaurentPoly()
             for k, a in nonzero:
                 if k > n:
                     break
@@ -776,7 +772,7 @@ class TruncatedSeries:
         ka = [(k, a.scale(k)) for k, a in enumerate(self.coeffs) if a.terms]
         out = [LaurentPoly.one()]
         for n in range(1, self.order + 1):
-            acc = LaurentPoly.zero()
+            acc = LaurentPoly()
             for k, a in ka:
                 if k <= n and out[n - k].terms:
                     acc = acc + a * out[n - k]
@@ -806,7 +802,7 @@ def series_det(m: PolyMatrix, order: int) -> TruncatedSeries:
     ring = cell_ring(m.entries, top, (1,), m.rows)
     x = [ring.pack(p) for p in m.entries]
     coeffs = [ring.unpack(c, j) for j, c in enumerate(det_one_minus_x_cells(x, m.rows, top, ring))]
-    return TruncatedSeries(order, coeffs + [LaurentPoly.zero()] * (order - top))
+    return TruncatedSeries(order, coeffs + [LaurentPoly()] * (order - top))
 
 
 def series_det_inverse(m: PolyMatrix, order: int) -> TruncatedSeries:

@@ -169,7 +169,7 @@ def f_twisted_weights(f: AlexanderPairTable, q: FiniteQuandle) -> CrossingWeight
 WEIGHT_TABLES = ("g1_pos", "g2_pos", "g1_neg", "g2_neg")
 
 
-def _holonomy_ring(g: CrossingWeights, shifted: bool):
+def _holonomy_ring(g: CrossingWeights, extra):
     """The ring in which the holonomy identities of g are decided, the four
     tables of g packed in it and the same four times pack(1), each as a list
     of rows of ring values.
@@ -181,11 +181,11 @@ def _holonomy_ring(g: CrossingWeights, shifted: bool):
     bound of `cell_ring` reads only the 1-norms of the cells, so
     cell_ring(cells, 2, (1,), 2) proves that each side, read at power 2, has
     its own balanced digits: two sides are equal exactly when their ring
-    values are.  With `shifted` each cell + 1 is a cell too, so this holds
-    with 1 added to any one cell."""
+    values are.  The cells `extra` are in the ring too, so this holds with
+    any one cell of g replaced by one of them."""
     one = LaurentPoly.one()
     cells = [p for which in WEIGHT_TABLES for row in getattr(g, which) for p in row]
-    ring = cell_ring(cells + [one] + ([p + one for p in cells] if shifted else []), 2, (1,), 2)
+    ring = cell_ring([*cells, one, *extra], 2, (1,), 2)
     tables = [[[ring.pack(p) for p in row] for row in getattr(g, which)]
               for which in WEIGHT_TABLES]
     one = ring.pack(one)
@@ -239,7 +239,7 @@ def holonomy_failures(q: FiniteQuandle, g: CrossingWeights):
     """Yield each failing holonomy identity of the weights g as (condition,
     witness, "lhs != rhs"), lazily and in the order (A), (B-1), (B-2), (C),
     checked in the ring of `_holonomy_ring`; `detail` reads both sides back."""
-    ring, *packed = _holonomy_ring(g, False)
+    ring, *packed = _holonomy_ring(g, ())
     for cond, witness, lhs, rhs in _identities(q, ring, *packed):
         if lhs != rhs:
             yield cond, witness, "%s != %s" % (ring.unpack(lhs, 2), ring.unpack(rhs, 2))
@@ -254,16 +254,17 @@ def holonomy_check(q: FiniteQuandle, g: CrossingWeights) -> list:
 def perturbations_rejected(q: FiniteQuandle, g: CrossingWeights, edits) -> int:
     """How many edits fail the holonomy check, each edit (table name, a, b)
     the weights g with 1 added to that cell.  The ring, built once, holds
-    each cell + 1; an edit swaps its packed cell and its lone value in, runs
-    the identities to the first failure, formatting nothing, and swaps them
-    back."""
-    ring, one, tables, lone = _holonomy_ring(g, True)
+    each edited cell + 1; an edit swaps its packed cell and its lone value
+    in, runs the identities to the first failure, formatting nothing, and
+    swaps them back."""
+    bumped = [getattr(g, which)[a][b] + LaurentPoly.one() for which, a, b in edits]
+    ring, one, tables, lone = _holonomy_ring(g, bumped)
     rejected = 0
-    for which, a, b in edits:
+    for (which, a, b), cell in zip(edits, bumped):
         k = WEIGHT_TABLES.index(which)
         row, lone_row = tables[k][a], lone[k][a]
         kept = row[b], lone_row[b]
-        row[b] = ring.pack(getattr(g, which)[a][b] + LaurentPoly.one())
+        row[b] = ring.pack(cell)
         lone_row[b] = row[b] * one
         rejected += any(lhs != rhs for _, _, lhs, rhs in _identities(q, ring, one, tables, lone))
         row[b], lone_row[b] = kept
@@ -394,19 +395,17 @@ def enumerate_colorings(q: FiniteQuandle, d) -> list:
     return [QuandleColoring(tuple(list(zip(d.arcs, assign)))) for assign in found]
 
 
-def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQuandle = None) -> WeightedDigraph:
+def quandle_weighted_graph(d, c: QuandleColoring, g: CrossingWeights, q: FiniteQuandle) -> WeightedDigraph:
     """One vertex per arc; each crossing (except the last arc's, whose
     relation is the omitted one) contributes the forward edge
     v_i -> v_{i+1} weighted g1 and the over edge v_i -> v_j weighted g2.
-
-    Pass the quandle to re-validate the coloring against the diagram."""
+    The coloring is checked against the diagram in the quandle q."""
     colors = dict(c.colors)
     if set(colors) != set(d.arcs):
         raise ValueError("coloring does not match the diagram arcs")
-    if q is not None:
-        bad = _check_coloring(q, d, colors)
-        if bad is not None:
-            raise ValueError("coloring violates the crossing constraint at %r" % (bad,))
+    bad = _check_coloring(q, d, colors)
+    if bad is not None:
+        raise ValueError("coloring violates the crossing constraint at %r" % (bad,))
     vertices = tuple([(a, 1) for a in d.arcs])
     edges = []
     last = d.arcs[-1]

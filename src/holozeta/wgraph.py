@@ -44,6 +44,12 @@ class Edge:
     weight: object  # PolyMatrix or GroupRingElt
 
 
+def _check_id(what: str, name: str):
+    # one token of the text format: not empty, no whitespace, no comment
+    if "#" in name or name.split() != [name]:
+        raise ValueError("%s id %r is empty or has whitespace or '#'" % (what, name))
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
     kind: str  # "matrix" | "group"
@@ -57,13 +63,12 @@ class WeightedDigraph:
         if len(dims) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         for vid, d in self.vertices:
+            _check_id("vertex", vid)
             if d < 0:
                 raise ValueError("vertex %r has negative dimension %d" % (vid, d))
         ids = set()
         for e in self.edges:
-            # one token of the text format: not empty, no whitespace, no comment
-            if "#" in e.id or e.id.split() != [e.id]:
-                raise ValueError("edge id %r is empty or has whitespace or '#'" % e.id)
+            _check_id("edge", e.id)
             if e.id in ids:
                 raise ValueError("duplicate edge id %r" % e.id)
             ids.add(e.id)
@@ -141,7 +146,7 @@ def _zero_weight(g: WeightedDigraph, src: str, tgt: str):
     if g.kind == "matrix":
         dims = g.dims()
         return PolyMatrix.zeros(dims[src], dims[tgt])
-    return GroupRingElt.zero()
+    return GroupRingElt()
 
 
 # -- Phi image, adjacency matrix and zeta --------------------------------
@@ -168,7 +173,7 @@ def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
     for vid, dim in g.vertices:
         offsets[vid] = total
         total += dim
-    entries = [LaurentPoly.zero()] * (total * total)
+    entries = [LaurentPoly()] * (total * total)
     for e in g.edges:
         w = e.weight
         r0, c0 = offsets[e.src], offsets[e.tgt]
@@ -255,11 +260,7 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
     return classes
 
 
-def prime_cycle_classes(g: WeightedDigraph, max_len: int):
-    return [c for c in cycle_classes(g, max_len) if c.prime]
-
-
-def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSeries:
+def euler_product_oracle(g: WeightedDigraph, max_len: int) -> TruncatedSeries:
     """Product over prime cycle classes C of det(I - u^|C| w(C)), truncated
     at u^max_len, where w(C) is the ordered product of the edge weights
     along C: the reciprocal 1/zeta of the Euler product, which the paper's
@@ -275,7 +276,7 @@ def euler_product_oracle(g: WeightedDigraph, max_len: int = 8) -> TruncatedSerie
     the coefficient of u^n of the whole product is read back, once, at
     power n."""
     _matrix_only(g)
-    classes = prime_cycle_classes(g, max_len)
+    classes = [c for c in cycle_classes(g, max_len) if c.prime]
     dims = g.dims()
     ring = cell_ring([p for e in g.edges for p in e.weight.entries], max_len,
                      [len(c.edges) for c in classes], max(dims.values(), default=0))
@@ -522,11 +523,11 @@ def _verify_witness(g: WeightedDigraph, v: str, s: TransformStep):
         j = s.gen_map.get(e.tgt)
         if j is None:
             raise InvalidStep("no generator for vertex %r" % e.tgt)
-        sums[j] = sums.get(j, GroupRingElt.zero()) + e.weight
+        sums[j] = sums.get(j, GroupRingElt()) + e.weight
     touched = set(sums) | f.generators()
     for j in sorted(touched):
         expect = fox_derivative(f, j)
-        got = sums.get(j, GroupRingElt.zero())
+        got = sums.get(j, GroupRingElt())
         if expect != got:
             raise InvalidStep(
                 "witness fails at generator %d: df/dx = %r but edges sum to %r"

@@ -15,7 +15,7 @@ from holozeta.laurent import LaurentPoly, PolyMatrix, TruncatedSeries
 from holozeta.freegroup import Word
 from holozeta.knot import Representation
 from holozeta.quandle import AlexanderPairTable, CrossingWeights, FiniteQuandle, alexander_pair_check
-from holozeta.wgraph import Edge, WeightedDigraph, prime_cycle_classes
+from holozeta.wgraph import Edge, WeightedDigraph, cycle_classes
 
 
 def seeded_rng(salt: int = 0) -> random.Random:
@@ -83,6 +83,11 @@ def cycle_classes_by_walks(g, max_len: int) -> list:
     return [(tuple(edges[i].id for i in w), prime) for w, prime in sorted(classes.items())]
 
 
+def prime_cycle_classes(g, max_len: int) -> list:
+    """The prime classes of `cycle_classes`, the ones the Euler product runs over."""
+    return [c for c in cycle_classes(g, max_len) if c.prime]
+
+
 def random_word(rng, n_gens: int, max_len: int = 12) -> Word:
     letters = tuple(
         (rng.randrange(n_gens), rng.choice((1, -1)))
@@ -115,7 +120,7 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
     """Leibniz-formula determinant, an oracle independent of the library's
     Bareiss and cofactor routines."""
     n = m.rows
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -138,18 +143,18 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
 
 def series_one(order: int) -> TruncatedSeries:
     """The series 1, truncated at u^order."""
-    return TruncatedSeries(order, [LaurentPoly.one()] + [LaurentPoly.zero()] * order)
+    return TruncatedSeries(order, [LaurentPoly.one()] + [LaurentPoly()] * order)
 
 
 def series_det_inverse_by_exp(m: PolyMatrix, order: int) -> TruncatedSeries:
     """det(I - u*M)^-1 truncated at u^order as exp(sum_k tr(M^k) u^k / k),
     from all `order` matrix powers: an oracle independent of the library's
     Newton identities on half-power traces."""
-    log_coeffs = [LaurentPoly.zero()]
+    log_coeffs = [LaurentPoly()]
     power = PolyMatrix.identity(m.rows)
     for k in range(1, order + 1):
         power = power * m
-        trace = sum([power[i, i] for i in range(m.rows)], LaurentPoly.zero())
+        trace = sum([power[i, i] for i in range(m.rows)], LaurentPoly())
         log_coeffs.append(trace.scale(Fraction(1, k)))
     return TruncatedSeries(order, log_coeffs).exp()
 
@@ -212,7 +217,7 @@ def det_one_minus_x_by_laurent(m: PolyMatrix, top: int) -> list:
     the power traces tr(M^k), with every product a `LaurentPoly` one: an
     oracle independent of the library's packed cells."""
     n = m.rows
-    zero = LaurentPoly.zero()
+    zero = LaurentPoly()
     powers = [None, m]
     for _ in range(2, (top + 1) // 2 + 1):
         powers.append(powers[-1] * m)
@@ -245,7 +250,7 @@ def euler_product_by_laurent(g, max_len: int) -> TruncatedSeries:
         w = weight[c.edges[0]]
         for eid in c.edges[1:]:
             w = w * weight[eid]
-        coeffs = [LaurentPoly.zero()] * (max_len + 1)
+        coeffs = [LaurentPoly()] * (max_len + 1)
         n = len(c.edges)
         for j, cj in enumerate(det_one_minus_x_by_laurent(w, min(w.rows, max_len // n))):
             coeffs[n * j] = cj
@@ -292,6 +297,12 @@ def colorings_by_sweep(q, d) -> list:
         else:
             found.append(tuple(zip(d.arcs, colors)))
     return found
+
+
+def abelianization(p) -> Representation:
+    """The trivial rep on the generators of the presentation p: rho = 1 and
+    alpha(x_i) = 1 for each x_i."""
+    return Representation.trivial([g.index for g in p.generators])
 
 
 def rep_direct_sum(r1: Representation, r2: Representation) -> Representation:

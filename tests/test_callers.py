@@ -19,6 +19,18 @@ Every name a library module imports is used in it, `fixtures.py` included;
 `fixtures.py` is exempt from the caller census: its functions are the
 shipped worked examples that the README lists as a whole, each a data
 builder for users to start from, not a code path of the library.
+
+The census also counts knobs.  Every parameter with a default, of a
+module function, a method, a static method or an `__init__` (called as its
+class), is set by some call and left by another: a default no caller
+relies on belongs in the signature as a required parameter, and one no
+caller overrides is a constant.  The calls read are those of the library
+(`fixtures.py` included), of `perfbench/*.py` and of the README's code
+blocks and spans, each parsed as Python and skipped when it does not parse;
+a call passes a parameter by position or by keyword, and calls that
+unpack `*args` or `**kwargs` are not counted.  And no static method without
+parameters returns its own class built with no arguments: `Cls()` is the
+one spelling of that value.
 """
 import ast
 import io
@@ -28,6 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"__init__.py", "fixtures.py"}
+
+
+def _is_static(fn) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
 
 
 def _defined_names(tree):
@@ -40,9 +56,7 @@ def _defined_names(tree):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")):
-                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                 for d in sub.decorator_list)
-                    yield "%s.%s" % (node.name, sub.name), sub.lineno, static
+                    yield "%s.%s" % (node.name, sub.name), sub.lineno, _is_static(sub)
 
 
 def _caller(qualname: str, static: bool, classes: set):
@@ -69,17 +83,23 @@ def _code_lines(text: str) -> list:
     return ["".join(line) for line in lines]
 
 
-def _markdown_code(text: str) -> str:
-    """The fenced code blocks and inline code spans of a Markdown text."""
-    return "\n".join(re.findall(r"```.*?```|`[^`]+`", text, re.S))
+def _markdown_code(text: str) -> list:
+    """The fenced code blocks, without their fences and language tag, and
+    the inline code spans of a Markdown text."""
+    return [block or span for block, span in re.findall(r"```\w*\n(.*?)```|`([^`]+)`", text, re.S)]
+
+
+def _library_sources() -> dict:
+    """The text of each library module but `__init__.py`, by file name."""
+    return {p.name: p.read_text()
+            for p in sorted((ROOT / "src" / "holozeta").glob("*.py")) if p.name != "__init__.py"}
 
 
 def uncalled_names() -> list:
-    sources = {p.name: p.read_text()
-               for p in sorted((ROOT / "src" / "holozeta").glob("*.py")) if p.name != "__init__.py"}
+    sources = _library_sources()
     library = {module: _code_lines(text) for module, text in sources.items()}
     outside = "\n".join([p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-                        + [_markdown_code((ROOT / "README.md").read_text())])
+                        + _markdown_code((ROOT / "README.md").read_text()))
     trees = {module: ast.parse(text) for module, text in sources.items()}
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
@@ -105,10 +125,8 @@ def unused_imports() -> list:
     """`module:line name` for each name a library module imports and never
     reads; `from __future__` imports are directives, not names."""
     unused = []
-    for path in sorted((ROOT / "src" / "holozeta").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
+    for module, text in _library_sources().items():
+        tree = ast.parse(text)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (
@@ -116,9 +134,101 @@ def unused_imports() -> list:
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
-                        unused.append("%s:%d %s" % (path.name, node.lineno, name))
+                        unused.append("%s:%d %s" % (module, node.lineno, name))
     return unused
 
 
 def test_every_imported_name_is_used():
     assert unused_imports() == []
+
+
+def _calls() -> list:
+    """Every call of the library, the benchmark and the README's code that
+    names its arguments plainly (no `*args` or `**kwargs`)."""
+    texts = list(_library_sources().values())
+    texts += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    texts += _markdown_code((ROOT / "README.md").read_text())
+    calls = []
+    for text in texts:
+        try:
+            tree = ast.parse(text)
+        except SyntaxError:
+            continue
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and not any(isinstance(a, ast.Starred) for a in node.args)
+                  and all(k.arg for k in node.keywords)]
+    return calls
+
+
+def _is_call_of(node, name: str, owner, classes: set) -> bool:
+    """Does the call `node` call the def `name` of class `owner` (None for a
+    module function)?  An `__init__` is called as its class, a method as
+    `x.name(...)` with x not another library class."""
+    f = node.func
+    called = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    if name == "__init__":
+        return called == owner
+    if owner is None:
+        return called == name
+    return isinstance(f, ast.Attribute) and called == name and not (
+        isinstance(f.value, ast.Name) and f.value.id in classes - {owner})
+
+
+def unset_parameters() -> list:
+    """`module:line def(parameter) never set|never left` for each defaulted
+    parameter of a library def that every call passes, or none does."""
+    trees = {module: ast.parse(text) for module, text in _library_sources().items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    calls = _calls()
+    found = []
+    for module, tree in trees.items():
+        defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(node.name, sub) for node in tree.body if isinstance(node, ast.ClassDef)
+                 for sub in node.body if isinstance(sub, ast.FunctionDef)]
+        for owner, fn in defs:
+            a = fn.args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if owner and not _is_static(fn):
+                positional = positional[1:]  # self, bound by the call
+            mine = [c for c in calls if _is_call_of(c, fn.name, owner, classes)]
+            for param in defaulted:
+                setting = [c for c in mine if param in positional[:len(c.args)]
+                           or any(k.arg == param for k in c.keywords)]
+                where = "%s:%d %s(%s)" % (module, fn.lineno, ".".join(filter(None, (owner, fn.name))),
+                                          param)
+                if not setting:
+                    found.append(where + " never set")
+                if len(setting) == len(mine):
+                    found.append(where + " never left")
+    return found
+
+
+def test_every_default_is_both_set_and_left():
+    assert unset_parameters() == []
+
+
+def second_spellings() -> list:
+    """`module:line Cls.name` for each static method without parameters that
+    returns `Cls()`."""
+    found = []
+    for module, text in _library_sources().items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and _is_static(fn)) or (
+                        fn.args.posonlyargs or fn.args.args or fn.args.kwonlyargs):
+                    continue
+                for node in ast.walk(fn):
+                    v = node.value if isinstance(node, ast.Return) else None
+                    if (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                            and v.func.id == cls.name and not v.args and not v.keywords):
+                        found.append("%s:%d %s.%s" % (module, fn.lineno, cls.name, fn.name))
+    return found
+
+
+def test_no_static_method_respells_the_bare_constructor():
+    assert second_spellings() == []

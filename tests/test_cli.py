@@ -262,7 +262,7 @@ def test_perturb_above_the_limit_exits_2_at_once(tmp_path):
     # in a subprocess: without the check, 10^9 perturbations take about a day
     d3 = dihedral_quandle(3)
     q3 = _write(tmp_path, "q3.txt", format_quandle(d3))
-    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly()), d3)
     weights = _write(tmp_path, "w.txt", format_weights_file(identity))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-m", "holozeta.cli", "holonomy-check", "--quandle", q3,
@@ -473,7 +473,7 @@ def test_holonomy_check_bounds_the_scaling_denominator(tmp_path, capsys, monkeyp
     }
     for name, text in files.items():
         wf = _write(tmp_path, name + ".txt", text)
-        ring = quandle._holonomy_ring(quandle.parse_weights_file(text), True)[0]
+        ring = quandle._holonomy_ring(quandle.parse_weights_file(text), ())[0]
         assert isinstance(ring, laurent.LaurentCells)
         argv = ["holonomy-check", "--quandle", qf, "--weights", wf, "--perturb", "1000"]
         code, out, seconds = _holonomy_run(argv, capsys)
@@ -481,7 +481,7 @@ def test_holonomy_check_bounds_the_scaling_denominator(tmp_path, capsys, monkeyp
         if name == "narrow":
             with monkeypatch.context() as m:
                 m.setattr(laurent, "PACK_WIDTH_BITS", 10 ** 9)
-                assert isinstance(quandle._holonomy_ring(quandle.parse_weights_file(text), True)[0],
+                assert isinstance(quandle._holonomy_ring(quandle.parse_weights_file(text), ())[0],
                                   laurent.PackedCells)
                 assert _holonomy_run(argv, capsys)[:2] == (code, out)
         assert code == 1
@@ -623,7 +623,7 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys):
     d3 = dihedral_quandle(3)
     q3_text = format_quandle(d3)
     q3 = _write(tmp_path, "q3.txt", q3_text)
-    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly()), d3)
     weights = _write(tmp_path, "w.txt", format_weights_file(identity))
     noop = _write(tmp_path, "noop.tz", "# no moves\n")
     cases += [
@@ -666,7 +666,7 @@ def test_witness_line_is_json(tmp_path, capsys):
     lines = format_pair_file(f).splitlines()
     lines[4] = ", ".join(["7"] * 3)
     bad_pair = _write(tmp_path, "badpair.txt", "\n".join(lines))
-    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly.zero()), d3)
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly()), d3)
     bad_w = _write(tmp_path, "w.txt", format_weights_file(
         perturbed(identity, "g1_pos", 0, 1, LaurentPoly.one())))
     graph = _graph_file(tmp_path)
@@ -800,16 +800,22 @@ _CONTRACT = {
 _EDIT_CHARS = "0123456789 \n\t+-*/^,.:=@#[]()<>\"'xyzuvetOUX\u00e9"
 
 
-def _run_contract(directory, name, text):
-    """(exit code, stdout) of the argv of `name` reading `text`."""
+def _run_argv(directory, argv, text):
+    """(exit code, stdout, stderr) of `argv` with `text` as {}, the other
+    files it names being the valid ones of `_CONTRACT`."""
     mutated = directory / "mutated"
     mutated.write_text(text)
     argv = [str(mutated) if a == "{}" else str(directory / a) if a in _CONTRACT else a
-            for a in _CONTRACT[name][1]]
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_contract(directory, name, text):
+    """(exit code, stdout) of the argv of `name` reading `text`."""
+    return _run_argv(directory, _CONTRACT[name][1], text)[:2]
 
 
 @pytest.fixture(scope="module")
@@ -862,3 +868,99 @@ def test_an_empty_cell_exits_2(contract_dir, name):
     assert old in text
     assert _run_contract(contract_dir, name, text.replace(old, new.format("0"), 1))[0] in (0, 1)
     assert _run_contract(contract_dir, name, text.replace(old, new.format(""), 1)) == (2, "")
+
+
+# -- each rejection a CLI input can reach, one table per reader -------------
+
+_GRAPH_VERIFY = ["graph-verify", "--graph", "graph", "--script", "{}", "--expect", "graph"]
+
+
+def _step_rejected(reason):
+    return {"witness": "step 0 rejected: " + reason, "failing-step": 0}
+
+
+# reader -> (argv reading {}, rows of (text, exit code, expected)): on exit 2
+# the reason on stderr, on exit 1 the witness line, on exit 0 the stdout
+_REJECTIONS = {
+    "pd": (["alexander", "--pd", "{}", "--route", "both"], [
+        ("X[1,3,2,5] X[3,6,4,1] X[5,2,6,3]", 2, "ambiguous over-strand orientation at X[1,3,2,5]"),
+        ("X[1,3,2,4] X[1,4,2,3]", 2, "under-in edges must be distinct"),
+        ("X[1,1,2,2]", 2, "edge 1 cannot both end under and over a crossing"),
+        ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,1]", 2, "open strands at edges [1, 3]"),
+    ]),
+    "gauss": (["alexander", "--gauss", "{}", "--route", "both"], [
+        ("O1+ U2+ O3+", 2, "a Gauss code needs a positive even number of passes, not 3"),
+        ("", 2, "a Gauss code needs a positive even number of passes, not 0"),
+        ("O1+ O1+", 2, "crossing 1 needs one O and one U pass"),
+        ("unknot", 0, "numerator: 1\ndenominator: 1 - t\nroutes-agree: true\n"),
+        # a virtual trefoil: planarity is not checked, and both routes read
+        # the group its Wirtinger relations present
+        ("O1+ O2+ U1+ U2+", 0, "numerator: 1\ndenominator: 1 - t\nroutes-agree: true\n"),
+    ]),
+    "presentation": (_CONTRACT["presentation"][1], [
+        ("rel: x y\ngens: x y\n", 2, "gens: line must come first"),
+        ("# no lines\n", 2, "missing gens: line"),
+        ("gens: x y\nrel: x y  base: x\n", 2, "base point must look like name@ordinal"),
+        ("gens: x\nrel: x z\n", 2, "unknown generator 'z'"),
+        ("gens: x y\nrel: x x^-1\n", 2, "relation 0 is empty"),
+        ("gens: x y\nrel: x y  base: x@0\nrel: x y x  base: x@1\n", 2,
+         "base map not injective at generator 0"),
+    ]),
+    "rep": (_CONTRACT["rep"][1], [
+        ("# no lines\n", 2, "empty representation file"),
+        ("x1: [[1]]\nx2: [[1,0],[0,1]]\nall: [[1]]\n", 2, "inconsistent matrix sizes"),
+        ("x1: [[1]]\n", 2, "representation missing generators [1, 2]"),
+    ]),
+    "quandle": (["quandle-check", "--quandle", "{}"], [
+        ("2\n0 5\n1 1\n", 1, {"witness": "table entry 5 out of range", "at": "None"}),
+        ("2\n0 0\n0 1\n", 1, {"witness": "right translation by 0 not injective",
+                               "at": "(1, 0)"}),
+        ("", 2, "empty quandle file"),
+    ]),
+    "pair": (_CONTRACT["pair"][1], [
+        ("3\nt, 1, 1\n1, t, 1\n1, 1, t\n1 - t, 0, 0\n0, 1 - t, 0\n0, 0, 1 - t\n", 1,
+         {"witness": "alexander pair condition fails", "at": "(cond=3a, a=0, b=1, c=0)"}),
+        ("3\n" + "1 + t, 1 + t, 1 + t\n" * 3 + "-t, -t, -t\n" * 3, 1,
+         {"witness": "alexander pair condition fails", "at": "(cond=2, a=0, b=0)"}),
+        ("3\nt, t\n" + "t, t, t\n" * 2 + "1 - t, 1 - t, 1 - t\n" * 3, 2,
+         "expected 3 comma-separated entries in 't, t'"),
+        ("2\nt, t\nt, t\n1 - t, 1 - t\n1 - t, 1 - t\n", 2,
+         "pair size 2 does not match quandle size 3"),
+    ]),
+    "graph-script": (_GRAPH_VERIFY, [(line + "\n", 1, _step_rejected(reason)) for line, reason in [
+        ("change_basis w [[1]]", "no vertex 'w'"),
+        ("change_basis u [[1,0],[0,1]]", "basis matrix must be 1x1"),
+        ("change_basis u [[0]]", "matrix not invertible over the Laurent ring"),
+        ("change_basis u [[1+t]]", "matrix not invertible over the Laurent ring"),
+        ("null_add z u w", "null edge endpoints missing"),
+        ("merge u v", "need at least two parallel edges 'u' -> 'v'"),
+        ("split e1 a=[[t]]", "split needs at least two summands"),
+        ("eliminate w", "no vertex 'w'"),
+        ("eliminate u", "vertex 'u' is neither a source nor a sink"),
+        ("insert u 1", "vertex 'u' already exists"),
+        ("insert w 1 f1 u w [[1]] f2 w v [[1]]", "inserted vertex must be a source or a sink"),
+        ("insert w 1 f u v [[1]]", "inserted edge 'f' must touch the new vertex"),
+        ("hub_resolve e3", "hub resolution requires distinct endpoints"),
+        ("hub_unresolve h u u [[1]] e3:e3", "hub edge endpoints must differ"),
+        ("hub_unresolve h u v [[1]] e1:e1", "pairs must cover the out-edges of 'v' exactly"),
+        ("hub_unresolve h u v [[1]] e1:e2", "edge 'e1' does not run 'u' -> 'u'"),
+        ("hub_unresolve h u v [[1]] e3:e2", "edge 'e3' is not the hub product for 'e2'"),
+    ]]),
+}
+
+
+@pytest.mark.parametrize("reader, text, code, expected", [
+    (reader, *row) for reader, (_, rows) in _REJECTIONS.items() for row in rows], ids=[
+    "%s-%d" % (reader, k) for reader, (_, rows) in _REJECTIONS.items() for k in range(len(rows))])
+def test_each_reachable_rejection_keeps_the_exit_contract(contract_dir, reader, text, code,
+                                                         expected):
+    """Exit 2 prints nothing and names the reason on stderr; exit 1 ends in
+    its witness line and writes nothing to stderr."""
+    got, out, err = _run_argv(contract_dir, _REJECTIONS[reader][0], text)
+    assert got == code
+    if code == 2:
+        assert out == "" and err == "error: %s\n" % expected
+    elif code == 1:
+        assert json.loads(out.splitlines()[-1]) == expected and err == ""
+    else:
+        assert out == expected and err == ""

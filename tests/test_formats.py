@@ -127,7 +127,7 @@ def test_empty_laurent_text_is_an_error():
 def _laurent_texts(draw):
     """Text written term by term from the README's cell grammar, and the
     polynomial its terms add up to, built without the reader."""
-    pieces, total = [], LaurentPoly.zero()
+    pieces, total = [], LaurentPoly()
     for k in range(draw(st.integers(1, 4))):
         sign = draw(st.sampled_from(("+", "-", "−") if k else ("", "+", "-", "−")))
         value = -1 if sign in ("-", "−") else 1

@@ -46,9 +46,9 @@ def test_exponent_sum_and_occurrences():
 def test_fox_derivative_base_cases():
     x, y = Word.gen(0), Word.gen(1)
     assert fox_derivative(x, 0) == GroupRingElt.one()
-    assert fox_derivative(x, 1) == GroupRingElt.zero()
+    assert fox_derivative(x, 1) == GroupRingElt()
     # d(x^-1)/dx = -x^-1
-    assert fox_derivative(x.inv(), 0) == GroupRingElt.from_word(x.inv(), -1)
+    assert fox_derivative(x.inv(), 0) == GroupRingElt({x.inv(): -1})
     # d(xy)/dy = x
     assert fox_derivative(x * y, 1) == GroupRingElt.from_word(x)
 
@@ -68,7 +68,7 @@ def test_fox_fundamental_identity():
     rng = seeded_rng(12)
     for _ in range(300):
         w = random_word(rng, 3, 12)
-        total = GroupRingElt.zero()
+        total = GroupRingElt()
         for j in range(3):
             xj = GroupRingElt.from_word(Word.gen(j))
             total = total + fox_derivative(w, j) * (xj - GroupRingElt.one())
@@ -92,8 +92,8 @@ def test_apply_phi_is_linear():
     rep = Representation.trivial((0, 1, 2))
     rng = seeded_rng(14)
     for _ in range(50):
-        a = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(2))
-        b = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(-1, 2))
+        a = GroupRingElt({random_word(rng, 3, 5): Fraction(2)})
+        b = GroupRingElt({random_word(rng, 3, 5): Fraction(-1, 2)})
         assert apply_phi(a + b, rep) == apply_phi(a, rep) + apply_phi(b, rep)
 
 
@@ -133,7 +133,7 @@ def _reps(draw):
 @given(rep=_reps(), terms=st.dictionaries(_WORDS, _COEFFS, max_size=4))
 def test_apply_phi_matches_the_product_route(rep, terms):
     k = rep.dim
-    zero, empty = GroupRingElt.zero(), GroupRingElt.one()
+    zero, empty = GroupRingElt(), GroupRingElt.one()
     assert apply_phi(zero, rep) == PolyMatrix.zeros(k, k) == apply_phi_by_products(zero, rep)
     assert apply_phi(empty, rep) == PolyMatrix.identity(k) == apply_phi_by_products(empty, rep)
     e = GroupRingElt(terms)
@@ -149,7 +149,7 @@ def test_apply_phi_names_a_missing_generator():
 
 
 def test_augmentation():
-    e = GroupRingElt.from_word(Word.gen(0), 2) - GroupRingElt.one()
+    e = GroupRingElt({Word.gen(0): 2}) - GroupRingElt.one()
     assert apply_phi(e, AUGMENTATION).entries == (LaurentPoly.const(1),)
 
 
@@ -161,9 +161,9 @@ def test_group_ring_coefficients_have_one_canonical_form():
     assert two == same and hash(two) == hash(same) and repr(two) == repr(same)
     rng = seeded_rng(15)
     for _ in range(40):
-        a = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        a = a + GroupRingElt.from_word(random_word(rng, 3, 5), rng.randint(-2, 2))
-        b = GroupRingElt.from_word(random_word(rng, 3, 5), Fraction(rng.randint(1, 4), 2))
+        a = GroupRingElt({random_word(rng, 3, 5): Fraction(rng.randint(-3, 3), rng.randint(1, 3))})
+        a = a + GroupRingElt({random_word(rng, 3, 5): rng.randint(-2, 2)})
+        b = GroupRingElt({random_word(rng, 3, 5): Fraction(rng.randint(1, 4), 2)})
         w = random_word(rng, 3, 8)
         for e in (a + b, a - b, a * b, -a, fox_derivative(w, rng.randrange(3))):
             augmentation = apply_phi(e, AUGMENTATION)[0, 0].coeff(0)

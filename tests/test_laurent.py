@@ -38,7 +38,7 @@ def test_basic_arithmetic():
     assert p * q == one - t * t
     assert p + q == LaurentPoly.const(2)
     assert (p - p).is_zero()
-    assert (-p) + p == LaurentPoly.zero()
+    assert (-p) + p == LaurentPoly()
 
 
 def test_ring_identities_random():
@@ -105,7 +105,7 @@ def test_determinants_agree_with_permutation_expansion():
         assert m.det_bareiss() == expect
     zero_row = PolyMatrix.from_rows(
         [[random_laurent(rng, 2, -2) for _ in range(5)] for _ in range(4)]
-        + [[LaurentPoly.zero()] * 5]
+        + [[LaurentPoly()] * 5]
     )
     assert zero_row.det().is_zero()
     assert zero_row.det_bareiss().is_zero()
@@ -141,10 +141,10 @@ def test_determinants_agree_with_permutation_expansion():
     # the oracle's own branches: a zero (0,0) entry makes det_bareiss swap
     # rows, and a zero first column ends it at once
     rows = [[random_laurent(rng, 2, -2) for _ in range(5)] for _ in range(5)]
-    rows[0][0] = LaurentPoly.zero()
+    rows[0][0] = LaurentPoly()
     zero_corner = PolyMatrix.from_rows(rows)
     zero_column = PolyMatrix.from_rows(
-        [[LaurentPoly.zero()] + [random_laurent(rng, 2, -2) for _ in range(2)] for _ in range(3)]
+        [[LaurentPoly()] + [random_laurent(rng, 2, -2) for _ in range(2)] for _ in range(3)]
     )
     for m in (zero_corner, zero_column):
         expect = det_by_permutations(m)
@@ -173,7 +173,7 @@ def _sparse_unit_matrices(draw):
     density = draw(st.sampled_from((0.4, 0.6, 0.8)))
     unit_share = draw(st.sampled_from((0.3, 0.6, 0.9)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    rows = [[_sparse_entry(rng, unit_share) if rng.random() < density else LaurentPoly.zero()
+    rows = [[_sparse_entry(rng, unit_share) if rng.random() < density else LaurentPoly()
              for _ in range(n)] for _ in range(n)]
     for i in rng.sample(range(n), draw(st.integers(0, 2))):
         rows[i] = [_sparse_entry(rng, 0) if p.is_unit() else p for p in rows[i]]
@@ -253,7 +253,7 @@ def test_det_unit_phase_remainders(monkeypatch):
                 (no_unit, [6], None),
                 (high_degree, [6], parse_laurent("1 - 6*t^20 + 15*t^40 - 20*t^60"
                                                  " + 15*t^80 - 6*t^100 + t^120")),
-                (singular, [None], LaurentPoly.zero())]
+                (singular, [None], LaurentPoly())]
     for m, rests, value in expected:
         remainders.clear()
         bareiss.clear()
@@ -273,7 +273,7 @@ def test_matrix_inverse_unit_det():
         n = rng.randint(1, 3)
         m = PolyMatrix.identity(n)
         for _ in range(4):
-            e = [[LaurentPoly.one() if i == j else LaurentPoly.zero()
+            e = [[LaurentPoly.one() if i == j else LaurentPoly()
                   for j in range(n)] for i in range(n)]
             i, j = rng.randrange(n), rng.randrange(n)
             if i == j:
@@ -295,9 +295,9 @@ def test_series_exp_additivity():
     rng = seeded_rng(5)
     order = 8
     for _ in range(20):
-        a = TruncatedSeries(order, [LaurentPoly.zero()]
+        a = TruncatedSeries(order, [LaurentPoly()]
                             + [random_laurent(rng, 1) for _ in range(order)])
-        b = TruncatedSeries(order, [LaurentPoly.zero()]
+        b = TruncatedSeries(order, [LaurentPoly()]
                             + [random_laurent(rng, 1) for _ in range(order)])
         assert a.exp() * b.exp() == (a + b).exp()
 
@@ -329,7 +329,7 @@ def test_series_det_inverse_single_entry():
 
 def _sparse_high_degree(rng):
     if rng.randrange(3):
-        return LaurentPoly.zero()
+        return LaurentPoly()
     return LaurentPoly.monomial(rng.choice([1, -1, 2, Fraction(1, 3)]), rng.randint(-40, 90))
 
 
@@ -350,7 +350,7 @@ def test_series_det_inverse_matches_the_exp_route():
                 for c in s.coeffs:
                     assert_canonical(c.terms.values())
             nilpotent = PolyMatrix.from_rows([
-                [random_laurent(rng, 2, -1) if j > i else LaurentPoly.zero() for j in range(n)]
+                [random_laurent(rng, 2, -1) if j > i else LaurentPoly() for j in range(n)]
                 for i in range(n)])
             assert series_det_inverse(nilpotent, order) == series_one(order)
             assert series_det_inverse_by_exp(nilpotent, order) == series_one(order)
@@ -461,7 +461,7 @@ def test_coefficients_have_one_canonical_form():
                 for _ in range(n)
             ])
             out += [m.det(), m.det_bareiss()]
-        s = TruncatedSeries(6, [LaurentPoly.zero()] + [
+        s = TruncatedSeries(6, [LaurentPoly()] + [
             random_laurent(rng, 1).scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)))
             for _ in range(6)
         ])

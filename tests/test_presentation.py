@@ -18,7 +18,7 @@ from holozeta.presentation import (
 )
 from holozeta import fixtures
 
-from helpers import seeded_rng
+from helpers import abelianization, seeded_rng
 
 
 X, Y, Z = 0, 1, 2
@@ -191,7 +191,7 @@ def test_presentations_equal_ignores_indexing_and_order():
 
 def test_check_assumption_conjugation_relations():
     p = fixtures.slide_presentation_before()
-    rep = Representation.abelianization(p)
+    rep = abelianization(p)
     entries = check_assumption(p, rep)
     assert entries and all(ok for _, ok, _ in entries)
 

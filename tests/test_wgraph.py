@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from holozeta import fixtures
 from holozeta.freegroup import GroupRingElt, Word, apply_phi
-from holozeta.knot import Representation
 from holozeta.laurent import (
     LaurentCells,
     LaurentPoly,
@@ -31,18 +30,19 @@ from holozeta.wgraph import (
     format_graph,
     parse_graph,
     phi_image,
-    prime_cycle_classes,
     verify_equivalence,
     zeta_reciprocal,
 )
 
 from helpers import (
+    abelianization,
     assert_canonical,
     cycle_classes_by_walks,
     det_one_minus_x_by_laurent,
     euler_product_by_laurent,
     pack_width_limit,
     packing_graphs,
+    prime_cycle_classes,
     random_laurent,
     random_matrix,
     random_matrix_graph,
@@ -243,7 +243,7 @@ def test_series_det_inverse_recovers_the_determinant():
         a = adjacency_matrix(g)
         poly = series_det_inverse(a, a.rows + rng.randint(0, 2)).inverse()
         assert all(c.is_zero() for c in poly.coeffs[a.rows + 1:])
-        total = LaurentPoly.zero()
+        total = LaurentPoly()
         for c in poly.coeffs:
             total = total + c
         assert total == zeta_reciprocal(g)
@@ -374,7 +374,7 @@ def test_group_level_rejections():
         with pytest.raises(InvalidStep, match=message):
             apply_step(h, step)
     pair = WeightedDigraph("group", (("a", 1), ("b", 1)),
-                           (Edge("z", "a", "b", GroupRingElt.zero()),))
+                           (Edge("z", "a", "b", GroupRingElt()),))
     with pytest.raises(InvalidStep, match="would become a sink"):
         apply_step(pair, TransformStep("null_remove", edge="z"))
 
@@ -385,7 +385,7 @@ def test_group_level_round_trips():
     gm = fixtures.slide_gen_map()
     # (G1): a null edge out of xi, which has other out-edges
     h = apply_step(g, TransformStep("null_add", edge="n0", src="xi", tgt="xk"))
-    assert h.edge("n0").weight == GroupRingElt.zero()
+    assert h.edge("n0").weight == GroupRingElt()
     assert apply_step(h, TransformStep("null_remove", edge="n0")) == g
     # (G3): a source whose one out-weight is d(x0)/dx0 = 1
     s = apply_step(g, TransformStep("insert", vertex="s", dim=1,
@@ -444,6 +444,13 @@ def test_an_edge_id_without_a_text_form_is_refused():
         # a step that would build such a graph fails as one that repeats an id does
         with pytest.raises(ValueError, match="edge id"):
             apply_step(g, TransformStep("null_add", edge=eid, src="u", tgt="u"))
+    # a vertex id obeys the same rule: each of these once formatted to text
+    # that `parse_graph` rejects
+    for vid in ("", "a b", "a#b"):
+        with pytest.raises(ValueError, match="^vertex id %s is empty" % re.escape(repr(vid))):
+            WeightedDigraph("matrix", ((vid, 1),), ())
+        with pytest.raises(ValueError, match="vertex id"):
+            apply_step(g, TransformStep("insert", vertex=vid, dim=1))
 
 
 def test_verify_equivalence_reports():
@@ -462,14 +469,14 @@ def test_verify_equivalence_reports():
 
 def test_zeta_layer_rejects_group_graphs():
     g = fixtures.slide_graph_before()
-    for fn in (adjacency_matrix, zeta_reciprocal, euler_product_oracle):
+    for fn in (adjacency_matrix, zeta_reciprocal, lambda g: euler_product_oracle(g, 8)):
         with pytest.raises(ValueError, match="phi_image"):
             fn(g)
 
 
 def test_phi_image_replaces_each_weight():
     g = fixtures.slide_graph_before()
-    rep = Representation.abelianization(fixtures.slide_presentation_before())
+    rep = abelianization(fixtures.slide_presentation_before())
     h = phi_image(g, rep)
     assert h.kind == "matrix" and h.vertices == g.vertices
     assert [(e.id, e.src, e.tgt) for e in h.edges] == [(e.id, e.src, e.tgt) for e in g.edges]
