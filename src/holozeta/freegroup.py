@@ -210,11 +210,52 @@ def apply_phi(e: GroupRingElt, rep) -> PolyMatrix:
             if not identity:
                 r = rho[g][0 if s == 1 else 1]
                 m = r if m is None else rational_matmul(m, r, k, k, k)
-        if m is None:  # rho(w) = I
-            for d in range(0, k * k, k + 1):
-                grid[d][a] = grid[d].get(a, 0) + c
-        else:
-            for cell, x in zip(grid, m):
-                if x:
-                    cell[a] = cell.get(a, 0) + c * x
+        _add_phi(grid, c, a, m, k)
     return PolyMatrix(k, k, [LaurentPoly(cell) for cell in grid])
+
+
+def phi_fox_derivatives(w: Word, rep) -> dict:
+    """Phi(dw/dx_i) for every generator i of w, each a flat row-major list
+    of k*k `LaurentPoly` cells: `apply_phi(fox_derivative(w, i), rep)` for
+    all i from one left-to-right pass over w.
+
+    The pass carries Phi(prefix) = rho(prefix) * t^alpha(prefix).  A letter
+    x_i adds +Phi(prefix) to the i block, a letter x_i^-1 adds
+    -Phi(prefix * x_i^-1).  Each letter costs one k x k constant product
+    (none when `rep.rho_is_identity`), and a letter x_i that ends w none at
+    all, so a generator missing from `rep` raises the `KeyError` of
+    `apply_phi` exactly when some Phi(dw/dx_i) reads it."""
+    k = rep.dim
+    rho, exps = rep.rho, rep.exps
+    identity = rep.rho_is_identity
+    grids = {}
+    a, m = 0, None  # Phi(prefix) = m * t^a; m is None for rho(prefix) = I
+    last = len(w.letters) - 1
+    for pos, (g, s) in enumerate(w.letters):
+        grid = grids.get(g)
+        if grid is None:
+            grid = grids[g] = [{} for _ in range(k * k)]
+        if s == 1:
+            _add_phi(grid, 1, a, m, k)
+            if pos == last:
+                break
+        if g not in rho:
+            raise KeyError("generator %d not defined in representation" % g)
+        a += s * exps[g]
+        if not identity:
+            r = rho[g][0 if s == 1 else 1]
+            m = r if m is None else rational_matmul(m, r, k, k, k)
+        if s == -1:
+            _add_phi(grid, -1, a, m, k)
+    return {g: [LaurentPoly(cell) for cell in grid] for g, grid in grids.items()}
+
+
+def _add_phi(grid, c, a: int, m, k: int):
+    """Add c * m * t^a to the k x k grid of coefficient maps, m None for I."""
+    if m is None:
+        for d in range(0, k * k, k + 1):
+            grid[d][a] = grid[d].get(a, 0) + c
+    else:
+        for cell, x in zip(grid, m):
+            if x:
+                cell[a] = cell.get(a, 0) + c * x

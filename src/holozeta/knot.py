@@ -9,14 +9,14 @@ graph zeta function and through the Fox matrix minor directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .laurent import (
     LaurentPoly, PolyMatrix, canonical_coeff, content_lines, parse_laurent, scan_tokens,
     split_matrix_literal,
 )
-from .freegroup import Generator, GroupRingElt, Word, fox_derivative, apply_phi
+from .freegroup import Generator, GroupRingElt, Word, apply_phi, phi_fox_derivatives
 from .presentation import BasedPresentation, check_assumption, build_group_weighted_graph
 from .wgraph import phi_image, zeta_reciprocal
 
@@ -310,8 +310,8 @@ def wirtinger_presentation(d: KnotDiagram) -> BasedPresentation:
 class TwistedAlexander:
     numerator: LaurentPoly  # unit-normalized (zero stays zero)
     denominator: LaurentPoly  # unit-normalized (zero stays zero)
-    raw_numerator: LaurentPoly = field(default=None)
-    raw_denominator: LaurentPoly = field(default=None)
+    raw_numerator: LaurentPoly
+    raw_denominator: LaurentPoly
 
     @property
     def denominator_vanishes(self) -> bool:
@@ -324,18 +324,22 @@ def _norm(p: LaurentPoly) -> LaurentPoly:
 
 def fox_matrix(p: BasedPresentation, rep: Representation) -> PolyMatrix:
     """The block matrix Phi(dr_i/dx_l) for l past the first generator, whose
-    block column the denominator det(I - Phi(x1)) stands in for."""
+    block column the denominator det(I - Phi(x1)) stands in for.  Each
+    relation's blocks come from one `phi_fox_derivatives` pass, and their
+    cells go straight into the row-major entries; a generator a relation
+    does not use leaves its block zero."""
     k = rep.dim
     gens = sorted(g.index for g in p.generators)[1:]
-    zero = PolyMatrix.zeros(k, k)
-    entries = []
-    for r in p.relations:
-        used = r.generators()
-        blocks = [apply_phi(fox_derivative(r, g), rep) if g in used else zero for g in gens]
-        for a in range(k):
-            for b in blocks:
-                entries.extend(b.row(a))
-    return PolyMatrix(len(p.relations) * k, len(gens) * k, entries)
+    width = len(gens) * k
+    column = {g: c * k for c, g in enumerate(gens)}
+    entries = [LaurentPoly()] * (len(p.relations) * k * width)
+    for i, r in enumerate(p.relations):
+        for g, cells in phi_fox_derivatives(r, rep).items():
+            if g in column:
+                at = i * k * width + column[g]
+                for a in range(k):
+                    entries[at + a * width:at + a * width + k] = cells[a * k:a * k + k]
+    return PolyMatrix(len(p.relations) * k, width, entries)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,8 @@ class LaurentPoly:
             raise ValueError("zero has no unit normal form")
         k = self.min_exp()
         c = self.terms[k]
+        if c in (1, -1):  # shift, and negate for -1: no division
+            return LaurentPoly._ring_result({e - k: v * c for e, v in self.terms.items()})
         return LaurentPoly({e - k: Fraction(v) / c for e, v in self.terms.items()})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -598,8 +600,10 @@ class PolyMatrix:
         loop, and eliminating it is the paper's vertex removal: hub
         resolution of its in-edges, source elimination, then merging the
         parallel edges.  The phase returns 0 as soon as a row or column
-        empties and stops when no unit is left.  The remainder takes
-        cofactor expansion up to 4 x 4 and Laurent Bareiss above that."""
+        empties and stops when no unit is left; it runs on copies of the
+        entries' term maps that it owns (`_eliminate_units`).  The
+        remainder takes cofactor expansion up to 4 x 4 and Laurent Bareiss
+        above that."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         if self.rows <= 4:
@@ -612,27 +616,31 @@ class PolyMatrix:
     def _eliminate_units(self):
         """(d, rest) with det(self) = d * det(rest), rest the matrix the
         unit-pivot phase of `det` leaves; (0, None) once a row or column
-        empties."""
+        empties.  The phase copies each stored entry's terms once, into
+        rows it owns, and updates them in place term by term, dropping
+        zero terms and emptied cells; it keeps d as one coefficient and one
+        exponent, and only d and the cells of rest become `LaurentPoly`
+        again."""
         n = self.rows
         zero = LaurentPoly()
-        rows = [{} for _ in range(n)]  # live row i as {column: stored entry}
+        rows = [{} for _ in range(n)]  # live row i as {column: terms of the entry}
         cols = [set() for _ in range(n)]  # column j: the live rows storing it
         for k, p in enumerate(self.entries):
             if p.terms:
                 i, j = divmod(k, n)
-                rows[i][j] = p
+                rows[i][j] = dict(p.terms)
                 cols[j].add(i)
         if not all(rows) or not all(cols):
             return zero, None
         live_rows, live_cols = list(range(n)), list(range(n))
-        d = LaurentPoly.one()
+        de, dc = 0, 1  # d = dc * t^de
         while live_rows:
             best, least = None, None
             for i in live_rows:
                 row = rows[i]
                 r = len(row) - 1
                 for j, p in row.items():
-                    if len(p.terms) == 1:
+                    if len(p) == 1:
                         cost = r * (len(cols[j]) - 1)
                         if best is None or cost < least:
                             best, least = (i, j), cost
@@ -644,35 +652,42 @@ class PolyMatrix:
             pi, pj = live_rows.index(i), live_cols.index(j)
             del live_rows[pi], live_cols[pj]
             pivot_row = rows[i]
-            u = pivot_row.pop(j)
-            d = d * u if (pi + pj) % 2 == 0 else d * -u
+            ((ue, uc),) = pivot_row.pop(j).items()
+            de += ue
+            dc = dc * uc if (pi + pj) % 2 == 0 else -dc * uc
             for c in pivot_row:
                 cols[c].discard(i)
             column = cols[j]
             column.discard(i)
-            u_inv = u.unit_inverse()
+            u_inv = uc if uc in (1, -1) else Fraction(1) / uc
             for r in column:  # row r -= (a_rj / u) * row i
                 row = rows[r]
-                f = -(row.pop(j) * u_inv)
+                f = [(e - ue, -(x * u_inv)) for e, x in row.pop(j).items()]
                 for c, v in pivot_row.items():
-                    if c not in row:
-                        row[c] = f * v
+                    cell = row.get(c)
+                    if cell is None:
+                        cell = row[c] = {}
                         cols[c].add(r)
-                        continue
-                    new = row[c] + f * v
-                    if new.terms:
-                        row[c] = new
-                    else:
+                    for fe, fx in f:
+                        for e, x in v.items():
+                            e += fe
+                            y = cell.get(e, 0) + fx * x
+                            if y:
+                                cell[e] = y
+                            else:
+                                del cell[e]
+                    if not cell:
                         del row[c]
                         cols[c].discard(r)
                 if not row:
                     return zero, None
             if not all(cols[c] for c in pivot_row):
                 return zero, None
+        ring = LaurentPoly._ring_result
         rest = PolyMatrix(len(live_rows), len(live_cols), [
-            rows[i].get(j, zero) for i in live_rows for j in live_cols
+            ring(rows[i][j]) if j in rows[i] else zero for i in live_rows for j in live_cols
         ])
-        return d, rest
+        return ring({de: dc}), rest
 
     def inverse_unit_det(self) -> "PolyMatrix":
         """Inverse via adjugate; requires det to be a Laurent unit."""

@@ -12,15 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .freegroup import (
-    Generator,
-    GroupRingElt,
-    Word,
-    fox_derivative,
-    apply_phi,
-    parse_word,
-)
-from .laurent import content_lines, parse_int
+from .freegroup import Generator, Word, fox_derivative, parse_word, phi_fox_derivatives
+from .laurent import PolyMatrix, content_lines, parse_int
 from .wgraph import Edge, WeightedDigraph
 
 # tuples are built from lists: one grown from a generator is resized and kept on
@@ -305,7 +298,11 @@ def check_assumption(p: BasedPresentation, rep) -> list:
 
     This is a sound certificate for the group-ring condition
     pr(dr_i/dx_i) != 0; a failure only means "not certified".
+    Phi(1 - df/dx) = I - Phi(df/dx), so it is zero iff the x block is I;
+    the block comes from one `phi_fox_derivatives` pass over f up to its
+    last x, and is zero when f has no x.
     """
+    identity = list(PolyMatrix.identity(rep.dim).entries)
     entries = []
     for i in range(len(p.relations)):
         if i not in p.base:
@@ -313,9 +310,8 @@ def check_assumption(p: BasedPresentation, rep) -> list:
             continue
         g, _ = p.base[i]
         f = p.solved_form(i)
-        elt = GroupRingElt.one() - fox_derivative(f, g)
-        mat = apply_phi(elt, rep)
-        ok = not mat.is_zero()
+        head = Word.from_reduced(f.letters[:max(f.occurrences(g), default=-1) + 1])
+        ok = phi_fox_derivatives(head, rep).get(g) != identity
         entries.append((i, ok, "Phi(1 - df/dx) %s" % ("nonzero" if ok else "zero")))
     return entries
 

@@ -9,6 +9,7 @@ from holozeta.freegroup import (
     apply_phi,
     fox_derivative,
     parse_word,
+    phi_fox_derivatives,
 )
 from holozeta.knot import Representation
 from holozeta.laurent import LaurentPoly, PolyMatrix, rational_matmul
@@ -140,6 +141,72 @@ def test_apply_phi_matches_the_product_route(rep, terms):
     got = apply_phi(e, rep)
     assert got == apply_phi_by_products(e, rep)
     assert_canonical([c for p in got.entries for c in p.terms.values()])
+
+
+_LETTERS = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
+
+
+@st.composite
+def _fox_words(draw):
+    """A word over x0, x1, x2, the empty one included: drawn letters with a
+    block v v^-1 spliced in, so that a prefix of the letters cancels, and
+    maybe conjugated by a generator, so that x and x^-1 both occur."""
+    letters = draw(st.lists(_LETTERS, max_size=8))
+    v = draw(st.lists(_LETTERS, max_size=3))
+    at = draw(st.integers(0, len(letters)))
+    letters = letters[:at] + v + [(g, -s) for g, s in reversed(v)] + letters[at:]
+    if draw(st.booleans()):
+        g = draw(st.integers(0, 2))
+        letters = [(g, 1)] + letters + [(g, -1)]
+    return Word(letters)
+
+
+# the 2-dim S3 rep by the three reflections, and a unipotent 2-dim rep
+_S3 = Representation(2, {0: (0, 1, 1, 0), 1: (-1, 0, -1, 1), 2: (1, -1, 0, -1)}, {0: 1, 1: 1, 2: 1})
+_UNIPOTENT = Representation(2, {0: (1, 1, 0, 1), 1: (1, 0, 0, 1), 2: (1, -2, 0, 1)}, {0: 1, 1: -1, 2: 2})
+_FOX_REPS = st.one_of(st.sampled_from((Representation.trivial((0, 1, 2)), _S3, _UNIPOTENT)), _reps())
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=_fox_words(), rep=_FOX_REPS)
+def test_the_prefix_pass_is_apply_phi_of_the_fox_derivatives(w, rep):
+    """One prefix pass gives apply_phi(fox_derivative(w, i), rep) for every
+    generator i of w, and nothing for the others; with a generator
+    missing from the rep it raises the KeyError that apply_phi raises on
+    some derivative, and only then."""
+    k = rep.dim
+    assert phi_fox_derivatives(Word(), rep) == {}
+    got = phi_fox_derivatives(w, rep)
+    assert set(got) == w.generators()
+    for i in range(3):
+        expect = apply_phi(fox_derivative(w, i), rep)
+        assert PolyMatrix(k, k, got[i]) == expect if i in got else expect.is_zero()
+    assert_canonical([c for cells in got.values() for p in cells for c in p.terms.values()])
+    partial = Representation(k, {i: rep.rho[i][0] for i in (0, 1)}, {i: rep.exps[i] for i in (0, 1)})
+    errors = set()
+    for i in sorted(w.generators()):
+        try:
+            apply_phi(fox_derivative(w, i), partial)
+        except KeyError as exc:
+            errors.add(str(exc))
+    if errors:
+        with pytest.raises(KeyError) as info:
+            phi_fox_derivatives(w, partial)
+        assert {str(info.value)} == errors
+    else:
+        assert phi_fox_derivatives(w, partial) == {
+            i: list(apply_phi(fox_derivative(w, i), partial).entries) for i in w.generators()}
+
+
+def test_the_prefix_pass_reads_a_missing_generator_only_where_a_derivative_does():
+    # x0 x2 ends with x2: its derivatives are 1 and x0, which never read
+    # rho(x2); x2^-1 x0 has the derivative -x2^-1
+    rep = Representation.trivial((0, 1))
+    x0, x2 = Word.gen(0), Word.gen(2)
+    assert phi_fox_derivatives(x0 * x2, rep) == {0: [LaurentPoly.one()], 2: [LaurentPoly.monomial(1, 1)]}
+    for w in (x2.inv() * x0, x2 * x0):
+        with pytest.raises(KeyError, match="generator 2 not defined in representation"):
+            phi_fox_derivatives(w, rep)
 
 
 def test_apply_phi_names_a_missing_generator():

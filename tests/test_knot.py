@@ -19,7 +19,7 @@ from holozeta.knot import (
     twisted_alexander,
     wirtinger_presentation,
 )
-from holozeta.presentation import build_group_weighted_graph
+from holozeta.presentation import BasedPresentation, build_group_weighted_graph, check_assumption
 from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
@@ -131,6 +131,47 @@ def test_apply_phi_multiplies_no_laurent_matrices(monkeypatch):
     got = [apply_phi(e, s3) for e in derivs]
     monkeypatch.undo()
     assert got == expected
+
+
+def test_the_direct_route_shares_no_fox_code_with_the_graph_route(monkeypatch):
+    """fox_matrix and check_assumption take Phi of the Fox derivatives from
+    the prefix pass, never from fox_derivative and apply_phi, which the
+    graph route uses; their results equal those of that shared path."""
+    import holozeta.freegroup as freegroup
+    import holozeta.knot as knot
+    import holozeta.presentation as presentation
+
+    d = parse_gauss(torus_gauss(9))
+    p = wirtinger_presentation(d)
+    # x = x y is based at its first x: Phi(df/dx) = Phi(1) = I, not certified
+    x_is_xy = BasedPresentation(p.generators[:2], (Word(((0, 1), (1, -1), (0, -1))),), {0: (0, 0)})
+    cases = []
+    for rep in (Representation.trivial(range(9)), parse_rep(_s3_rep_text(9), p.name_to_index())):
+        k, gens = rep.dim, sorted(g.index for g in p.generators)[1:]
+        blocks = [[apply_phi(fox_derivative(r, g), rep) for g in gens] for r in p.relations]
+        expect = PolyMatrix.from_rows([[c for b in row for c in b.row(a)] for row in blocks for a in range(k)])
+        checks = []
+        for q in (p, x_is_xy):
+            phis = [apply_phi(GroupRingElt.one() - fox_derivative(q.solved_form(i), q.base[i][0]), rep)
+                    for i in range(len(q.relations))]
+            checks.append([(i, not m.is_zero(), "Phi(1 - df/dx) %s" % ("zero" if m.is_zero() else "nonzero"))
+                           for i, m in enumerate(phis)])
+        setup = alexander_setup(p, rep)
+        cases.append((rep, expect, checks, setup, twisted_alexander(d, rep, "graph", setup)))
+    assert cases[0][2][1] == [(0, False, "Phi(1 - df/dx) zero")]
+
+    def shared_path(*args):
+        raise AssertionError("the direct route called the graph route's Fox code")
+
+    for module in (freegroup, presentation, knot):
+        for name in ("fox_derivative", "apply_phi"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, shared_path)
+    for rep, expect, checks, setup, graph in cases:
+        assert fox_matrix(p, rep) == expect
+        assert [check_assumption(q, rep) for q in (p, x_is_xy)] == checks
+        direct = twisted_alexander(d, rep, "direct", setup)
+        assert (direct.numerator, direct.denominator) == (graph.numerator, graph.denominator)
 
 
 def test_knot_determinants_match_laurent_bareiss():

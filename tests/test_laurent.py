@@ -75,6 +75,15 @@ def test_units_and_normalization():
     assert p.unit_normalize() == n.unit_normalize()
     assert p.unit_normalize() != parse_laurent("1 + t").unit_normalize()
     assert p.divexact(n).is_unit()
+    # a lowest coefficient of 1 or -1 shifts (and negates) the terms; the
+    # result is the one dividing through gives, in canonical form
+    for text in ("-t^-2 + 1/2 + 3*t", "t^-2 + 1/2 - 3*t", "-t^4", "1 - 2/3*t^5"):
+        q = parse_laurent(text)
+        k = q.min_exp()
+        n = q.unit_normalize()
+        assert n == LaurentPoly({e - k: Fraction(c) / q.terms[k] for e, c in q.terms.items()})
+        assert n.terms[0] == 1
+        assert_canonical(n.terms.values())
 
 
 def test_divexact():
@@ -263,6 +272,51 @@ def test_det_unit_phase_remainders(monkeypatch):
         if value is not None:
             assert d == value
         assert d == det_by_permutations(m)
+
+
+def _eliminates_on_owned_terms(m):
+    """`_eliminate_units` on m leaves every entry's terms as they were,
+    stores d and the cells of rest canonically, and d * det(rest) is the
+    Leibniz expansion of det(m) (Bareiss above 6 rows)."""
+    before = [dict(p.terms) for p in m.entries]
+    d, rest = m._eliminate_units()
+    assert [p.terms for p in m.entries] == before
+    full = det_by_permutations if m.rows <= 6 else PolyMatrix.det_bareiss
+    if rest is None:
+        assert full(m).is_zero()
+        return
+    assert_canonical(list(d.terms.values()) + [c for p in rest.entries for c in p.terms.values()])
+    assert d.is_unit()
+    assert d * det_by_permutations(rest) == full(m)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_sparse_unit_matrices())
+def test_the_unit_phase_leaves_its_input_alone(m):
+    # equal entries become one shared object, as the zero and constant
+    # cells of a Fox matrix are
+    shared = {}
+    _eliminates_on_owned_terms(PolyMatrix(m.rows, m.cols, [shared.setdefault(p, p) for p in m.entries]))
+
+
+def test_the_unit_phase_stores_whole_fractions_as_int():
+    # the units 2 and 1/2*t invert to 1/2 and 2*t^-1, so the multipliers
+    # -a/u of entries 2 and 1/2*t are whole Fractions; the constants are
+    # shared between cells
+    two, half_t, one = LaurentPoly.const(2), LaurentPoly.monomial(Fraction(1, 2), 1), LaurentPoly.one()
+    zero, a, b = LaurentPoly(), parse_laurent("1 + 1/2*t"), parse_laurent("1/3 - t")
+    m = PolyMatrix.from_rows([
+        [two, a, zero, b, two],
+        [half_t, two, b, zero, a],
+        [two, zero, half_t, a, zero],
+        [zero, b, two, half_t, one],
+        [a, zero, zero, two, half_t],
+    ])
+    _eliminates_on_owned_terms(m)
+    # the phase reaches rest with units left in it, none of them stored as Fraction(n, 1)
+    d, rest = m._eliminate_units()
+    assert rest is not None and rest.rows < m.rows
+    assert m.det() == det_by_permutations(m)
 
 
 def test_matrix_inverse_unit_det():
