@@ -196,6 +196,8 @@ def apply_phi(e: GroupRingElt, rep) -> PolyMatrix:
     exponent sum and rho(w) a product of constant matrices (none when
     `rep.rho_is_identity`); c * rho(w) lands at t^alpha(w) in a grid of
     coefficient maps, and each cell becomes a `LaurentPoly` once, at the end.
+    A cell sums products of canonical coefficients at `int` exponents, so
+    it is wrapped as a ring result, with no `canonical_coeff` per term.
     """
     k = rep.dim
     rho, exps = rep.rho, rep.exps
@@ -211,7 +213,7 @@ def apply_phi(e: GroupRingElt, rep) -> PolyMatrix:
                 r = rho[g][0 if s == 1 else 1]
                 m = r if m is None else rational_matmul(m, r, k, k, k)
         _add_phi(grid, c, a, m, k)
-    return PolyMatrix(k, k, [LaurentPoly(cell) for cell in grid])
+    return PolyMatrix(k, k, [LaurentPoly._ring_result(cell) for cell in grid])
 
 
 def phi_fox_derivatives(w: Word, rep) -> dict:
@@ -247,7 +249,8 @@ def phi_fox_derivatives(w: Word, rep) -> dict:
             m = r if m is None else rational_matmul(m, r, k, k, k)
         if s == -1:
             _add_phi(grid, -1, a, m, k)
-    return {g: [LaurentPoly(cell) for cell in grid] for g, grid in grids.items()}
+    ring = LaurentPoly._ring_result
+    return {g: [ring(cell) for cell in grid] for g, grid in grids.items()}
 
 
 def _add_phi(grid, c, a: int, m, k: int):

@@ -541,6 +541,11 @@ class PolyMatrix:
     # -- determinants -------------------------------------------------
 
     def det_cofactor(self) -> LaurentPoly:
+        """Laplace expansion along the rows, on term maps.  The minor of the
+        first k rows on a column set S (a bit mask) is the sum over j in S of
+        (-1)^#{c in S : c > j} * a_(k-1)j * minor(S - {j}); each of the
+        2^n - 1 minors is formed once, a row at a time, and zero minors are
+        dropped.  Only the determinant becomes a `LaurentPoly`."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
@@ -548,14 +553,29 @@ class PolyMatrix:
             return LaurentPoly.one()
         if n == 1:
             return self[0, 0]
-        acc = LaurentPoly()
-        for j in range(n):
-            a = self[0, j]
-            if a.is_zero():
-                continue
-            term = a * self.minor(0, j).det_cofactor()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+        minors = {0: {0: 1}}  # column set of the first k rows -> its minor's terms
+        for i in range(n):
+            row = self.entries[i * n:(i + 1) * n]
+            nxt = {}
+            for cols, m in minors.items():
+                for j, a in enumerate(row):
+                    bit = 1 << j
+                    if cols & bit or not a.terms:
+                        continue
+                    acc = nxt.setdefault(cols | bit, {})
+                    odd = (cols >> j).bit_count() % 2
+                    for ea, ca in a.terms.items():
+                        if odd:
+                            ca = -ca
+                        for em, cm in m.items():
+                            e = ea + em
+                            acc[e] = acc.get(e, 0) + ca * cm
+            minors = {}
+            for cols, acc in nxt.items():
+                terms = {e: c for e, c in acc.items() if c}
+                if terms:
+                    minors[cols] = terms
+        return LaurentPoly._ring_result(minors.get((1 << n) - 1, {}))
 
     def det_bareiss(self) -> LaurentPoly:
         """Fraction-free elimination over the Laurent ring; divisions are

@@ -10,6 +10,7 @@ fields and its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .freegroup import Generator, Word, fox_derivative, parse_word, phi_fox_derivatives
@@ -59,11 +60,18 @@ class BasedPresentation:
     def name_to_index(self) -> dict:
         return {g.display_name: g.index for g in self.generators}
 
+    @cached_property
+    def _solved_forms(self) -> dict:
+        """relation index -> its solved form, formed once per presentation:
+        nothing changes `base` after construction (a move returns a new
+        presentation), so the forms cannot go stale."""
+        return {i: solve_for_base(self.relations[i], bp) for i, bp in self.base.items()}
+
     def solved_form(self, i: int) -> Word:
         """The word f with the relation i read as x = f at its base point."""
         if i not in self.base:
             raise ValueError("relation %d has no base point" % i)
-        return solve_for_base(self.relations[i], self.base[i])
+        return self._solved_forms[i]
 
 
 def solve_for_base(r: Word, bp) -> Word:

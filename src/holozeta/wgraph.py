@@ -11,6 +11,7 @@ in one table of step kinds with their fields and their rule per weight ring.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,14 +166,20 @@ def _matrix_only(g: WeightedDigraph):
         raise ValueError("zeta needs matrix weights: map a group graph through phi_image")
 
 
-def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
-    """Block matrix whose (i,j) block sums the weights of edges v_i -> v_j."""
-    _matrix_only(g)
+def _block_offsets(g: WeightedDigraph):
+    """({vertex: its first row and column in A}, the total dimension)."""
     offsets = {}
     total = 0
     for vid, dim in g.vertices:
         offsets[vid] = total
         total += dim
+    return offsets, total
+
+
+def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
+    """Block matrix whose (i,j) block sums the weights of edges v_i -> v_j."""
+    _matrix_only(g)
+    offsets, total = _block_offsets(g)
     entries = [LaurentPoly()] * (total * total)
     for e in g.edges:
         w = e.weight
@@ -184,13 +191,24 @@ def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
 
 
 def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
-    """det(I - A(G,w)): the reciprocal of the weighted zeta function."""
-    a = adjacency_matrix(g)
-    n, one = a.rows, LaurentPoly.one()
-    # negate only the stored entries, then put 1 - a_ii on the diagonal
-    entries = [-p if p.terms else p for p in a.entries]
-    for k in range(0, n * n, n + 1):
-        entries[k] = one - a.entries[k]
+    """det(I - A(G,w)): the reciprocal of the weighted zeta function.  I - A
+    is assembled straight from the edges, as term maps: the diagonal starts
+    at 1, each stored weight cell is subtracted into its block, and each
+    touched cell becomes a `LaurentPoly` once."""
+    _matrix_only(g)
+    offsets, n = _block_offsets(g)
+    cells = {k: {0: 1} for k in range(0, n * n, n + 1)}
+    for e in g.edges:
+        w = e.weight
+        at = offsets[e.src] * n + offsets[e.tgt]
+        for k, x in enumerate(w.entries):
+            if x.terms:
+                cell = cells.setdefault(at + k // w.cols * n + k % w.cols, {})
+                for ex, c in x.terms.items():
+                    cell[ex] = cell.get(ex, 0) - c
+    entries = [LaurentPoly()] * (n * n)
+    for k, cell in cells.items():
+        entries[k] = LaurentPoly._ring_result(cell)
     return PolyMatrix(n, n, entries).det()
 
 
@@ -567,10 +585,9 @@ class VerificationReport:
     zeta_right: Optional[LaurentPoly] = None
 
 
-def _edge_signature(g: WeightedDigraph):
-    """Multiset of (src, tgt, weight)."""
-    return sorted(((e.src, e.tgt, e.weight) for e in g.edges),
-                  key=lambda x: (x[0], x[1], str(x[2])))
+def _edge_signature(g: WeightedDigraph) -> Counter:
+    """Multiset of (src, tgt, weight), by hash: weights hash as they compare."""
+    return Counter([(e.src, e.tgt, e.weight) for e in g.edges])
 
 
 def verify_equivalence(g: WeightedDigraph, script, h: WeightedDigraph,

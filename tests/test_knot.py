@@ -174,6 +174,56 @@ def test_the_direct_route_shares_no_fox_code_with_the_graph_route(monkeypatch):
         assert (direct.numerator, direct.denominator) == (graph.numerator, graph.denominator)
 
 
+def test_the_graph_route_shares_no_fox_code_with_the_direct_route(monkeypatch):
+    """Past the shared setup, the graph route takes Phi of the Fox
+    derivatives from fox_derivative and apply_phi, never from the prefix
+    pass or fox_matrix, which the direct route uses."""
+    import holozeta.freegroup as freegroup
+    import holozeta.knot as knot
+    import holozeta.presentation as presentation
+
+    d = parse_gauss(torus_gauss(9))
+    p = wirtinger_presentation(d)
+    cases = []
+    for rep in (Representation.trivial(range(9)), parse_rep(_s3_rep_text(9), p.name_to_index())):
+        setup = alexander_setup(p, rep)
+        cases.append((rep, setup, twisted_alexander(d, rep, "direct", setup)))
+
+    def direct_path(*args):
+        raise AssertionError("the graph route called the direct route's Fox code")
+
+    for module in (freegroup, presentation, knot):
+        for name in ("phi_fox_derivatives", "fox_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, direct_path)
+    for rep, setup, direct in cases:
+        graph = twisted_alexander(d, rep, "graph", setup)
+        assert (graph.numerator, graph.denominator) == (direct.numerator, direct.denominator)
+
+
+def test_both_routes_solve_each_relation_once(tmp_path, monkeypatch, capsys):
+    """One `alexander --route both` job solves each based relation once:
+    the setup's check_assumption and the graph route share the solved forms."""
+    import holozeta.presentation as presentation
+    from holozeta.cli import main
+
+    calls = []
+    solve = presentation.solve_for_base
+
+    def spy(r, bp):
+        calls.append(bp)
+        return solve(r, bp)
+
+    monkeypatch.setattr(presentation, "solve_for_base", spy)
+    path = tmp_path / "t9.gauss"
+    path.write_text(torus_gauss(9))
+    assert main(["alexander", "--gauss", str(path), "--route", "both"]) == 0
+    assert "routes-agree: true" in capsys.readouterr().out
+    p = wirtinger_presentation(parse_gauss(torus_gauss(9)))
+    assert len(p.base) == len(p.relations) == 8
+    assert sorted(calls) == sorted(p.base.values())
+
+
 def test_knot_determinants_match_laurent_bareiss():
     # the T(2,15) Fox minor, trivial rep: 14 x 14
     p = wirtinger_presentation(parse_gauss(torus_gauss(15)))

@@ -96,13 +96,43 @@ def test_divexact():
 
 def test_determinants_agree_with_permutation_expansion():
     rng = seeded_rng(3)
+    small = []
     for _ in range(40):
         n = rng.randint(1, 4)
-        m = random_matrix(rng, n, n, 2)
+        small.append(random_matrix(rng, n, n, 2))
+    small.append(PolyMatrix(0, 0, ()))
+    rng_small = seeded_rng(4)  # its own stream: rng's larger matrices below do not depend on it
+    for n in (2, 3, 4):
+        for k in range(n):  # a zero row k, then a zero column k
+            m = random_matrix(rng_small, n, n, 2)
+            rows = [list(m.row(i)) for i in range(n)]
+            rows[k] = [LaurentPoly()] * n
+            small.append(PolyMatrix.from_rows(rows))
+            small.append(PolyMatrix.from_rows(
+                [[LaurentPoly() if j == k else m[i, j] for j in range(n)] for i in range(n)]))
+        # one object in several cells, left as it was
+        shared = random_laurent(rng_small, 2, -1)
+        shared_terms = dict(shared.terms)
+        small.append(PolyMatrix.from_rows(
+            [[shared if (i + j) % 2 else random_laurent(rng_small, 1) for j in range(n)] for i in range(n)]))
+        # coefficients in thirds and halves whose products are whole
+        small.append(PolyMatrix.from_rows(
+            [[parse_laurent(rng_small.choice(("2/3", "3/2", "-3/2*t", "4/3*t^-1 + 1/2", "0")))
+              for _ in range(n)] for _ in range(n)]))
+    for n in (3, 4):  # the last row is t times the first plus (1 - t) times the second
+        m = random_matrix(rng_small, n, n, 2)
+        rows = [list(m.row(i)) for i in range(n)]
+        rows[-1] = [parse_laurent("t") * a + parse_laurent("1 - t") * b for a, b in zip(rows[0], rows[1])]
+        small.append(PolyMatrix.from_rows(rows))
+    for m in small:
         expect = det_by_permutations(m)
+        got = m.det_cofactor()
+        assert_canonical(got.terms.values())
+        assert got == expect
         assert m.det_bareiss() == expect
-        assert m.det_cofactor() == expect
         assert m.det() == expect
+    assert [m.det().is_zero() for m in small[-2:]] == [True, True]
+    assert shared.terms == shared_terms
     # above 4 x 4, det() eliminates on unit pivots first
     for n in (5, 5, 5, 6):
         m = PolyMatrix.from_rows([

@@ -465,6 +465,18 @@ def test_verify_equivalence_reports():
     bad = (TransformStep("null_remove", edge="a"),)
     rep3 = verify_equivalence(g, bad, g)
     assert not rep3.ok and rep3.failing_step == 0
+    # edges compare as a multiset: their order does not count, a parallel copy does
+    shuffled = WeightedDigraph("matrix", g.vertices, g.edges[::-1])
+    assert verify_equivalence(g, (), shuffled).message == "verified"
+    copy = Edge("a2", "u", "v", g.edge("a").weight)
+    doubled = WeightedDigraph("matrix", g.vertices, g.edges + (copy,))
+    assert verify_equivalence(g, (), doubled).message == "graphs differ structurally"
+    # equal group-ring weights whose terms were stored in other orders
+    x0, x1, x3 = (GroupRingElt.from_word(Word.gen(i)) for i in (0, 1, 3))
+    vs = (("u", 1), ("v", 1))
+    left = WeightedDigraph("group", vs, (Edge("p", "u", "v", x0 + x3), Edge("q", "u", "v", x1)))
+    right = WeightedDigraph("group", vs, (Edge("p", "u", "v", x3 + x0), Edge("q", "u", "v", x1)))
+    assert verify_equivalence(left, (), right).message == "verified"
 
 
 def test_zeta_layer_rejects_group_graphs():
