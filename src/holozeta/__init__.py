@@ -36,6 +36,7 @@ from .wgraph import (
     adjacency_matrix,
     apply_step,
     cycle_classes,
+    euler_check,
     euler_product_oracle,
     parse_graph,
     phi_image,

@@ -364,13 +364,17 @@ class LaurentCells:
         return x.scale(Fraction(1, j))
 
 
-def cell_ring(cells, length: int, cycle_lengths, dim: int):
+def cell_ring(cells, length: int, cycle_lengths, dim: int, *, adjacency=None):
     """The cells in which to compute the coefficients of u^0..u^length of a
     product of factors det(I - u^l W), one for each l in `cycle_lengths`,
     each W a product of l matrices made of `cells`, each matrix at most
     dim x dim: a `PackedCells` wide enough for those coefficients, or
     `LaurentCells` when its packed values would be wider than
-    PACK_WIDTH_BITS.  One det(I - uM) is cycle_lengths = (1,).
+    PACK_WIDTH_BITS.  One det(I - uM) is cycle_lengths = (1,).  With
+    `adjacency` = (n, k) the ring also holds the coefficients c_0..c_top,
+    top = min(n, length), of det(I - uA) for an n x n matrix A each of whose
+    cells is a sum of at most k of `cells`: the ring of `zeta --check-euler`,
+    where both sides of 1/zeta = det(I - uA) run in one ring.
 
     Only those coefficients are read back.  A value met on the way (a matrix
     power, a trace, a c_j, a partial product) may overflow its digits:
@@ -402,7 +406,18 @@ def cell_ring(cells, length: int, cycle_lengths, dim: int):
     cells spans l (hi - lo) exponents, hi the greatest exponent, so a value
     read back is about (length (hi - lo) + 1) bits wide.  nu is at least
     den over the least denominator of a coefficient, so the lcm stops
-    growing as soon as that alone makes the cells too wide to pack."""
+    growing as soon as that alone makes the cells too wide to pack.
+
+    With `adjacency`, the det(I - uA) side gets a bound of its own, so that
+    neither side's bound leans on the identity being checked.  Packing is
+    linear, so a cell of A packs to the sum of the packed cells it adds up,
+    at the same den and lo, and its scaled 1-norm is at most k nu.  Its c_j
+    is then at most (n k nu)^j (the case of one factor, l = 1, d = n), so
+    its coefficients fit 2 + top bitlen(n k nu) bits.  The ring takes the
+    larger of the two bounds: each side's coefficients then have their own
+    balanced digits, and the two sides are equal exactly when their packed
+    values are.  A value of the det side spans at most top (hi - lo) + 1
+    exponents, so the one width test covers it."""
     live = [p.terms for p in cells if p.terms]
     exps = [e for terms in live for e in terms]
     lo, hi = (min(exps), max(exps)) if exps else (0, 0)
@@ -419,6 +434,9 @@ def cell_ring(cells, length: int, cycle_lengths, dim: int):
         for n in range(l, length + 1):
             ways[n] += ways[n - l]
     bits = max(ways).bit_length() + length * (nu * dim).bit_length() + 1
+    if adjacency is not None:
+        n, k = adjacency
+        bits = max(bits, 2 + min(n, length) * (n * k * nu).bit_length())
     if (length * (hi - lo) + 1) * bits > PACK_WIDTH_BITS:
         return LaurentCells()
     return PackedCells(den, lo, bits)
@@ -826,11 +844,12 @@ class TruncatedSeries:
 
 
 def series_det(m: PolyMatrix, order: int) -> TruncatedSeries:
-    """det(I - u*M) truncated at u^order, the one entry for det(I - uM).
-    Its coefficients c_0..c_top, top = min(dim M, order), come from
+    """det(I - u*M) truncated at u^order, for a `PolyMatrix` M.  Its
+    coefficients c_0..c_top, top = min(dim M, order), come from
     `det_one_minus_x_cells` on the cells of M in their `cell_ring`: packed
     as integers, or as they are when too wide to pack.  Every c_j with
-    j > dim M is 0, so the rest are zeros."""
+    j > dim M is 0, so the rest are zeros.  `zeta --check-euler` runs the
+    same loop on the packed weights of its graph (`wgraph.euler_check`)."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     top = min(m.rows, order)

@@ -176,18 +176,26 @@ def _block_offsets(g: WeightedDigraph):
     return offsets, total
 
 
+def _adjacency_cells(g: WeightedDigraph, cells, zero):
+    """(n, the n x n cells of A, flat and row-major): each cell of A sums
+    the cells of the edges v_i -> v_j that fall in it, cells[e.id] being
+    the flat row-major cells of e's weight in some ring whose zero is
+    `zero` (`LaurentPoly` cells, or the packed ones of a `cell_ring`)."""
+    offsets, n = _block_offsets(g)
+    a = [zero] * (n * n)
+    for e in g.edges:
+        at, cols = offsets[e.src] * n + offsets[e.tgt], e.weight.cols
+        for k, x in enumerate(cells[e.id]):
+            if x:
+                a[at + k // cols * n + k % cols] += x
+    return n, a
+
+
 def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
     """Block matrix whose (i,j) block sums the weights of edges v_i -> v_j."""
     _matrix_only(g)
-    offsets, total = _block_offsets(g)
-    entries = [LaurentPoly()] * (total * total)
-    for e in g.edges:
-        w = e.weight
-        r0, c0 = offsets[e.src], offsets[e.tgt]
-        for k, x in enumerate(w.entries):
-            at = (r0 + k // w.cols) * total + c0 + k % w.cols
-            entries[at] = entries[at] + x
-    return PolyMatrix(total, total, entries)
+    n, a = _adjacency_cells(g, {e.id: e.weight.entries for e in g.edges}, LaurentPoly())
+    return PolyMatrix(n, n, a)
 
 
 def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
@@ -278,29 +286,28 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
     return classes
 
 
-def euler_product_oracle(g: WeightedDigraph, max_len: int) -> TruncatedSeries:
-    """Product over prime cycle classes C of det(I - u^|C| w(C)), truncated
-    at u^max_len, where w(C) is the ordered product of the edge weights
-    along C: the reciprocal 1/zeta of the Euler product, which the paper's
-    determinant formula equates with det(I - uA).  The weight products, the
-    factors and their product run in the `cell_ring` of the weights' cells:
-    packed as integers, or as they are when too wide to pack.  A class with
-    2|C| <= max_len gives the polynomial det(I - x w(C)), of degree at most
-    dim w(C) (`det_one_minus_x_cells`).  A longer class gives only
-    1 - u^|C| tr w(C), and the product of two of these lies past u^max_len,
-    so they enter as one factor 1 - sum_l u^l S_l, S_l the sum of their
-    traces for |C| = l; each trace is sum_(i,m) P_im w_mi over the product P
-    of all weights but the last, w, so the last product is not formed.  Only
-    the coefficient of u^n of the whole product is read back, once, at
-    power n."""
+def _euler_setup(g: WeightedDigraph, max_len: int, adjacency):
+    """The prime cycle classes up to max_len, the `cell_ring` of the weights'
+    cells (`adjacency` as `cell_ring` takes it), and each edge's
+    (rows, cols, cells packed once, a zero cell as the ring's zero)."""
     _matrix_only(g)
     classes = [c for c in cycle_classes(g, max_len) if c.prime]
     dims = g.dims()
     ring = cell_ring([p for e in g.edges for p in e.weight.entries], max_len,
-                     [len(c.edges) for c in classes], max(dims.values(), default=0))
+                     [len(c.edges) for c in classes], max(dims.values(), default=0),
+                     adjacency=adjacency)
     zero = ring.zero
-    weight = {e.id: (dims[e.src], dims[e.tgt], [ring.pack(p) for p in e.weight.entries])
+    weight = {e.id: (dims[e.src], dims[e.tgt],
+                     [ring.pack(p) if p.terms else zero for p in e.weight.entries])
               for e in g.edges}
+    return classes, ring, weight
+
+
+def _euler_product(classes, weight, max_len: int, ring) -> list:
+    """The coefficients of u^0..u^max_len, in `ring`, of the product over the
+    prime `classes` of det(I - u^|C| w(C)), `weight` as `_euler_setup`
+    packs it (see `euler_product_oracle`)."""
+    zero = ring.zero
     traces = [zero] * (max_len + 1)  # traces[l] = S_l
     factors = []  # each a list of (degree in u, nonzero coefficient)
     prefix = []  # (edge id, weight product up to it) along the previous class
@@ -338,7 +345,54 @@ def euler_product_oracle(g: WeightedDigraph, max_len: int) -> TruncatedSeries:
                 if coeffs[n - k]:
                     acc = acc + f * coeffs[n - k]
             coeffs[n] = acc
+    return coeffs
+
+
+def euler_product_oracle(g: WeightedDigraph, max_len: int) -> TruncatedSeries:
+    """Product over prime cycle classes C of det(I - u^|C| w(C)), truncated
+    at u^max_len, where w(C) is the ordered product of the edge weights
+    along C: the reciprocal 1/zeta of the Euler product, which the paper's
+    determinant formula equates with det(I - uA).  The weight products, the
+    factors and their product run in the `cell_ring` of the weights' cells:
+    packed as integers, or as they are when too wide to pack.  A class with
+    2|C| <= max_len gives the polynomial det(I - x w(C)), of degree at most
+    dim w(C) (`det_one_minus_x_cells`).  A longer class gives only
+    1 - u^|C| tr w(C), and the product of two of these lies past u^max_len,
+    so they enter as one factor 1 - sum_l u^l S_l, S_l the sum of their
+    traces for |C| = l; each trace is sum_(i,m) P_im w_mi over the product P
+    of all weights but the last, w, so the last product is not formed.  Only
+    the coefficient of u^n of the whole product is read back, once, at
+    power n.  `euler_check` runs the same product and reads nothing back."""
+    classes, ring, weight = _euler_setup(g, max_len, None)
+    coeffs = _euler_product(classes, weight, max_len, ring)
     return TruncatedSeries(max_len, [ring.unpack(x, n) for n, x in enumerate(coeffs)])
+
+
+def _adjacency_det(g: WeightedDigraph, weight, top: int, ring) -> list:
+    """c_0..c_top of det(I - uA), in `ring`, `weight` as `_euler_setup`
+    packs it: each cell of A is the sum of the packed weight cells that fall
+    in it (packing is linear), so A is never formed as a `PolyMatrix`."""
+    n, a = _adjacency_cells(g, {eid: w for eid, (_, _, w) in weight.items()}, ring.zero)
+    return det_one_minus_x_cells(a, n, top, ring)
+
+
+def euler_check(g: WeightedDigraph, order: int) -> bool:
+    """Whether the Euler product over the prime cycle classes equals
+    det(I - uA) up to u^order, as the paper's determinant formula says: the
+    check of `zeta --check-euler`.  Both sides run in one `cell_ring`, wide
+    enough for each side's coefficients by a bound of its own (see
+    `cell_ring`; k is the most edges between one ordered pair of vertices),
+    on the weight cells packed once: the Euler side as in
+    `euler_product_oracle`, the det side as `series_det` on A, whose cells
+    are sums of the packed weights.  The coefficient lists are compared as
+    packed values, the det side padded with zeros past top = min(dim A,
+    order), since c_j of det(I - uA) is 0 for j > dim A."""
+    _, n = _block_offsets(g)
+    parallel = max(Counter([(e.src, e.tgt) for e in g.edges]).values(), default=0)
+    classes, ring, weight = _euler_setup(g, order, (n, parallel))
+    top = min(n, order)
+    det = _adjacency_det(g, weight, top, ring) + [ring.zero] * (order - top)
+    return _euler_product(classes, weight, order, ring) == det
 
 
 # -- transform engine ----------------------------------------------------

@@ -395,3 +395,20 @@ def fraction_weights_text(q: FiniteQuandle, denominators) -> str:
     rows = [", ".join("%d/%d*t^%d" % ((k + b) % 5 - 2 or 1, next(dens), (k * b) % 5 - 2)
                       for b in range(n)) for k in range(4 * n)]
     return "%d\n%s\n" % (n, "\n".join(rows))
+
+
+WIDE_GRAPHS = {
+    # name -> (graph text, zeta reciprocal): a 5-cycle of t-edges plus a
+    # t^100000 loop, and 2 x 2 weights with a t^100000 cell; too wide to pack,
+    # so the Euler check keeps Laurent cells
+    "cycle": ("".join("vertex v%d dim=1\n" % i for i in range(5))
+              + "".join("edge e%d v%d -> v%d weight=[[t]]\n" % (i, i, (i + 1) % 5)
+                        for i in range(5))
+              + "edge loop v0 -> v0 weight=[[t^100000]]\n", "1 - t^5 - t^100000"),
+    "blocks": ("vertex u dim=2\nvertex v dim=2\n"
+               "edge a u -> v weight=[[1 - t^5, t],[0, -t^100000]]\n"
+               "edge b v -> u weight=[[t, 1],[2, t^3]]\n"
+               "edge c u -> u weight=[[t^-7, 0],[1, t]]\n",
+               "-t^-7 + t^-6 - 4*t + 3*t^2 - t^4 + t^5 + t^6 - t^7 - t^99996 + 2*t^100000"
+               " + t^100003 - t^100004 - 2*t^100005 + t^100009"),
+}

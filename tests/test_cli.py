@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from holozeta.cli import main
 from holozeta.freegroup import Word, parse_word
 from holozeta.knot import parse_gauss
-from holozeta.laurent import LaurentPoly, TruncatedSeries, parse_laurent
+from holozeta.laurent import LaurentPoly, parse_laurent
 from holozeta.presentation import format_presentation
 from holozeta.quandle import (
     dihedral_quandle,
@@ -26,7 +26,6 @@ from holozeta.quandle import (
 from holozeta.wgraph import (
     Edge,
     WeightedDigraph,
-    euler_product_oracle,
     format_graph,
     parse_matrix_literal,
 )
@@ -38,6 +37,7 @@ from helpers import (
     fraction_weights_text,
     perturbed,
     torus_gauss,
+    WIDE_GRAPHS,
 )
 
 
@@ -109,25 +109,9 @@ def test_sparse_high_degree_zeta_finishes(tmp_path):
     assert done.stdout == "zeta-reciprocal: 1 - t^5 - t^100000\n"
 
 
-_WIDE_GRAPHS = {
-    # a 5-cycle of t-edges plus a t^100000 loop, and 2 x 2 weights with a
-    # t^100000 cell: too wide to pack, so the Euler check keeps Laurent cells
-    "cycle": ("".join("vertex v%d dim=1\n" % i for i in range(5))
-              + "".join("edge e%d v%d -> v%d weight=[[t]]\n" % (i, i, (i + 1) % 5)
-                        for i in range(5))
-              + "edge loop v0 -> v0 weight=[[t^100000]]\n", "1 - t^5 - t^100000"),
-    "blocks": ("vertex u dim=2\nvertex v dim=2\n"
-               "edge a u -> v weight=[[1 - t^5, t],[0, -t^100000]]\n"
-               "edge b v -> u weight=[[t, 1],[2, t^3]]\n"
-               "edge c u -> u weight=[[t^-7, 0],[1, t]]\n",
-               "-t^-7 + t^-6 - 4*t + 3*t^2 - t^4 + t^5 + t^6 - t^7 - t^99996 + 2*t^100000"
-               " + t^100003 - t^100004 - 2*t^100005 + t^100009"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_WIDE_GRAPHS))
+@pytest.mark.parametrize("name", sorted(WIDE_GRAPHS))
 def test_wide_sparse_weights_pass_the_euler_check(tmp_path, name):
-    text, zeta = _WIDE_GRAPHS[name]
+    text, zeta = WIDE_GRAPHS[name]
     g = _write(tmp_path, "g.wg", text)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
@@ -137,23 +121,59 @@ def test_wide_sparse_weights_pass_the_euler_check(tmp_path, name):
 
 
 def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
-    # the check compares 1/zeta truncated at u^5 from the Euler product with
-    # the padded det(I - uA); a t^3 off in one coefficient of either side fails
-    real = {"euler_product_oracle": euler_product_oracle, "series_det": cli.series_det}
+    # the check compares the packed coefficients of 1/zeta truncated at u^5
+    # from the Euler product with those of det(I - uA), padded with zeros; a
+    # t^3 off in the first or the last coefficient of either side's packed
+    # list fails.  The cells t, 1 and 2 pack with den 1 and lo 0, so
+    # pack(t^3) is t^3 at every power
     path = _graph_file(tmp_path)
-    for binding in sorted(real):
-        for at in (-1, 1):
-            def off_by_one_term(g_or_m, max_len, fn=real[binding], at=at):
-                c = list(fn(g_or_m, max_len).coeffs)
-                c[at] = c[at] + LaurentPoly.monomial(1, 3)
-                return TruncatedSeries(max_len, c)
+    for seam in ("_adjacency_det", "_euler_product"):
+        for at in (0, -1):
+            def off_by_one_term(*args, fn=getattr(wgraph, seam), at=at):
+                coeffs, ring = fn(*args), args[-1]
+                coeffs[at] = coeffs[at] + ring.pack(LaurentPoly.monomial(1, 3))
+                return coeffs
 
-            monkeypatch.setattr(cli, binding, off_by_one_term)
+            monkeypatch.setattr(wgraph, seam, off_by_one_term)
             assert main(["zeta", "--graph", path, "--check-euler", "--order", "5"]) == 1
             lines = capsys.readouterr().out.splitlines()
             assert lines[-2] == "euler-agrees: false"
             assert json.loads(lines[-1]) == {"witness": "euler-product mismatch at order 5"}
             monkeypatch.undo()
+
+
+def test_euler_check_packs_each_weight_cell_once(tmp_path, capsys, monkeypatch):
+    # one ring for both sides: the stored (nonzero) weight cells are packed
+    # once, A's cells are sums of them, and the two coefficient lists are
+    # compared packed, so nothing is read back and no adjacency matrix is built
+    text = ("vertex u dim=2\nvertex v dim=1\n"
+            "edge a u -> v weight=[[t],[1 - t^2]]\n"
+            "edge b u -> v weight=[[2],[0]]\n"
+            "edge c v -> u weight=[[1/2, t^-1]]\n"
+            "edge d u -> u weight=[[0, t],[1, 0]]\n")
+    path = _write(tmp_path, "g.wg", text)
+    calls = {"cell_ring": 0, "pack": 0, "unpack": 0, "adjacency_matrix": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("cell_ring", "adjacency_matrix"):
+        fn = getattr(wgraph, name)
+        for module in (cli, laurent, wgraph):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
+    for name in ("pack", "unpack"):
+        monkeypatch.setattr(laurent.PackedCells, name,
+                            counting(name, getattr(laurent.PackedCells, name)))
+    assert main(["zeta", "--graph", path, "--check-euler"]) == 0
+    assert capsys.readouterr().out.endswith("euler-agrees: true\n")
+    cells = [p for e in wgraph.parse_graph(text).edges for p in e.weight.entries]
+    assert calls == {"cell_ring": 1, "pack": sum([1 for p in cells if p.terms]), "unpack": 0,
+                     "adjacency_matrix": 0}
 
 
 _PADDING_GRAPHS = (

@@ -1,10 +1,12 @@
 import re
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holozeta import fixtures
+from holozeta import fixtures, wgraph
 from holozeta.freegroup import GroupRingElt, Word, apply_phi
 from holozeta.laurent import (
     LaurentCells,
@@ -25,6 +27,7 @@ from holozeta.wgraph import (
     adjacency_matrix,
     apply_step,
     cycle_classes,
+    euler_check,
     euler_product_oracle,
     export_dot,
     format_graph,
@@ -41,12 +44,14 @@ from helpers import (
     det_one_minus_x_by_laurent,
     euler_product_by_laurent,
     pack_width_limit,
+    packing_cells,
     packing_graphs,
     prime_cycle_classes,
     random_laurent,
     random_matrix,
     random_matrix_graph,
     seeded_rng,
+    WIDE_GRAPHS,
 )
 
 
@@ -232,6 +237,151 @@ def test_euler_product_packs_up_to_the_width_limit(monkeypatch):
     expect = euler_product_by_laurent(narrow, 8)
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda *args: pytest.fail("Laurent product"))
     assert euler_product_oracle(narrow, max_len=8) == expect
+
+
+@contextmanager
+def _euler_sides():
+    """Within the block, `euler_check` leaves in the yielded dict, under
+    "euler" and "det", each side's (packed coefficients, ring)."""
+    seen, saved = {}, {"euler": wgraph._euler_product, "det": wgraph._adjacency_det}
+
+    def spy(side):
+        def run(*args):
+            coeffs = saved[side](*args)
+            seen[side] = (coeffs, args[-1])
+            return coeffs
+        return run
+
+    wgraph._euler_product, wgraph._adjacency_det = spy("euler"), spy("det")
+    try:
+        yield seen
+    finally:
+        wgraph._euler_product, wgraph._adjacency_det = saved["euler"], saved["det"]
+
+
+def _check_both_sides(g, order: int):
+    """euler_check(g, order) holds, and each side, read back, is the public
+    route: the Euler side `euler_product_oracle`, the det side `series_det`
+    on A, padded with zeros past min(dim A, order).  Returns the ring."""
+    with _euler_sides() as seen:
+        assert euler_check(g, order)
+    (euler, ring), (det, same) = seen["euler"], seen["det"]
+    assert same is ring
+    assert [ring.unpack(x, n) for n, x in enumerate(euler)] == list(
+        euler_product_oracle(g, order).coeffs)
+    a = adjacency_matrix(g)
+    assert len(det) == min(a.rows, order) + 1
+    unpacked = [ring.unpack(x, n) for n, x in enumerate(det)]
+    assert TruncatedSeries(order, unpacked + [LaurentPoly()] * (order + 1 - len(det))) \
+        == series_det(a, order)
+    return ring
+
+
+@st.composite
+def euler_graphs(draw):
+    """Matrix-weighted graphs of 1-3 vertices of dims 0-2 and up to 2 edges
+    between the vertices of positive dim, with `packing_cells` weights
+    (rational cells, exponents -40..90), and in one draw of two a third edge
+    parallel to the first."""
+    dims = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    live = ["v%d" % i for i, d in enumerate(dims) if d]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(live), st.sampled_from(live)),
+                          max_size=2)) if live else []
+    if pairs and draw(st.booleans()):
+        pairs.append(pairs[0])
+    vertices = tuple([("v%d" % i, d) for i, d in enumerate(dims)])
+    dim = dict(vertices)
+    return WeightedDigraph("matrix", vertices, tuple([
+        Edge("e%d" % k, a, b, PolyMatrix(dim[a], dim[b], draw(packing_cells(dim[a] * dim[b]))))
+        for k, (a, b) in enumerate(pairs)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=euler_graphs(), data=st.data())
+def test_euler_check_sides_match_the_public_routes(g, data):
+    n = sum([d for _, d in g.vertices])
+    order = data.draw(st.integers(0, n + 2))
+    # packed cells, then the same check on LaurentPoly cells
+    for limit, ring in ((10 ** 9, PackedCells), (0, LaurentCells)):
+        with pack_width_limit(limit):
+            assert isinstance(_check_both_sides(g, order), ring)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_GRAPHS))
+def test_euler_check_sides_on_wide_graphs(name):
+    g = parse_graph(WIDE_GRAPHS[name][0])
+    n = adjacency_matrix(g).rows
+    # at order 0 the values are constants, which pack at any span
+    for order in (0, 1, n, n + 2):
+        assert isinstance(_check_both_sides(g, order), LaurentCells if order else PackedCells)
+
+
+def _det_heavy_graphs():
+    """(graph, order) pairs whose det(I - uA) bound is above the Euler one:
+    eight parallel edges u -> v and one back, and two dense 3 x 3 blocks
+    at an order of dim A, both with rational cells and negative exponents."""
+    fan = WeightedDigraph("matrix", (("u", 1), ("v", 1)), tuple(
+        [Edge("p%d" % k, "u", "v", PolyMatrix(1, 1, [parse_laurent("%d/2*t^-1 + t" % (k + 1))]))
+         for k in range(8)] + [Edge("q", "v", "u", PolyMatrix(1, 1, [parse_laurent("1 - 2*t")]))]))
+    rng = seeded_rng(36)
+
+    def block():
+        return PolyMatrix(3, 3, [random_laurent(rng, 1, -1).scale(Fraction(rng.choice([1, 3]), 2))
+                                 for _ in range(9)])
+
+    blocks = WeightedDigraph("matrix", (("u", 3), ("v", 3)),
+                             (Edge("a", "u", "v", block()), Edge("b", "v", "u", block())))
+    return [(fan, 2), (fan, 3), (blocks, 6)]
+
+
+def _fits(p: LaurentPoly, ring, power: int) -> bool:
+    """Whether den^power t^(-lo*power) p is an integer polynomial whose
+    coefficients lie in the balanced digits of ring.bits."""
+    half = 1 << (ring.bits - 1)
+    scaled = [(e - ring.lo * power, c * ring.den ** power) for e, c in p.terms.items()]
+    return all(e >= 0 and c.denominator == 1 and -half <= c < half for e, c in scaled)
+
+
+def test_euler_check_ring_covers_the_det_side_bound():
+    for g, order in _det_heavy_graphs():
+        dims = g.dims()
+        cells = [p for e in g.edges for p in e.weight.entries]
+        a = adjacency_matrix(g)
+        top = min(a.rows, order)
+        ring = _check_both_sides(g, order)
+        assert isinstance(ring, PackedCells)
+        # each side's own bound: the Euler side's ring, and the det side's
+        # 2 + top bitlen(n k nu), k the most parallel edges, nu the largest
+        # 1-norm of a cell scaled to the ring's den and lo
+        euler = _euler_ring(g, order)
+        parallel = max(Counter([(e.src, e.tgt) for e in g.edges]).values())
+        nu = max([sum([int(abs(c) * ring.den) for c in p.terms.values()]) for p in cells])
+        assert ring.bits == 2 + top * (a.rows * parallel * nu).bit_length() > euler.bits
+        assert ring.bits >= cell_ring(a.entries, top, (1,), a.rows).bits
+        assert (ring.den, ring.lo) == (euler.den, euler.lo)
+        # every coefficient of both sides, on Laurent cells, fits its digits
+        for n, c in enumerate(euler_product_by_laurent(g, order).coeffs):
+            assert _fits(c, ring, n)
+        for j, c in enumerate(det_one_minus_x_by_laurent(a, top)):
+            assert _fits(c, ring, j)
+        # A's cells are the sums of the packed weights added into them
+        offsets = {"u": 0, "v": dims["u"]}
+        for e in g.edges:
+            w = e.weight
+            for k, p in enumerate(w.entries):
+                i, j = offsets[e.src] + k // w.cols, offsets[e.tgt] + k % w.cols
+                rest = a[i, j] - p
+                assert ring.pack(rest) + ring.pack(p) == ring.pack(a[i, j])
+
+
+@settings(max_examples=50, deadline=None)
+@given(cells=packing_cells(4))
+def test_packing_is_additive(cells):
+    with pack_width_limit(10 ** 9):
+        ring = cell_ring(cells, 2, (1,), 2)
+    for p in cells:
+        for q in cells:
+            assert ring.pack(p) + ring.pack(q) == ring.pack(p + q)
 
 
 def test_series_det_inverse_recovers_the_determinant():
