@@ -197,17 +197,18 @@ def _flag(key: str, ok: bool) -> bool:
 
 def _cmd_zeta(args):
     g = parse_graph(_read(args.graph))
-    z = zeta_reciprocal(g)
-    if args.check_euler:
-        # the cycle search may reject the order, so the check runs before
-        # anything is printed; it compares the Euler product with det(I - uA),
-        # both 1/zeta truncated at u^order, as packed coefficients in one ring
-        order = args.order
-        agrees = euler_check(g, order)
+    if not args.check_euler:
+        print("zeta-reciprocal: %s" % zeta_reciprocal(g))
+        return
+    # the cycle search may reject the order, so the check runs before
+    # anything is printed; it compares the Euler product with det(I - uA),
+    # both 1/zeta truncated at u^order, as packed coefficients in one ring,
+    # and returns det(I - A), read off the det side when order >= dim A
+    order = args.order
+    z, agrees = euler_check(g, order)
     print("zeta-reciprocal: %s" % z)
-    if args.check_euler:
-        if not _flag("euler-agrees", agrees):
-            raise VerificationFailed({"witness": "euler-product mismatch at order %d" % order})
+    if not _flag("euler-agrees", agrees):
+        raise VerificationFailed({"witness": "euler-product mismatch at order %d" % order})
 
 
 def _cmd_alexander(args):

@@ -447,17 +447,23 @@ def det_one_minus_x_cells(x, n: int, top: int, ring) -> list:
     `ring`, for the n x n matrix M with flat row-major cells x in `ring`.
     c_j = (-1)^j e_j, and the e_j come from Newton's identities on the power
     traces p_k = tr(M^k), k <= top.  Each p_k with k > 1 is the inner product
-    sum_(i,j) (M^a)_ij (M^b)_ji, a = ceil(k/2), b = floor(k/2), so only
-    M^2..M^ceil(top/2) are formed.  Dividing j*e_j by j is exact in either
-    ring: packed, j*e_j(2^bits) is (j*e_j)(2^bits)."""
+    sum_(i,j) (M^a)_ij (M^b)_ji over the stored (i,j) of M^a, a = ceil(k/2),
+    b = floor(k/2), so only M^2..M^ceil(top/2) are formed, each as
+    M^(a-1) M over the stored cells of each column of M: an adjacency
+    matrix stores at most a few cells per row and column.  Dividing j*e_j
+    by j is exact in either ring: packed, j*e_j(2^bits) is (j*e_j)(2^bits)."""
     zero = ring.zero
     powers = [None, x]  # powers[a] = M^a
-    for _ in range(2, (top + 1) // 2 + 1):
-        powers.append(rational_matmul(powers[-1], x, n, n, n, zero))
+    if top > 2:
+        cols = [[(m, x[m * n + j]) for m in range(n) if x[m * n + j]] for j in range(n)]
+        for _ in range(2, (top + 1) // 2 + 1):
+            prev = powers[-1]
+            powers.append([sum([prev[i + m] * c for m, c in col], zero)
+                           for i in range(0, n * n, n) for col in cols])
     p = [None, sum([x[i] for i in range(0, n * n, n + 1)], zero)]
     for k in range(2, top + 1):
         a, b = powers[(k + 1) // 2], powers[k // 2]
-        p.append(sum([a[i * n + j] * b[j * n + i] for i in range(n) for j in range(n)], zero))
+        p.append(sum([c * b[at % n * n + at // n] for at, c in enumerate(a) if c], zero))
     # Newton: j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i
     e = [ring.one]
     for j in range(1, top + 1):

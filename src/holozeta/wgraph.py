@@ -376,23 +376,34 @@ def _adjacency_det(g: WeightedDigraph, weight, top: int, ring) -> list:
     return det_one_minus_x_cells(a, n, top, ring)
 
 
-def euler_check(g: WeightedDigraph, order: int) -> bool:
-    """Whether the Euler product over the prime cycle classes equals
-    det(I - uA) up to u^order, as the paper's determinant formula says: the
-    check of `zeta --check-euler`.  Both sides run in one `cell_ring`, wide
-    enough for each side's coefficients by a bound of its own (see
-    `cell_ring`; k is the most edges between one ordered pair of vertices),
-    on the weight cells packed once: the Euler side as in
-    `euler_product_oracle`, the det side as `series_det` on A, whose cells
-    are sums of the packed weights.  The coefficient lists are compared as
-    packed values, the det side padded with zeros past top = min(dim A,
-    order), since c_j of det(I - uA) is 0 for j > dim A."""
+def euler_check(g: WeightedDigraph, order: int) -> tuple:
+    """(det(I - A), whether the Euler product over the prime cycle classes
+    equals det(I - uA) up to u^order, as the paper's determinant formula
+    says): the check of `zeta --check-euler` and the value it prints.  Both
+    sides run in one `cell_ring`, wide enough for each side's coefficients
+    by a bound of its own (see `cell_ring`; k is the most edges between one
+    ordered pair of vertices), on the weight cells packed once: the Euler
+    side as in `euler_product_oracle`, the det side as `series_det` on A,
+    whose cells are sums of the packed weights.  The coefficient lists are
+    compared as packed values, the det side padded with zeros past top =
+    min(dim A, order), since c_j of det(I - uA) is 0 for j > dim A.  When
+    order >= dim A the det side holds every c_j, and det(I - A) is their
+    sum, read back from the values just compared; below that it is
+    `zeta_reciprocal` (running the det side up to dim A would cost
+    O(dim A^4) and widen the ring)."""
     _, n = _block_offsets(g)
     parallel = max(Counter([(e.src, e.tgt) for e in g.edges]).values(), default=0)
     classes, ring, weight = _euler_setup(g, order, (n, parallel))
     top = min(n, order)
     det = _adjacency_det(g, weight, top, ring) + [ring.zero] * (order - top)
-    return _euler_product(classes, weight, order, ring) == det
+    agrees = _euler_product(classes, weight, order, ring) == det
+    if top < n:
+        return zeta_reciprocal(g), agrees
+    total = Counter()
+    for j, c in enumerate(det):
+        if c:
+            total.update(ring.unpack(c, j).terms)
+    return LaurentPoly._ring_result(total), agrees
 
 
 # -- transform engine ----------------------------------------------------

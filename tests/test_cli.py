@@ -145,14 +145,20 @@ def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
 def test_euler_check_packs_each_weight_cell_once(tmp_path, capsys, monkeypatch):
     # one ring for both sides: the stored (nonzero) weight cells are packed
     # once, A's cells are sums of them, and the two coefficient lists are
-    # compared packed, so nothing is read back and no adjacency matrix is built
+    # compared packed, so no adjacency matrix is built.  At order 8 >= dim A
+    # = 3 the det side holds every c_j of det(I - uA), so the printed
+    # det(I - A) is read back from its nonzero c_j (3 here) and no Laurent
+    # elimination runs
     text = ("vertex u dim=2\nvertex v dim=1\n"
             "edge a u -> v weight=[[t],[1 - t^2]]\n"
             "edge b u -> v weight=[[2],[0]]\n"
             "edge c v -> u weight=[[1/2, t^-1]]\n"
             "edge d u -> u weight=[[0, t],[1, 0]]\n")
     path = _write(tmp_path, "g.wg", text)
-    calls = {"cell_ring": 0, "pack": 0, "unpack": 0, "adjacency_matrix": 0}
+    g = wgraph.parse_graph(text)
+    det_side = [c for c in laurent.series_det(wgraph.adjacency_matrix(g), 3).coeffs if c]
+    want = "zeta-reciprocal: %s\neuler-agrees: true\n" % wgraph.zeta_reciprocal(g)
+    calls = {"cell_ring": 0, "pack": 0, "unpack": 0, "adjacency_matrix": 0, "det": 0}
 
     def counting(name, fn):
         def spy(*args, **kwargs):
@@ -169,11 +175,53 @@ def test_euler_check_packs_each_weight_cell_once(tmp_path, capsys, monkeypatch):
     for name in ("pack", "unpack"):
         monkeypatch.setattr(laurent.PackedCells, name,
                             counting(name, getattr(laurent.PackedCells, name)))
+    monkeypatch.setattr(laurent.PolyMatrix, "det", counting("det", laurent.PolyMatrix.det))
     assert main(["zeta", "--graph", path, "--check-euler"]) == 0
-    assert capsys.readouterr().out.endswith("euler-agrees: true\n")
-    cells = [p for e in wgraph.parse_graph(text).edges for p in e.weight.entries]
-    assert calls == {"cell_ring": 1, "pack": sum([1 for p in cells if p.terms]), "unpack": 0,
-                     "adjacency_matrix": 0}
+    assert capsys.readouterr().out == want
+    cells = [p for e in g.edges for p in e.weight.entries]
+    assert calls == {"cell_ring": 1, "pack": sum([1 for p in cells if p.terms]),
+                     "unpack": len(det_side), "adjacency_matrix": 0, "det": 0}
+
+
+def test_euler_check_below_dim_a_prints_zeta_reciprocal(tmp_path, capsys, monkeypatch):
+    # dim A = 4: below order 4 the det side stops short of det(I - A), so the
+    # printed value is `zeta_reciprocal`'s, computed once; from order 4 on the
+    # det side gives it, and without --check-euler `zeta_reciprocal` does.
+    # The value is (1 - t) - (2 - t)(2t + 1/2 + t^-1/2), from the Schur
+    # complement of the loop block d
+    text = ("vertex u dim=1\nvertex v dim=2\nvertex w dim=1\n"
+            "edge a u -> v weight=[[t, 1/2]]\n"
+            "edge b v -> w weight=[[1],[t^-1]]\n"
+            "edge c w -> u weight=[[2 - t]]\n"
+            "edge d v -> v weight=[[0, t],[1, 0]]\n")
+    path = _write(tmp_path, "g.wg", text)
+    calls, real = [], wgraph.zeta_reciprocal
+    for module in (cli, wgraph):
+        monkeypatch.setattr(module, "zeta_reciprocal", lambda g: calls.append(g) or real(g))
+    zeta = "zeta-reciprocal: -t^-1 + 1/2 - 9/2*t + 2*t^2\n"
+    cases = [(["--check-euler", "--order", str(order)], zeta + "euler-agrees: true\n",
+              int(order < 4)) for order in range(6)] + [([], zeta, 1)]
+    for argv, out, ran in cases:
+        calls.clear()
+        assert main(["zeta", "--graph", path] + argv) == 0
+        assert (capsys.readouterr().out, len(calls)) == (out, ran), argv
+
+
+def test_check_euler_on_a_400_vertex_cycle_finishes(tmp_path):
+    # dim A = 400 above the order: the det side forms A^2..A^4 over A's one
+    # stored cell per column, and det(I - A) comes from `zeta_reciprocal`
+    n = 400
+    text = "".join("vertex v%d dim=1\n" % i for i in range(n))
+    text += "".join("edge e%d v%d -> v%d weight=[[t]]\n" % (i, i, (i + 1) % n) for i in range(n))
+    g = _write(tmp_path, "ring.wg", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
+                           "--check-euler", "--order", "8"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 0
+    assert done.stdout == "zeta-reciprocal: 1 - t^400\neuler-agrees: true\n"
 
 
 _PADDING_GRAPHS = (

@@ -260,11 +260,14 @@ def _euler_sides():
 
 
 def _check_both_sides(g, order: int):
-    """euler_check(g, order) holds, and each side, read back, is the public
-    route: the Euler side `euler_product_oracle`, the det side `series_det`
-    on A, padded with zeros past min(dim A, order).  Returns the ring."""
+    """euler_check(g, order) agrees and returns `zeta_reciprocal`'s det(I - A),
+    and each side, read back, is the public route: the Euler side
+    `euler_product_oracle`, the det side `series_det` on A, padded with zeros
+    past min(dim A, order).  Returns the ring."""
     with _euler_sides() as seen:
-        assert euler_check(g, order)
+        det_one_minus_a, agrees = euler_check(g, order)
+    assert agrees is True
+    assert det_one_minus_a == zeta_reciprocal(g)
     (euler, ring), (det, same) = seen["euler"], seen["det"]
     assert same is ring
     assert [ring.unpack(x, n) for n, x in enumerate(euler)] == list(
