@@ -442,28 +442,39 @@ def cell_ring(cells, length: int, cycle_lengths, dim: int, *, adjacency=None):
     return PackedCells(den, lo, bits)
 
 
-def det_one_minus_x_cells(x, n: int, top: int, ring) -> list:
+def cell_rows(x, n: int) -> list:
+    """The n x n matrix with flat row-major cells x as one {column: cell} map
+    per row, holding only its nonzero cells."""
+    return [{j: c for j, c in enumerate(x[i * n:i * n + n]) if c} for i in range(n)]
+
+
+def det_one_minus_x_cells(m, n: int, top: int, ring) -> list:
     """The coefficients c_0..c_top of det(I - x*M) = sum_j c_j x^j, in
-    `ring`, for the n x n matrix M with flat row-major cells x in `ring`.
-    c_j = (-1)^j e_j, and the e_j come from Newton's identities on the power
-    traces p_k = tr(M^k), k <= top.  Each p_k with k > 1 is the inner product
+    `ring`, for the n x n matrix M given as n row maps {column: cell} of
+    its stored cells in `ring` (`cell_rows`).  c_j = (-1)^j e_j, and the e_j
+    come from Newton's identities on the power traces p_k = tr(M^k),
+    k <= top.  Each p_k with k > 1 is the inner product
     sum_(i,j) (M^a)_ij (M^b)_ji over the stored (i,j) of M^a, a = ceil(k/2),
-    b = floor(k/2), so only M^2..M^ceil(top/2) are formed, each as
-    M^(a-1) M over the stored cells of each column of M: an adjacency
-    matrix stores at most a few cells per row and column.  Dividing j*e_j
+    b = floor(k/2), so only M^2..M^ceil(top/2) are formed, each as row maps
+    M^(a-1) M over stored cells only: an adjacency matrix stores at most a
+    few cells per row, and the work is then linear in n.  Dividing j*e_j
     by j is exact in either ring: packed, j*e_j(2^bits) is (j*e_j)(2^bits)."""
     zero = ring.zero
-    powers = [None, x]  # powers[a] = M^a
-    if top > 2:
-        cols = [[(m, x[m * n + j]) for m in range(n) if x[m * n + j]] for j in range(n)]
-        for _ in range(2, (top + 1) // 2 + 1):
-            prev = powers[-1]
-            powers.append([sum([prev[i + m] * c for m, c in col], zero)
-                           for i in range(0, n * n, n) for col in cols])
-    p = [None, sum([x[i] for i in range(0, n * n, n + 1)], zero)]
+    powers = [None, m]  # powers[a] = M^a
+    for _ in range(2, (top + 1) // 2 + 1):
+        rows = []
+        for row in powers[-1]:
+            acc = {}
+            for mid, c in row.items():
+                for j, d in m[mid].items():
+                    acc[j] = acc[j] + c * d if j in acc else c * d
+            rows.append(acc)
+        powers.append(rows)
+    p = [None, sum([row[i] for i, row in enumerate(m) if i in row], zero)]
     for k in range(2, top + 1):
         a, b = powers[(k + 1) // 2], powers[k // 2]
-        p.append(sum([c * b[at % n * n + at // n] for at, c in enumerate(a) if c], zero))
+        p.append(sum([c * b[j][i] for i, row in enumerate(a) for j, c in row.items() if i in b[j]],
+                     zero))
     # Newton: j*e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i
     e = [ring.one]
     for j in range(1, top + 1):
@@ -852,16 +863,17 @@ class TruncatedSeries:
 def series_det(m: PolyMatrix, order: int) -> TruncatedSeries:
     """det(I - u*M) truncated at u^order, for a `PolyMatrix` M.  Its
     coefficients c_0..c_top, top = min(dim M, order), come from
-    `det_one_minus_x_cells` on the cells of M in their `cell_ring`: packed
-    as integers, or as they are when too wide to pack.  Every c_j with
-    j > dim M is 0, so the rest are zeros.  `zeta --check-euler` runs the
-    same loop on the packed weights of its graph (`wgraph.euler_check`)."""
+    `det_one_minus_x_cells` on the stored cells of M (`cell_rows`) in their
+    `cell_ring`: packed as integers, or as they are when too wide to pack.
+    Every c_j with j > dim M is 0, so the rest are zeros.  `zeta
+    --check-euler` runs the same loop on the packed weights of its graph
+    (`wgraph.euler_check`)."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     top = min(m.rows, order)
     ring = cell_ring(m.entries, top, (1,), m.rows)
-    x = [ring.pack(p) for p in m.entries]
-    coeffs = [ring.unpack(c, j) for j, c in enumerate(det_one_minus_x_cells(x, m.rows, top, ring))]
+    rows = cell_rows([ring.pack(p) for p in m.entries], m.rows)
+    coeffs = [ring.unpack(c, j) for j, c in enumerate(det_one_minus_x_cells(rows, m.rows, top, ring))]
     return TruncatedSeries(order, coeffs + [LaurentPoly()] * (order - top))
 
 

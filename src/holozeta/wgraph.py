@@ -21,6 +21,7 @@ from .laurent import (
     PolyMatrix,
     TruncatedSeries,
     cell_ring,
+    cell_rows,
     content_lines,
     det_one_minus_x_cells,
     parse_laurent,
@@ -176,25 +177,26 @@ def _block_offsets(g: WeightedDigraph):
     return offsets, total
 
 
-def _adjacency_cells(g: WeightedDigraph, cells, zero):
-    """(n, the n x n cells of A, flat and row-major): each cell of A sums
-    the cells of the edges v_i -> v_j that fall in it, cells[e.id] being
-    the flat row-major cells of e's weight in some ring whose zero is
-    `zero` (`LaurentPoly` cells, or the packed ones of a `cell_ring`)."""
+def _adjacency_cells(g: WeightedDigraph, cells):
+    """(n, each stored weight cell as (row, column, cell) of the n x n matrix
+    A): cells[k] holds the flat row-major cells of g.edges[k]'s weight in
+    some ring (`LaurentPoly` cells, or the packed ones of a `cell_ring`),
+    and A's cell (i,j) is the sum of the cells that fall in it."""
     offsets, n = _block_offsets(g)
-    a = [zero] * (n * n)
-    for e in g.edges:
-        at, cols = offsets[e.src] * n + offsets[e.tgt], e.weight.cols
-        for k, x in enumerate(cells[e.id]):
-            if x:
-                a[at + k // cols * n + k % cols] += x
-    return n, a
+    out = []
+    for e, x in zip(g.edges, cells):
+        i, j, cols = offsets[e.src], offsets[e.tgt], e.weight.cols
+        out += [(i + k // cols, j + k % cols, c) for k, c in enumerate(x) if c]
+    return n, out
 
 
 def adjacency_matrix(g: WeightedDigraph) -> PolyMatrix:
     """Block matrix whose (i,j) block sums the weights of edges v_i -> v_j."""
     _matrix_only(g)
-    n, a = _adjacency_cells(g, {e.id: e.weight.entries for e in g.edges}, LaurentPoly())
+    n, cells = _adjacency_cells(g, [e.weight.entries for e in g.edges])
+    a = [LaurentPoly()] * (n * n)
+    for i, j, c in cells:
+        a[i * n + j] += c
     return PolyMatrix(n, n, a)
 
 
@@ -222,10 +224,10 @@ def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
 
 # -- prime cycles and the Euler product oracle --------------------------
 
-# DFS steps `cycle_classes` may take before it gives up: enough for the
-# order-16 walks of a 4-vertex, 9-edge graph (about 330 000 steps), while
-# order 18 on that graph (1.5 million) is rejected in a few seconds; also
-# the longest walk it may be asked for
+# DFS steps the prenecklace search (`_prenecklace_tree`) may take before it
+# gives up: enough for the order-16 walks of a 4-vertex, 9-edge graph (about
+# 330 000 steps), while order 18 on that graph (1.5 million) is rejected in a
+# few seconds; also the longest walk it may be asked for
 CYCLE_SEARCH_BUDGET = 500_000
 
 
@@ -240,97 +242,124 @@ def _search_too_large(max_len: int) -> CycleSearchTooLarge:
     )
 
 
+def _prenecklace_tree(g: WeightedDigraph, max_len: int):
+    """The search tree of `cycle_classes`, as (parent, last, necklaces).
+    Node k is the walk that extends node parent[k] (-1 for none) by the edge
+    g.edges[last[k]], numbered in the order the search meets them, so a
+    parent comes before its children; necklaces lists (node, length, prime)
+    for each walk that is a necklace, in that order.  The search keeps one
+    path, cut back to each popped node's depth, so its memory is linear in
+    the nodes and max_len."""
+    if max_len > CYCLE_SEARCH_BUDGET:
+        raise _search_too_large(max_len)
+    parent, last, necklaces = [], [], []
+    if max_len < 1:
+        return parent, last, necklaces
+    edges = g.edges
+    out = {}
+    for i, e in enumerate(edges):
+        out.setdefault(e.src, []).append(i)
+    src, tgt = [e.src for e in edges], [e.tgt for e in edges]
+    path = []  # the edges of the walk at the node last popped
+    # an entry is (parent node, edge, p, n): the walk of n edges that extends
+    # the parent by the edge, p the length of its longest Lyndon prefix; on an
+    # explicit stack so the walk length is not bounded by Python's recursion
+    # limit, and pushed in reverse index order so walks pop in lexicographic order
+    stack = [(-1, i, 1, 1) for i in range(len(edges) - 1, -1, -1)]
+    while stack:
+        node = len(parent)
+        if node == CYCLE_SEARCH_BUDGET:
+            raise _search_too_large(max_len)
+        up, x, p, n = stack.pop()
+        parent.append(up)
+        last.append(x)
+        del path[n - 1:]
+        path.append(x)
+        here = tgt[x]
+        if n % p == 0 and here == src[path[0]]:
+            necklaces.append((node, n, p == n))  # prime when it is Lyndon
+        if n == max_len:
+            continue
+        # y extends the prenecklace only if y >= path[n - p]
+        least = path[n - p]
+        for y in reversed(out.get(here, ())):
+            if y < least:
+                break
+            stack.append((node, y, p if y == least else n + 1, n + 1))
+    return parent, last, necklaces
+
+
 def cycle_classes(g: WeightedDigraph, max_len: int):
     """All cycle classes (rotation orbits of closed edge walks) up to max_len,
     each as its least rotation in g.edges order, in lexicographic order.
     One depth-first search over the walks that are prenecklaces meets each
     class once (the Fredricksen-Kessler-Maiorana search of Ruskey, Savage
-    and Wang, "Generating necklaces", 1992).  Raises CycleSearchTooLarge
-    past CYCLE_SEARCH_BUDGET search steps, and at once when max_len is
-    above CYCLE_SEARCH_BUDGET: the series an order-max_len check builds
-    grow with max_len outside the search."""
-    if max_len > CYCLE_SEARCH_BUDGET:
-        raise _search_too_large(max_len)
-    if max_len < 1:
-        return []
-    edges = g.edges
-    out = {}
-    for i, e in enumerate(edges):
-        out.setdefault(e.src, []).append(i)
-    ids = [e.id for e in edges]
+    and Wang, "Generating necklaces", 1992); the classes are read off its
+    tree (`_prenecklace_tree`).  Raises CycleSearchTooLarge past
+    CYCLE_SEARCH_BUDGET search steps, and at once when max_len is above
+    CYCLE_SEARCH_BUDGET: the series an order-max_len check builds grow with
+    max_len outside the search."""
+    parent, last, necklaces = _prenecklace_tree(g, max_len)
+    ids = [e.id for e in g.edges]
     classes = []
-    # an entry is (vertex reached, path, p), p the length of the path's
-    # longest Lyndon prefix; on an explicit stack so the walk length is not
-    # bounded by Python's recursion limit, and pushed in reverse index order
-    # so paths pop in lexicographic order
-    stack = [(e.tgt, (i,), 1) for i, e in enumerate(edges)][::-1]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > CYCLE_SEARCH_BUDGET:
-            raise _search_too_large(max_len)
-        here, path, p = stack.pop()
-        n = len(path)
-        if n % p == 0 and here == edges[path[0]].src:
-            # a necklace, prime when it is Lyndon; ids from a list, so the tuple
-            # gets its exact size (from a generator: +3.7% zeta-euler peak RSS)
-            classes.append(CycleClass(tuple([ids[i] for i in path]), p == n))
-        if n == max_len:
-            continue
-        # x extends the prenecklace only if x >= path[n - p]
-        least = path[n - p]
-        for x in reversed(out.get(here, ())):
-            if x < least:
-                break
-            stack.append((edges[x].tgt, path + (x,), p if x == least else n + 1))
+    for node, n, prime in necklaces:
+        walk = [None] * n
+        for k in range(n - 1, -1, -1):
+            walk[k] = ids[last[node]]
+            node = parent[node]
+        classes.append(CycleClass(tuple(walk), prime))
     return classes
 
 
 def _euler_setup(g: WeightedDigraph, max_len: int, adjacency):
-    """The prime cycle classes up to max_len, the `cell_ring` of the weights'
-    cells (`adjacency` as `cell_ring` takes it), and each edge's
-    (rows, cols, cells packed once, a zero cell as the ring's zero)."""
+    """The prenecklace tree up to max_len as (parent, last, primes), primes
+    the (node, length) of each prime class; the `cell_ring` of the weights'
+    cells (`adjacency` as `cell_ring` takes it); and each edge's (rows,
+    cols, cells packed once, a zero cell as the ring's zero), in g.edges
+    order."""
     _matrix_only(g)
-    classes = [c for c in cycle_classes(g, max_len) if c.prime]
+    parent, last, necklaces = _prenecklace_tree(g, max_len)
+    primes = [(node, n) for node, n, prime in necklaces if prime]
     dims = g.dims()
     ring = cell_ring([p for e in g.edges for p in e.weight.entries], max_len,
-                     [len(c.edges) for c in classes], max(dims.values(), default=0),
+                     [n for _, n in primes], max(dims.values(), default=0),
                      adjacency=adjacency)
     zero = ring.zero
-    weight = {e.id: (dims[e.src], dims[e.tgt],
-                     [ring.pack(p) if p.terms else zero for p in e.weight.entries])
-              for e in g.edges}
-    return classes, ring, weight
+    weight = [(dims[e.src], dims[e.tgt],
+               [ring.pack(p) if p.terms else zero for p in e.weight.entries]) for e in g.edges]
+    return (parent, last, primes), ring, weight
 
 
-def _euler_product(classes, weight, max_len: int, ring) -> list:
+def _euler_product(tree, weight, max_len: int, ring) -> list:
     """The coefficients of u^0..u^max_len, in `ring`, of the product over the
-    prime `classes` of det(I - u^|C| w(C)), `weight` as `_euler_setup`
-    packs it (see `euler_product_oracle`)."""
+    prime classes of det(I - u^|C| w(C)), `tree` and `weight` as
+    `_euler_setup` gives them (see `euler_product_oracle`).  The weight
+    product P of a node's walk is P(parent) w(last edge), formed once and
+    only for the nodes a prime class reads and their ancestors."""
+    parent, last, primes = tree
     zero = ring.zero
     traces = [zero] * (max_len + 1)  # traces[l] = S_l
     factors = []  # each a list of (degree in u, nonzero coefficient)
-    prefix = []  # (edge id, weight product up to it) along the previous class
-    for c in classes:
-        n = len(c.edges)
-        whole = 2 * n <= max_len or n == 1  # a loop's trace needs no prefix
-        need = n if whole else n - 1
-        # the classes come sorted, so neighbours share a prefix of edges
-        keep = 0
-        while keep < min(len(prefix), need) and prefix[keep][0] == c.edges[keep]:
-            keep += 1
-        del prefix[keep:]
-        rows = weight[c.edges[0]][0]
-        for eid in c.edges[keep:need]:
-            k, cols, w = weight[eid]
-            prefix.append((eid, rational_matmul(prefix[-1][1], w, rows, k, cols, zero)
-                           if prefix else w))
+    products = {-1: None}  # node -> (rows, cells of P)
+    for node, n in primes:
+        whole = 2 * n <= max_len or n == 1  # a loop's trace needs no parent
+        chain = []
+        at = node if whole else parent[node]
+        while at not in products:
+            chain.append(at)
+            at = parent[at]
+        for at in reversed(chain):
+            k, cols, w = weight[last[at]]
+            up = products[parent[at]]
+            products[at] = (k, w) if up is None else (
+                up[0], rational_matmul(up[1], w, up[0], k, cols, zero))
         if whole:
-            poly = det_one_minus_x_cells(prefix[-1][1], rows, min(rows, max_len // n), ring)
+            rows, p = products[node]
+            poly = det_one_minus_x_cells(cell_rows(p, rows), rows, min(rows, max_len // n), ring)
             factors.append([(n * j, cj) for j, cj in enumerate(poly) if j and cj])
         else:
-            k, _, w = weight[c.edges[-1]]
-            p = prefix[-1][1]
+            rows, p = products[parent[node]]
+            k, _, w = weight[last[node]]
             traces[n] = traces[n] + sum([p[i * k + m] * w[m * rows + i]
                                          for i in range(rows) for m in range(k)], zero)
     factors.append([(n, -s) for n, s in enumerate(traces) if s])
@@ -363,17 +392,23 @@ def euler_product_oracle(g: WeightedDigraph, max_len: int) -> TruncatedSeries:
     of all weights but the last, w, so the last product is not formed.  Only
     the coefficient of u^n of the whole product is read back, once, at
     power n.  `euler_check` runs the same product and reads nothing back."""
-    classes, ring, weight = _euler_setup(g, max_len, None)
-    coeffs = _euler_product(classes, weight, max_len, ring)
+    tree, ring, weight = _euler_setup(g, max_len, None)
+    coeffs = _euler_product(tree, weight, max_len, ring)
     return TruncatedSeries(max_len, [ring.unpack(x, n) for n, x in enumerate(coeffs)])
 
 
 def _adjacency_det(g: WeightedDigraph, weight, top: int, ring) -> list:
     """c_0..c_top of det(I - uA), in `ring`, `weight` as `_euler_setup`
     packs it: each cell of A is the sum of the packed weight cells that fall
-    in it (packing is linear), so A is never formed as a `PolyMatrix`."""
-    n, a = _adjacency_cells(g, {eid: w for eid, (_, _, w) in weight.items()}, ring.zero)
-    return det_one_minus_x_cells(a, n, top, ring)
+    in it (packing is linear), kept in one row map per row of A and dropped
+    when it cancels to zero, so A is never formed as a dense matrix."""
+    n, cells = _adjacency_cells(g, [w for _, _, w in weight])
+    rows = [{} for _ in range(n)]
+    for i, j, c in cells:
+        row = rows[i]
+        row[j] = row[j] + c if j in row else c
+    return det_one_minus_x_cells([{j: c for j, c in row.items() if c} for row in rows],
+                                 n, top, ring)
 
 
 def euler_check(g: WeightedDigraph, order: int) -> tuple:
@@ -393,10 +428,10 @@ def euler_check(g: WeightedDigraph, order: int) -> tuple:
     O(dim A^4) and widen the ring)."""
     _, n = _block_offsets(g)
     parallel = max(Counter([(e.src, e.tgt) for e in g.edges]).values(), default=0)
-    classes, ring, weight = _euler_setup(g, order, (n, parallel))
+    tree, ring, weight = _euler_setup(g, order, (n, parallel))
     top = min(n, order)
     det = _adjacency_det(g, weight, top, ring) + [ring.zero] * (order - top)
-    agrees = _euler_product(classes, weight, order, ring) == det
+    agrees = _euler_product(tree, weight, order, ring) == det
     if top < n:
         return zeta_reciprocal(g), agrees
     total = Counter()

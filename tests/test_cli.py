@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -272,6 +273,36 @@ def test_deep_order_euler_check_finishes(tmp_path):
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0
         assert done.stdout == "zeta-reciprocal: 1 - t\neuler-agrees: true\n"
+
+
+def _run_in_1_gib(argv):
+    """The CLI in a subprocess whose address space (RLIMIT_AS) is capped at
+    1 GiB, as a `subprocess.CompletedProcess`."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "holozeta.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap)
+
+
+def test_deep_orders_keep_the_exit_contract_in_1_gib(tmp_path):
+    # the search keeps one path and a (parent, last edge) record per node, so
+    # its memory is linear in the order: a walk of 500 000 edges fits, and a
+    # graph whose prenecklaces outgrow the search budget is rejected by it
+    # before memory runs out
+    loop = _write(tmp_path, "loop.wg", "vertex v dim=1\nedge e v -> v weight=[[t]]\n")
+    done = _run_in_1_gib(["zeta", "--graph", loop, "--check-euler", "--order", "500000"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "zeta-reciprocal: 1 - t\neuler-agrees: true\n"
+    three = _write(tmp_path, "three.wg", "vertex u dim=1\nvertex v dim=1\n"
+                   "edge a u -> u weight=[[t]]\nedge b u -> v weight=[[1]]\n"
+                   "edge c v -> u weight=[[t^-1]]\n")
+    done = _run_in_1_gib(["zeta", "--graph", three, "--check-euler", "--order", "10000"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "--order" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_order_past_the_search_budget_exits_2(tmp_path, capsys):

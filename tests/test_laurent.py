@@ -11,6 +11,8 @@ from holozeta.laurent import (
     PolyMatrix,
     TruncatedSeries,
     cell_ring,
+    cell_rows,
+    det_one_minus_x_cells,
     parse_laurent,
     series_det,
     series_det_inverse,
@@ -459,6 +461,48 @@ def test_det_one_minus_x_matches_the_laurent_route(m, extra):
         assert list(coeffs) == expect
         for c in coeffs:
             assert_canonical(c.terms.values())
+
+
+def test_det_one_minus_x_on_sparse_row_maps():
+    # n = 0, an all-zero matrix, and one with an empty row and an empty
+    # column: only stored cells are kept and multiplied
+    assert cell_rows([], 0) == []
+    assert det_one_minus_x_cells([], 0, 0, LaurentCells()) == [LaurentPoly.one()]
+    assert series_det(PolyMatrix(0, 0, []), 3) == series_one(3)
+    zero = PolyMatrix.zeros(3, 3)
+    assert cell_rows(list(zero.entries), 3) == [{}, {}, {}]
+    assert series_det(zero, 5) == series_one(5)
+    rng = seeded_rng(40)
+    for _ in range(20):
+        cells = [LaurentPoly() if i == 1 or j == 2 else random_laurent(rng, 2, -1)
+                 for i in range(4) for j in range(4)]
+        m = PolyMatrix(4, 4, cells)
+        assert [sorted(row) for row in cell_rows(cells, 4)][1] == []
+        for top in range(6):
+            low = min(top, 4)
+            expect = det_one_minus_x_by_laurent(m, low) + [LaurentPoly()] * (top - low)
+            for limit in (10 ** 9, 0):
+                with pack_width_limit(limit):
+                    assert list(series_det(m, top).coeffs) == expect
+
+
+def test_det_one_minus_x_works_over_stored_cells_only(monkeypatch):
+    # an n-cycle of [[t]] cells stores one cell per row, so M^2..M^4 take n
+    # products each and the traces of M^2..M^8 none (a dense M^(a-1) M takes
+    # n^2 per power)
+    n = 200
+    t = LaurentPoly.monomial(1, 1)
+    m = [{(i + 1) % n: t} for i in range(n)]
+    calls = [0]
+
+    def counted(a, b, mul=LaurentPoly.__mul__):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    coeffs = det_one_minus_x_cells(m, n, 8, LaurentCells())
+    assert coeffs == [LaurentPoly.one()] + [LaurentPoly()] * 8
+    assert calls[0] <= 20 * n
 
 
 def test_packed_cells_read_back_what_they_pack():

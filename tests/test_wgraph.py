@@ -2,6 +2,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from holozeta.laurent import (
     series_det_inverse,
 )
 from holozeta.wgraph import (
+    CycleSearchTooLarge,
     Edge,
     InvalidStep,
     TransformStep,
@@ -317,6 +319,62 @@ def test_euler_check_sides_on_wide_graphs(name):
     # at order 0 the values are constants, which pack at any span
     for order in (0, 1, n, n + 2):
         assert isinstance(_check_both_sides(g, order), LaurentCells if order else PackedCells)
+
+
+def test_euler_check_drops_a_cell_of_a_that_cancels(monkeypatch):
+    # the loops [[t]] and [[-t]] sum to a zero cell of A, which the det side
+    # does not store; the Euler side still meets both loops and their words
+    g = _scalar_graph([("a", "u", "u", "t"), ("b", "u", "u", "-t"), ("c", "u", "v", "1"),
+                       ("d", "v", "u", "t^-1")])
+    seen = []
+
+    def spy(m, n, top, ring, det=wgraph.det_one_minus_x_cells):
+        if n == 2:  # A: the cycle weights are 1 x 1
+            seen.append(m)
+        return det(m, n, top, ring)
+
+    monkeypatch.setattr(wgraph, "det_one_minus_x_cells", spy)
+    for order in range(5):
+        seen.clear()
+        for limit in (10 ** 9, 0):
+            with pack_width_limit(limit):
+                _check_both_sides(g, order)
+        assert len(seen) == 2
+        for a in seen:
+            assert [sorted(row) for row in a] == [[1], [0]]
+            assert all(c for row in a for c in row.values())
+
+
+def _prenecklace_walks(g, max_len: int) -> int:
+    """The walks of 1..max_len edges whose edge positions form a prenecklace,
+    a prefix of a necklace (a word least among its rotations) of at most
+    twice its length: by brute force over the words that extend it."""
+    edges = g.edges
+    letters = range(len(edges))
+
+    def prenecklace(w):
+        return any(all(x <= x[i:] + x[:i] for i in range(len(x)))
+                   for m in range(len(w) + 1) for v in product(letters, repeat=m)
+                   for x in [w + v])
+
+    count, walks = 0, [(i,) for i in letters]
+    for _ in range(max_len):
+        count += sum([prenecklace(w) for w in walks])
+        walks = [w + (j,) for w in walks for j in letters if edges[j].src == edges[w[-1]].tgt]
+    return count
+
+
+def test_the_search_takes_one_step_per_prenecklace(monkeypatch):
+    # the search meets each prenecklace walk once, each one search step: with
+    # the budget at their number the check runs, one below it is rejected
+    g = _scalar_graph([("e1", "u", "v", "t"), ("e2", "v", "u", "1"), ("e3", "u", "u", "2")])
+    steps = _prenecklace_walks(g, 6)
+    assert steps == 31
+    monkeypatch.setattr(wgraph, "CYCLE_SEARCH_BUDGET", steps)
+    assert euler_check(g, 6) == (zeta_reciprocal(g), True)
+    monkeypatch.setattr(wgraph, "CYCLE_SEARCH_BUDGET", steps - 1)
+    with pytest.raises(CycleSearchTooLarge):
+        euler_check(g, 6)
 
 
 def _det_heavy_graphs():
