@@ -169,7 +169,7 @@ class LaurentPoly:
             dnum = max(num)
             if dnum < dden:
                 raise ValueError("inexact Laurent division")
-            q = canonical_coeff(Fraction(num[dnum]) / lead)
+            q = num[dnum] * lead if lead in (1, -1) else canonical_coeff(Fraction(num[dnum]) / lead)
             quot[dnum - dden] = q
             for e, c in den.items():
                 k = e + dnum - dden
@@ -483,6 +483,47 @@ def det_one_minus_x_cells(m, n: int, top: int, ring) -> list:
     return [-ej if j % 2 else ej for j, ej in enumerate(e)]
 
 
+def _fraction_free(rows: list, jordan: bool):
+    """Bareiss's fraction-free elimination (Math. Comp. 22, 1968), in place
+    on rows: n lists of `LaurentPoly`, each at least n long, eliminated over
+    their first n columns.  Step k takes as pivot the entry of column k
+    with the fewest terms among rows k..n-1, a unit when there is one,
+    swaps its row into row k, and clears column k below it; with `jordan`
+    it clears the column above it too (Gauss-Jordan).  Each entry right of
+    column k becomes (x * pivot - a * y) / prev, a the row's entry in
+    column k, y the pivot row's, prev the previous pivot; the division is
+    exact, as every entry is then a minor of order k + 1.  Column k itself
+    is not written back, and a row with a = 0 is left as it is while pivot
+    = prev.  Returns (sign, d), sign * d the determinant of the first n
+    columns, and d the last pivot; with `jordan` every row then holds d
+    times its row of (first n columns)^-1 times the rest.  (1, 0) as soon
+    as a column has no pivot; n = 0 gives (1, 1)."""
+    n = len(rows)
+    one = LaurentPoly.one()
+    sign, prev = 1, one
+    for k in range(n):
+        live = [i for i in range(k, n) if rows[i][k].terms]
+        if not live:
+            return 1, LaurentPoly()
+        p = min(live, key=lambda i: len(rows[i][k].terms))
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        divide, same = prev != one, pivot == prev
+        for i in range(0 if jordan else k + 1, n):
+            row = rows[i]
+            a = row[k]
+            if i == k or same and not a.terms:
+                continue
+            for j in range(k + 1, len(row)):
+                x = row[j] * pivot - a * top[j] if a.terms else row[j] * pivot
+                row[j] = x.divexact(prev) if divide else x
+        prev = pivot
+    return sign, prev
+
+
 class PolyMatrix:
     """Dense matrix over the Laurent ring, row-major."""
 
@@ -557,21 +598,12 @@ class PolyMatrix:
         return PolyMatrix(self.rows, other.cols, rational_matmul(
             self.entries, other.entries, self.rows, self.cols, other.cols, LaurentPoly()))
 
-    def scale(self, p: LaurentPoly) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [p * a for a in self.entries])
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
             self.cols,
             self.rows,
             [self[i, j] for j in range(self.cols) for i in range(self.rows)],
         )
-
-    def minor(self, i: int, j: int) -> "PolyMatrix":
-        """The matrix without row i and column j."""
-        n, e = self.cols, self.entries
-        return PolyMatrix(self.rows - 1, n - 1, [
-            e[r * n + c] for r in range(self.rows) if r != i for c in range(n) if c != j])
 
     # -- determinants -------------------------------------------------
 
@@ -613,33 +645,12 @@ class PolyMatrix:
         return LaurentPoly._ring_result(minors.get((1 << n) - 1, {}))
 
     def det_bareiss(self) -> LaurentPoly:
-        """Fraction-free elimination over the Laurent ring; divisions are
-        exact by construction.  `det()` hands it what the unit-pivot phase
-        leaves above 4 x 4; on a whole matrix it is `det()`'s oracle."""
+        """Fraction-free elimination over the Laurent ring (`_fraction_free`).
+        `det()` hands it what the unit-pivot phase leaves above 4 x 4; on a
+        whole matrix it is `det()`'s oracle."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return LaurentPoly.one()
-        m = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = LaurentPoly.one()
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return LaurentPoly()
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = num.divexact(prev)
-                m[i][k] = LaurentPoly()
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
+        sign, d = _fraction_free([list(self.row(i)) for i in range(self.rows)], False)
         return d if sign == 1 else -d
 
     def det(self) -> LaurentPoly:
@@ -745,19 +756,20 @@ class PolyMatrix:
         return ring({de: dc}), rest
 
     def inverse_unit_det(self) -> "PolyMatrix":
-        """Inverse via adjugate; requires det to be a Laurent unit."""
-        d = self.det()
+        """The inverse over the Laurent ring; the determinant must be a unit.
+        Fraction-free Gauss-Jordan (`_fraction_free`) takes [self | I] to
+        [d*I | d*self^-1], d = +-det(self), and the right half is then
+        scaled by d^-1."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of non-square matrix")
+        n = self.rows
+        one, zero = LaurentPoly.one(), LaurentPoly()
+        rows = [list(self.row(i)) + [one if j == i else zero for j in range(n)] for i in range(n)]
+        _, d = _fraction_free(rows, True)
         if not d.is_unit():
             raise ValueError("matrix not invertible over the Laurent ring")
-        n = self.rows
         dinv = d.unit_inverse()
-        cof = []
-        for i in range(n):
-            for j in range(n):
-                c = self.minor(i, j).det()
-                cof.append(c if (i + j) % 2 == 0 else -c)
-        adj = PolyMatrix(n, n, cof).transpose()
-        return adj.scale(dinv)
+        return PolyMatrix(n, n, [dinv * x for row in rows for x in row[n:]])
 
     def __str__(self):
         """The `[[a,b],[c,d]]` literal that `parse_matrix_literal` reads."""

@@ -112,7 +112,7 @@ def apply_phi_by_products(e, rep) -> PolyMatrix:
         term = PolyMatrix.identity(k)
         for g, s in w.letters:
             term = term * phi(g, s)
-        acc = acc + term.scale(LaurentPoly.const(c))
+        acc = acc + PolyMatrix(k, k, [x.scale(c) for x in term.entries])
     return acc
 
 
@@ -139,6 +139,47 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
             term = term * m[i, perm[i]]
         total = total + term
     return total
+
+
+def inverse_by_adjugate(m: PolyMatrix) -> PolyMatrix:
+    """adj(m) / det(m), every cofactor the Leibniz determinant
+    (`det_by_permutations`) of a minor: an oracle independent of the
+    library's elimination, raising the `ValueError`s of
+    `PolyMatrix.inverse_unit_det`."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    d = det_by_permutations(m)
+    if not d.is_unit():
+        raise ValueError("matrix not invertible over the Laurent ring")
+    n, dinv = m.rows, d.unit_inverse()
+
+    def cofactor(r, c):  # of entry (r, c), over det(m)
+        minor = PolyMatrix(n - 1, n - 1, [
+            m[i, j] for i in range(n) if i != r for j in range(n) if j != c])
+        x = det_by_permutations(minor) * dinv
+        return x if (r + c) % 2 == 0 else -x
+
+    return PolyMatrix(n, n, [cofactor(j, i) for i in range(n) for j in range(n)])
+
+
+def unimodular_matrix(rng, n: int, exps=(-1, 0, 1)) -> PolyMatrix:
+    """A row-permuted L*U, L unit lower and U upper triangular with
+    diagonal +-t^k, every other triangular entry sum c_e t^e over e in exps
+    with c_e in -2..2: a dense n x n matrix with a unit determinant, and
+    with integer entries when exps is (0,)."""
+    def entry():
+        return LaurentPoly({e: rng.randint(-2, 2) for e in exps})
+
+    zero = LaurentPoly()
+    lower = PolyMatrix.from_rows([[LaurentPoly.one() if i == j else entry() if j < i else zero
+                                   for j in range(n)] for i in range(n)])
+    upper = PolyMatrix.from_rows([[LaurentPoly.monomial(rng.choice((1, -1)), rng.choice(exps))
+                                   if i == j else entry() if j > i else zero
+                                   for j in range(n)] for i in range(n)])
+    product = lower * upper
+    rows = [list(product.row(i)) for i in range(n)]
+    rng.shuffle(rows)
+    return PolyMatrix.from_rows(rows)
 
 
 def series_one(order: int) -> TruncatedSeries:

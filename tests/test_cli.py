@@ -37,7 +37,9 @@ from helpers import (
     constant_pair,
     fraction_weights_text,
     perturbed,
+    seeded_rng,
     torus_gauss,
+    unimodular_matrix,
     WIDE_GRAPHS,
 )
 
@@ -457,6 +459,24 @@ def test_graph_verify(tmp_path, capsys):
     assert main(["graph-verify", "--graph", path, "--script", bad,
                  "--expect", path]) == 1
 
+
+
+def test_graph_verify_inverts_a_16_x_16_basis_change_in_seconds(tmp_path):
+    # a dense row-permuted L*U with entries in t^-1..t, a 5 kB literal: the
+    # inverse is one fraction-free Gauss-Jordan elimination, not n^2 + 1
+    # determinants
+    n = 16
+    p = str(unimodular_matrix(seeded_rng(16), n)).replace(" ", "")
+    t_identity = "[%s]" % ",".join(
+        "[%s]" % ",".join("t" if i == j else "0" for j in range(n)) for i in range(n))
+    graph = _write(tmp_path, "g.wg", "vertex u dim=%d\nedge e u -> u weight=%s\n" % (n, t_identity))
+    script = _write(tmp_path, "s.gs", "change_basis u %s\n" % p)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "graph-verify", "--graph", graph,
+                           "--script", script, "--expect", graph],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("verified: true\n")
 
 
 def test_graph_verify_names_a_missing_edge(tmp_path, capsys):

@@ -23,7 +23,14 @@ from holozeta.presentation import BasedPresentation, build_group_weighted_graph,
 from holozeta.wgraph import adjacency_matrix, phi_image
 from holozeta import fixtures
 
-from helpers import apply_phi_by_products, rep_conjugate, rep_direct_sum, seeded_rng, torus_gauss
+from helpers import (
+    apply_phi_by_products,
+    rep_conjugate,
+    rep_direct_sum,
+    seeded_rng,
+    torus_gauss,
+    unimodular_matrix,
+)
 
 
 TREFOIL_GAUSS = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -507,3 +514,12 @@ def test_each_distinct_rho_is_inverted_once(monkeypatch):
             phi = apply_phi(GroupRingElt.from_word(Word.gen(i)), rep)
             phi_inv = apply_phi(GroupRingElt.from_word(Word.gen(i, -1)), rep)
             assert phi * phi_inv == one and phi_inv * phi == one
+
+
+def test_a_32_dim_constant_rep_is_inverted_by_one_elimination():
+    k = 32
+    m = [p.coeff(0) for p in unimodular_matrix(seeded_rng(k), k, (0,)).entries]
+    rho, rho_inv = Representation(k, {0: m}, {0: 1}).rho[0]
+    product = PolyMatrix(k, k, [LaurentPoly.const(x) for x in rho]) * PolyMatrix(
+        k, k, [LaurentPoly.const(x) for x in rho_inv])
+    assert product == PolyMatrix.identity(k)

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from holozeta import laurent
 from holozeta.laurent import (
     LaurentCells,
     LaurentPoly,
@@ -22,6 +23,7 @@ from helpers import (
     assert_canonical,
     det_by_permutations,
     det_one_minus_x_by_laurent,
+    inverse_by_adjugate,
     pack_width_limit,
     packing_cells,
     random_laurent,
@@ -29,6 +31,7 @@ from helpers import (
     seeded_rng,
     series_det_inverse_by_exp,
     series_one,
+    unimodular_matrix,
 )
 
 
@@ -94,6 +97,10 @@ def test_divexact():
     assert a.divexact(b) == parse_laurent("1 + t")
     with pytest.raises(ValueError):
         parse_laurent("1 + t^2").divexact(b)
+
+
+def _literal(text):
+    return PolyMatrix.from_rows([[parse_laurent(x) for x in row.split(",")] for row in text.split(";")])
 
 
 def test_determinants_agree_with_permutation_expansion():
@@ -187,11 +194,27 @@ def test_determinants_agree_with_permutation_expansion():
     zero_column = PolyMatrix.from_rows(
         [[LaurentPoly()] + [random_laurent(rng, 2, -2) for _ in range(2)] for _ in range(3)]
     )
-    for m in (zero_corner, zero_column):
+    # the pivot is the entry of fewest terms, here the unit in row 2, not
+    # the first nonzero entry of the column
+    fewest = _literal("1 + t + t^2,t,2;1 - t,1,t^-1;-t,3,1 + t")
+    rows = [list(fewest.row(i)) for i in range(3)]
+    assert laurent._fraction_free(rows, False) == (-1, -fewest.det_bareiss())
+    assert rows[0] == list(fewest.row(2))
+    # column 2 is t * column 0 + (1 - t) * column 1: the pivots run out at step 2
+    rows = [[random_laurent(rng, 1, -1) for _ in range(2)] for _ in range(4)]
+    dependent = PolyMatrix.from_rows([
+        [a, b, parse_laurent("t") * a + parse_laurent("1 - t") * b, random_laurent(rng, 1, -1)]
+        for a, b in rows])
+    # after step 0 the pivot of step 1 equals it, t, and row 3, zero in
+    # column 1, is left as it is
+    same_pivot = _literal("t,1 + t,2,1;0,1,t^-1 + 1,t;1,0,1 - t,2;0,0,1 + t,t^2 - 1")
+    for m in (zero_corner, zero_column, fewest, dependent, same_pivot, PolyMatrix(0, 0, ())):
         expect = det_by_permutations(m)
         assert m.det_bareiss() == expect
         assert m.det() == expect
     assert not zero_corner.det().is_zero()
+    assert dependent.det_bareiss().is_zero() and not same_pivot.det_bareiss().is_zero()
+    assert PolyMatrix(0, 0, ()).det_bareiss() == LaurentPoly.one()
 
 
 def _sparse_entry(rng, unit_share):
@@ -351,30 +374,79 @@ def test_the_unit_phase_stores_whole_fractions_as_int():
     assert m.det() == det_by_permutations(m)
 
 
-def test_matrix_inverse_unit_det():
-    rng = seeded_rng(4)
-    t = LaurentPoly.monomial(1, 1)
-    # build an invertible matrix as a product of elementary matrices
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        m = PolyMatrix.identity(n)
-        for _ in range(4):
-            e = [[LaurentPoly.one() if i == j else LaurentPoly()
-                  for j in range(n)] for i in range(n)]
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                e[i][i] = LaurentPoly.monomial(Fraction(rng.choice([1, -1, 2])),
-                                               rng.randint(-1, 1))
-            else:
-                e[i][j] = random_laurent(rng, 1)
-            m = m * PolyMatrix.from_rows(e)
-        inv = m.inverse_unit_det()
-        assert m * inv == PolyMatrix.identity(n)
-        assert inv * m == PolyMatrix.identity(n)
-    singular = PolyMatrix.from_rows([[LaurentPoly.one(), LaurentPoly.one()],
-                                     [t, t]])
-    with pytest.raises(ValueError):
-        singular.inverse_unit_det()
+def _elementary_product(rng, n):
+    """A product of four elementary matrices: a unit determinant."""
+    m = PolyMatrix.identity(n)
+    for _ in range(4):
+        e = [[LaurentPoly.one() if i == j else LaurentPoly()
+              for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            e[i][i] = LaurentPoly.monomial(Fraction(rng.choice([1, -1, 2])),
+                                           rng.randint(-1, 1))
+        else:
+            e[i][j] = random_laurent(rng, 1)
+        m = m * PolyMatrix.from_rows(e)
+    return m
+
+
+@st.composite
+def _inversion_inputs(draw):
+    """An n x n matrix, n in 1..6: a product of elementary matrices, a
+    row-permuted L*U, either with one column scaled by a non-unit, with
+    one row the sum of two others, or with a zero (0, 0) entry; or random
+    entries, some of them zero."""
+    n = draw(st.sampled_from(range(1, 7)))
+    kind = draw(st.sampled_from(("elementary", "lu", "scaled", "singular", "zero corner", "random")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "random":
+        return PolyMatrix.from_rows([[random_laurent(rng, 1, -1) if rng.random() < 0.7 else LaurentPoly()
+                                      for _ in range(n)] for _ in range(n)])
+    m = _elementary_product(rng, n) if kind == "elementary" else unimodular_matrix(rng, n)
+    rows = [list(m.row(i)) for i in range(n)]
+    if kind == "scaled":
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = row[c] * parse_laurent("1 + t")
+    elif n > 2 and kind == "singular":
+        rows[0] = [a + b for a, b in zip(rows[1], rows[2])]
+    elif kind == "zero corner":
+        rows[0][0] = LaurentPoly()
+    return PolyMatrix.from_rows(rows)
+
+
+def _inverse_or_error(inverse, m):
+    try:
+        return inverse(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_inversion_inputs())
+@example(_literal("1,1;t,t"))  # singular
+@example(_literal("1 + t,0;0,1"))  # a determinant that is not a unit
+@example(_literal("0,1;1,t"))  # a zero (0, 0) entry: the elimination swaps rows
+@example(_literal("0,1,0;1,t,0;t,0,1"))
+@example(PolyMatrix(0, 0, ()))
+@example(PolyMatrix(2, 3, [LaurentPoly.one()] * 6))
+def test_matrix_inverse_unit_det(m):
+    got = _inverse_or_error(PolyMatrix.inverse_unit_det, m)
+    assert got == _inverse_or_error(inverse_by_adjugate, m)
+    if m.rows != m.cols:
+        assert got == "determinant of non-square matrix"
+    elif isinstance(got, PolyMatrix):
+        one = PolyMatrix.identity(m.rows)
+        assert m * got == one and got * m == one
+        assert_canonical([c for x in got.entries for c in x.terms.values()])
+    else:
+        assert got == "matrix not invertible over the Laurent ring"
+        assert not det_by_permutations(m).is_unit()
+
+
+def test_inverse_of_a_16_x_16_unimodular_matrix():
+    p = unimodular_matrix(seeded_rng(32), 16)
+    assert p * p.inverse_unit_det() == PolyMatrix.identity(16)
 
 
 def test_series_exp_additivity():
