@@ -227,7 +227,9 @@ def zeta_reciprocal(g: WeightedDigraph) -> LaurentPoly:
 # DFS steps the prenecklace search (`_prenecklace_tree`) may take before it
 # gives up: enough for the order-16 walks of a 4-vertex, 9-edge graph (about
 # 330 000 steps), while order 18 on that graph (1.5 million) is rejected in a
-# few seconds; also the longest walk it may be asked for
+# few seconds; also the longest walk it may be asked for.  `euler_check`
+# searches the cyclic core only (`_cyclic_core`), so walks that can never
+# close spend none of it
 CYCLE_SEARCH_BUDGET = 500_000
 
 
@@ -309,6 +311,53 @@ def cycle_classes(g: WeightedDigraph, max_len: int):
             node = parent[node]
         classes.append(CycleClass(tuple(walk), prime))
     return classes
+
+
+def _cyclic_core(g: WeightedDigraph) -> WeightedDigraph:
+    """The core of g: the edges whose two ends lie in one strongly connected
+    component, in g.edges order, and the vertices they touch (g itself when
+    that is all of it).  A closed walk never leaves a component, so g and its
+    core have the same cycle classes, and I - A is block triangular over the
+    components, with I on the diagonal for a vertex off the core, so they
+    have the same det(I - uA).  The components are Tarjan's (SIAM J. Comput.
+    1, 1972), on an explicit stack: one O(V + E) pass."""
+    out = {}
+    for e in g.edges:
+        out.setdefault(e.src, []).append(e.tgt)
+    index, low, root = {}, {}, {}  # root: a vertex's component, once closed
+    path = []  # the vertices met whose component is still open
+    for start in out:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        path.append(start)
+        work = [(start, iter(out[start]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    path.append(w)
+                    work.append((w, iter(out.get(w, ()))))
+                    break
+                if w not in root and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = path.pop()
+                        root[w] = v
+                        if w == v:
+                            break
+    edges = [e for e in g.edges if root[e.src] == root[e.tgt]]
+    touched = {e.src for e in edges}  # a core edge's target leaves by a core edge
+    vertices = [(v, d) for v, d in g.vertices if v in touched]
+    if len(edges) == len(g.edges) and len(vertices) == len(g.vertices):
+        return g
+    return WeightedDigraph(g.kind, tuple(vertices), tuple(edges))
 
 
 def _euler_setup(g: WeightedDigraph, max_len: int, adjacency):
@@ -415,22 +464,26 @@ def euler_check(g: WeightedDigraph, order: int) -> tuple:
     """(det(I - A), whether the Euler product over the prime cycle classes
     equals det(I - uA) up to u^order, as the paper's determinant formula
     says): the check of `zeta --check-euler` and the value it prints.  Both
-    sides run in one `cell_ring`, wide enough for each side's coefficients
-    by a bound of its own (see `cell_ring`; k is the most edges between one
-    ordered pair of vertices), on the weight cells packed once: the Euler
-    side as in `euler_product_oracle`, the det side as `series_det` on A,
+    sides run on the cyclic core of g (`_cyclic_core`), which has the same
+    prime classes and the same det(I - uA): an edge on no cycle changes
+    neither side.  They run in one `cell_ring` of the core's cells, wide
+    enough for each side's coefficients by a bound of its own (see
+    `cell_ring`; k is the most core edges between one ordered pair of
+    vertices), on the weight cells packed once: the Euler side as in
+    `euler_product_oracle`, the det side as `series_det` on the core's A,
     whose cells are sums of the packed weights.  The coefficient lists are
     compared as packed values, the det side padded with zeros past top =
-    min(dim A, order), since c_j of det(I - uA) is 0 for j > dim A.  When
-    order >= dim A the det side holds every c_j, and det(I - A) is their
-    sum, read back from the values just compared; below that it is
-    `zeta_reciprocal` (running the det side up to dim A would cost
-    O(dim A^4) and widen the ring)."""
-    _, n = _block_offsets(g)
-    parallel = max(Counter([(e.src, e.tgt) for e in g.edges]).values(), default=0)
-    tree, ring, weight = _euler_setup(g, order, (n, parallel))
+    min(dim core, order), since c_j of det(I - uA) is 0 for j > dim core.
+    When order >= dim core the det side holds every c_j, and det(I - A) is
+    their sum, read back from the values just compared; below that it is
+    `zeta_reciprocal(g)` (running the det side up to dim core would cost
+    O(dim core^4) and widen the ring)."""
+    core = _cyclic_core(g)
+    _, n = _block_offsets(core)
+    parallel = max(Counter([(e.src, e.tgt) for e in core.edges]).values(), default=0)
+    tree, ring, weight = _euler_setup(core, order, (n, parallel))
     top = min(n, order)
-    det = _adjacency_det(g, weight, top, ring) + [ring.zero] * (order - top)
+    det = _adjacency_det(core, weight, top, ring) + [ring.zero] * (order - top)
     agrees = _euler_product(tree, weight, order, ring) == det
     if top < n:
         return zeta_reciprocal(g), agrees

@@ -227,6 +227,34 @@ def test_check_euler_on_a_400_vertex_cycle_finishes(tmp_path):
     assert done.stdout == "zeta-reciprocal: 1 - t^400\neuler-agrees: true\n"
 
 
+def _layered_dag(loops) -> str:
+    """10 layers of 6 vertices, each vertex joined to all 6 of the next layer
+    by a [[1 + t]] edge (324 edges), and a [[t]] loop at the first vertex of
+    each layer in `loops`."""
+    text = "".join("vertex v%d_%d dim=1\n" % (l, k) for l in range(10) for k in range(6))
+    text += "".join("edge e%d_%d_%d v%d_%d -> v%d_%d weight=[[1 + t]]\n" % (l, a, b, l, a, l + 1, b)
+                    for l in range(9) for a in range(6) for b in range(6))
+    return text + "".join("edge loop%d v%d_0 -> v%d_0 weight=[[t]]\n" % (l, l, l) for l in loops)
+
+
+@pytest.mark.parametrize("loops, zeta", [((9,), "1 - t"), ((0, 9), "1 - 2*t + t^2")])
+def test_a_layered_dag_with_loops_checks_on_its_cyclic_core(tmp_path, loops, zeta):
+    # only the loops lie on a cycle, so both sides run on them alone; on the
+    # whole 14 kB graph the walks through the layers, none of which closes,
+    # passed the search budget, and the check exited 2 naming --order
+    text = _layered_dag(loops)
+    assert text.count("\nedge ") == 324 + len(loops) and 14000 < len(text) < 15500
+    g = _write(tmp_path, "dag.wg", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "holozeta.cli", "zeta", "--graph", g,
+                           "--check-euler", "--order", "8"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "zeta-reciprocal: %s\neuler-agrees: true\n" % zeta
+
+
 _PADDING_GRAPHS = (
     # no edges, dim A = 3: both sides are 1 at every order
     ("vertex a dim=2\nvertex b dim=1\n", 3, "1"),
@@ -1083,3 +1111,41 @@ def test_each_reachable_rejection_keeps_the_exit_contract(contract_dir, reader, 
         assert json.loads(out.splitlines()[-1]) == expected and err == ""
     else:
         assert out == expected and err == ""
+
+
+# -- one parse per command --------------------------------------------------
+
+# each command on valid files, then the argv that argparse rejects or
+# answers itself; "{}" names the format's own valid file
+_DISPATCH = [[name if a == "{}" else a for a in argv] for name, (_, argv) in _CONTRACT.items()] + [
+    ["quandle-check", "--quandle", "quandle"],
+    ["export-dot", "--graph", "graph"],
+    ["zeta"],
+    ["zeta", "--graph", "graph", "--check-euler", "--order", "x"],
+    ["zeta", "--graph", "graph", "--check-euler", "--frobnicate"],
+    ["zeta-function", "--graph", "graph"],
+    ["--graph", "graph", "zeta"],
+    [],
+    ["-h"],
+    ["zeta", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_a_command_parses_as_through_the_top_level_parser(contract_dir, monkeypatch, argv):
+    """`main` hands what follows a known command to that command's own
+    subparser, which the top-level parser calls anyway; with no command map
+    every argv takes the top-level route.  Exit code, stdout and stderr are
+    the same either way, but for an unknown option after a command, which
+    the subparser reports under its own name."""
+    direct = _run_argv(contract_dir, argv, "")
+    ap, _ = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: (ap, {}))
+    top = _run_argv(contract_dir, argv, "")
+    assert direct[:2] == top[:2]
+    if "--frobnicate" in argv:
+        assert direct[0] == 2
+        assert top[2].endswith("\nholozeta: error: unrecognized arguments: --frobnicate\n")
+        assert direct[2].endswith("\nholozeta zeta: error: unrecognized arguments: --frobnicate\n")
+    else:
+        assert direct[2] == top[2]

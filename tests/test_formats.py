@@ -166,6 +166,21 @@ def test_malformed_laurent_text_is_an_error(text):
         parse_laurent(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 − 2/0*t", "zero denominator in '1 − 2/0*t'"),
+    ("t −− t", "bad Laurent term '-' in 't −− t'"),
+    ("1 + 2*", "unexpected text at column 6: '*'"),
+    ("t ×− 1", "unexpected text at column 3: '×- 1'"),
+    ("t^2}", "unexpected text at column 4: '}'"),
+])
+def test_malformed_laurent_text_names_the_text(text, message):
+    # a term names the text as written, `−` included; a column names the
+    # text as scanned, where `−` reads as `-`
+    with pytest.raises(ValueError) as err:
+        parse_laurent(text)
+    assert str(err.value) == message
+
+
 @_ROUND_TRIP
 @given(m=_matrices())
 def test_matrix_literal_round_trips(m):

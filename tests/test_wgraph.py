@@ -261,11 +261,31 @@ def _euler_sides():
         wgraph._euler_product, wgraph._adjacency_det = saved["euler"], saved["det"]
 
 
+def _core_by_reachability(g):
+    """(the edges e with e.src reachable from e.tgt, in g.edges order, the
+    vertices they touch, in g.vertices order): the cyclic core, by a search
+    from each edge's target."""
+    edges = []
+    for e in g.edges:
+        seen, todo = {e.tgt}, [e.tgt]
+        while todo:
+            v = todo.pop()
+            for x in g.edges:
+                if x.src == v and x.tgt not in seen:
+                    seen.add(x.tgt)
+                    todo.append(x.tgt)
+        if e.src in seen:
+            edges.append(e)
+    touched = {v for e in edges for v in (e.src, e.tgt)}
+    return edges, [(v, d) for v, d in g.vertices if v in touched]
+
+
 def _check_both_sides(g, order: int):
     """euler_check(g, order) agrees and returns `zeta_reciprocal`'s det(I - A),
-    and each side, read back, is the public route: the Euler side
-    `euler_product_oracle`, the det side `series_det` on A, padded with zeros
-    past min(dim A, order).  Returns the ring."""
+    and each side, read back, is the public route on the whole of g: the
+    Euler side `euler_product_oracle(g, order)`, and the det side, which stops
+    at min(dim core, order) (the core's det(I - uA) is g's), padded with
+    zeros to `series_det` on g's A.  Returns the ring."""
     with _euler_sides() as seen:
         det_one_minus_a, agrees = euler_check(g, order)
     assert agrees is True
@@ -274,11 +294,11 @@ def _check_both_sides(g, order: int):
     assert same is ring
     assert [ring.unpack(x, n) for n, x in enumerate(euler)] == list(
         euler_product_oracle(g, order).coeffs)
-    a = adjacency_matrix(g)
-    assert len(det) == min(a.rows, order) + 1
+    core = sum([d for _, d in _core_by_reachability(g)[1]])
+    assert len(det) == min(core, order) + 1
     unpacked = [ring.unpack(x, n) for n, x in enumerate(det)]
     assert TruncatedSeries(order, unpacked + [LaurentPoly()] * (order + 1 - len(det))) \
-        == series_det(a, order)
+        == series_det(adjacency_matrix(g), order)
     return ring
 
 
@@ -343,6 +363,43 @@ def test_euler_check_drops_a_cell_of_a_that_cancels(monkeypatch):
         for a in seen:
             assert [sorted(row) for row in a] == [[1], [0]]
             assert all(c for row in a for c in row.values())
+
+
+@st.composite
+def core_graphs(draw):
+    """Matrix-weighted graphs of 1-4 drawn vertices of dims 0-2 (so some of
+    dim 0, and some with no edge) and up to 6 edges, loops and parallel
+    edges among them, between vertices of positive dim, with cells of at most
+    2 terms; in one draw of two, also two 2-cycles joined by a 2-edge path."""
+    cells = st.builds(LaurentPoly, st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                                                   max_size=2))
+    dims = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    vertices = [("v%d" % i, d) for i, d in enumerate(dims)]
+    live = [v for v, d in vertices if d]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(live), st.sampled_from(live)),
+                          max_size=6)) if live else []
+    if draw(st.booleans()):
+        vertices += [(v, 1) for v in ("a", "b", "p", "c", "d")]
+        pairs += [("a", "b"), ("b", "a"), ("b", "p"), ("p", "c"), ("c", "d"), ("d", "c")]
+    dim = dict(vertices)
+    return WeightedDigraph("matrix", tuple(vertices), tuple([
+        Edge("e%d" % k, a, b, PolyMatrix(dim[a], dim[b], draw(st.lists(
+            cells, min_size=dim[a] * dim[b], max_size=dim[a] * dim[b]))))
+        for k, (a, b) in enumerate(pairs)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=core_graphs())
+def test_the_core_keeps_the_edges_on_a_cycle(g):
+    # the core holds the edges whose source is reachable from their target,
+    # and the vertices they touch, in g's order; it has g's zeta and g's
+    # cycle classes
+    core = wgraph._cyclic_core(g)
+    edges, vertices = _core_by_reachability(g)
+    assert (list(core.edges), list(core.vertices)) == (edges, vertices)
+    assert zeta_reciprocal(core) == zeta_reciprocal(g)
+    for max_len in range(5):
+        assert cycle_classes(core, max_len) == cycle_classes(g, max_len)
 
 
 def _prenecklace_walks(g, max_len: int) -> int:
