@@ -272,19 +272,11 @@ def parse_laurent(text: str) -> LaurentPoly:
     """Parse sparse text like `2*t^-1 + 1 - 3/2*t^{2}`; zero is `0`, never empty text."""
     if not text.strip():
         raise ValueError("empty polynomial: write 0 for zero")
-    # the `scan_tokens` loop, written out: a cell is read per matrix entry
-    ascii_text = text.replace("−", "-")
     terms = {}
-    pos, end = 0, len(ascii_text)
-    while pos < end:
-        m = _TERM_RE.match(ascii_text, pos)
-        if m is None or m.end() == pos:
-            raise ValueError("unexpected text at column %d: %r"
-                             % (pos + 1, ascii_text[pos:pos + 20]))
+    for k, m in enumerate(scan_tokens(_TERM_RE, text.replace("−", "-"))):
         sign, num, den, t, _, exp = m.groups()
-        if (pos and not sign) or (num is None and t is None):
+        if (k and not sign) or (num is None and t is None):
             raise ValueError("bad Laurent term %r in %r" % (m.group().strip(), text))
-        pos = m.end()
         c = 1 if num is None else int(num)
         if den is not None:
             if not int(den):
@@ -304,16 +296,6 @@ def parse_laurent(text: str) -> LaurentPoly:
 # 6144 bits, even for cells a + b*t^s whose products stay sparse; with
 # terms spread over the span they were 2-5 times faster
 PACK_WIDTH_BITS = 6144
-
-
-# the most base-2^bits digits a value may have for `PackedCells.unpack` to
-# cut them off by mask and shift: each shift copies the value, so past some
-# width the binary text, linear in the width, is faster.  In a sweep over
-# values of 1 to 1024 random digits of 8 to 2048 bits, the shifts took
-# 0.16-0.74 of the text's time at every digit width up to 64 digits (0.94 us
-# against 2.3 at 1 digit), and the text was faster from about 128 digits at
-# 256 bits, 512 at 64 bits and 1024 at 20 bits
-UNPACK_SHIFT_DIGITS = 64
 
 
 class PackedCells:
@@ -339,12 +321,11 @@ class PackedCells:
 
     def unpack(self, x: int, power: int) -> LaurentPoly:
         """The p with den^power * t^(-lo*power) * p packing to x, from the
-        balanced base-2^bits digits of x.  Up to UNPACK_SHIFT_DIGITS digits
-        they are cut off the low end by mask and shift, with no sign split;
-        a wider x goes to `_unpack_wide`."""
+        balanced base-2^bits digits of x, cut off its low end by mask and
+        shift with no sign split.  A shift copies x, but x is at most
+        PACK_WIDTH_BITS wide, and there a shift per digit stays faster than
+        cutting the digits from the binary text of |x|."""
         bits = self.bits
-        if x.bit_length() > UNPACK_SHIFT_DIGITS * bits:
-            return self._unpack_wide(x, power)
         mask = (1 << bits) - 1
         half = 1 << (bits - 1)
         scale, k = self.den ** power, self.lo * power
@@ -358,25 +339,6 @@ class PackedCells:
             if d:
                 terms[k] = d if scale == 1 else Fraction(d, scale)
             k += 1
-        return LaurentPoly._ring_result(terms)
-
-    def _unpack_wide(self, x: int, power: int) -> LaurentPoly:
-        """`unpack` with the digits cut from the binary text of |x|, in time
-        linear in its width (a shift per digit copies x each time)."""
-        bits = self.bits
-        half = 1 << (bits - 1)
-        sign, text = (-1, format(-x, "b")) if x < 0 else (1, format(x, "b"))
-        scale, shift = self.den ** power, self.lo * power
-        digits = [int(text[max(end - bits, 0):end], 2) for end in range(len(text), 0, -bits)]
-        terms = {}
-        carry = 0
-        for k, d in enumerate(digits + [0]):
-            d += carry
-            carry = d >= half
-            if carry:
-                d -= half << 1
-            if d:
-                terms[k + shift] = sign * d if scale == 1 else Fraction(sign * d, scale)
         return LaurentPoly._ring_result(terms)
 
     @staticmethod

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -1135,14 +1136,27 @@ _DISPATCH = [[name if a == "{}" else a for a in argv] for name, (_, argv) in _CO
 def test_a_command_parses_as_through_the_top_level_parser(contract_dir, monkeypatch, argv):
     """`main` hands what follows a known command to that command's own
     subparser, which the top-level parser calls anyway; with no command map
-    every argv takes the top-level route.  Exit code, stdout and stderr are
-    the same either way, but for an unknown option after a command, which
-    the subparser reports under its own name."""
+    every argv takes the top-level route.  Both routes give the same
+    namespace, `args.command` included, and the same exit code, stdout and
+    stderr, but for an unknown option after a command, which the subparser
+    reports under its own name."""
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *a, **k):
+        parsed.append(vars(parse_args(self, *a, **k)))
+        return argparse.Namespace(**parsed[-1])
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
     direct = _run_argv(contract_dir, argv, "")
     ap, _ = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: (ap, {}))
     top = _run_argv(contract_dir, argv, "")
     assert direct[:2] == top[:2]
+    # a namespace is recorded when a parse returns, so only with exit 0 or 1
+    assert len(parsed) == (2 if direct[0] != 2 and argv[-1] != "-h" else 0)
+    if parsed:
+        assert parsed[0] == parsed[1] and parsed[0]["command"] == argv[0]
     if "--frobnicate" in argv:
         assert direct[0] == 2
         assert top[2].endswith("\nholozeta: error: unrecognized arguments: --frobnicate\n")

@@ -595,33 +595,27 @@ def test_packed_cells_read_back_what_they_pack():
     assert ring.unpack(x, 1) == LaurentPoly({3: -5, 4: -5, 5: 5})
 
 
-def test_unpack_by_shift_reads_what_the_wide_path_reads(monkeypatch):
-    # values of 1, UNPACK_SHIFT_DIGITS - 1, UNPACK_SHIFT_DIGITS and one more
-    # base-2^bits digits, negated too, at den 1 and lo 0 and at den 6 and
-    # lo -3: both paths read the polynomial whose digits the value holds, and
-    # only the widest value takes the wide path.  The top digit is at least 2
-    # in size, so a value of d balanced digits has d digits in |x| as well
-    top = laurent.UNPACK_SHIFT_DIGITS
+def test_unpack_reads_every_balanced_digit_up_to_the_width_limit():
+    # values of 1, 2, 9 and 64 base-2^bits digits and as many as fit
+    # PACK_WIDTH_BITS, at den 1 and lo 0 and at den 6 and lo -3, each digit
+    # anywhere in [-2^(bits-1), 2^(bits-1)) with both ends of it drawn, and
+    # the top digit at either end or +-1, so the value has either sign:
+    # unpack reads the polynomial whose digits the value holds
     rng = seeded_rng(12)
-    wide, real = [], PackedCells._unpack_wide
-    monkeypatch.setattr(PackedCells, "_unpack_wide",
-                        lambda ring, x, power: wide.append(x) or real(ring, x, power))
-    for bits in (3, 17, 64):
+    for bits in (2, 3, 17, 64):
         half = 1 << (bits - 1)
         for den, lo in ((1, 0), (6, -3)):
             ring = PackedCells(den, lo, bits)
-            for digits in (1, top - 1, top, top + 1):
+            assert ring.unpack(0, 1) == LaurentPoly()
+            for digits in sorted({1, 2, 9, 64, laurent.PACK_WIDTH_BITS // bits}):
                 for power in (1, 2):
-                    coeffs = [rng.randrange(1 - half, half) for _ in range(digits - 1)]
-                    coeffs.append(rng.choice([2, half - 1, -2, 1 - half]))
-                    for sign in (1, -1):
-                        x = sum([sign * c << bits * k for k, c in enumerate(coeffs)])
-                        wide.clear()
+                    for top in (1, half - 1, -1, -half):
+                        coeffs = [rng.choice([-half, half - 1, rng.randrange(-half, half)])
+                                  for _ in range(digits - 1)] + [top]
+                        x = sum([c << bits * k for k, c in enumerate(coeffs)])
                         p = ring.unpack(x, power)
-                        assert wide == ([x] if digits > top else [])
-                        assert p == real(ring, x, power) == LaurentPoly(
-                            {k + lo * power: Fraction(sign * c, den ** power)
-                             for k, c in enumerate(coeffs)})
+                        assert p == LaurentPoly({k + lo * power: Fraction(c, den ** power)
+                                                 for k, c in enumerate(coeffs)})
                         assert_canonical(p.terms.values())
 
 
