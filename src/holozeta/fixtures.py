@@ -85,14 +85,12 @@ def slide_graph_after() -> WeightedDigraph:
 def slide_common_graph() -> WeightedDigraph:
     """The graph both slide graphs reduce to: xi feeds xi2, xj1, xk
     directly and the xj row is untouched."""
-    one = GroupRingElt.one()
-    w_xjxk = GroupRingElt.from_word(_w((XJ, 1), (XK, 1)))
-    w_1mxi_xk = GroupRingElt.from_word(Word.gen(XK)) - GroupRingElt.from_word(
-        _w((XI, 1), (XK, 1))
-    )
-    w_1mxi = one - GroupRingElt.from_word(Word.gen(XI))
-    w_xk = GroupRingElt.from_word(Word.gen(XK))
-    w_1mxj = one - GroupRingElt.from_word(Word.gen(XJ))
+    one = GroupRingElt({Word(): 1})
+    w_xjxk = GroupRingElt({_w((XJ, 1), (XK, 1)): 1})
+    w_1mxi_xk = GroupRingElt({Word.gen(XK): 1}) - GroupRingElt({_w((XI, 1), (XK, 1)): 1})
+    w_1mxi = one - GroupRingElt({Word.gen(XI): 1})
+    w_xk = GroupRingElt({Word.gen(XK): 1})
+    w_1mxj = one - GroupRingElt({Word.gen(XJ): 1})
     vertices = (("xi", 1), ("xi2", 1), ("xj", 1), ("xj1", 1), ("xk", 1))
     edges = (
         Edge("ci2", "xi", "xi2", w_xjxk),

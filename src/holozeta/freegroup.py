@@ -132,14 +132,6 @@ class GroupRingElt:
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def one() -> "GroupRingElt":
-        return GroupRingElt({Word(): 1})
-
-    @staticmethod
-    def from_word(w: Word) -> "GroupRingElt":
-        return GroupRingElt({w: 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -59,20 +59,25 @@ def _rational_inverse(m, k: int) -> tuple:
     """The inverse of the constant k x k matrix m, by
     `PolyMatrix.inverse_unit_det`, whose unit-determinant check proves m
     invertible (det(Phi) = det(rho) t^(k alpha) is a unit iff det(rho) != 0)."""
-    inv = PolyMatrix(k, k, [LaurentPoly.const(x) for x in m]).inverse_unit_det()
+    inv = PolyMatrix(k, k, [LaurentPoly({0: x}) for x in m]).inverse_unit_det()
     return tuple([q.coeff(0) for q in inv.entries])
 
 
 def parse_rep(text: str, name_to_index: dict) -> Representation:
-    """Parse lines `x1: [[0,1],[1,0]] exp=1`; `all:` applies to every
-    generator not otherwise listed."""
+    """Parse lines `x1: [[0,1],[1,0]] exp=1`, each generator on one line at
+    most; `all:`, on one line at most, applies to every generator not
+    otherwise listed."""
     entries = {}
     default = None
+    named = set()
     for line in content_lines(text):
         m = re.match(r"(\S+)\s*:\s*(\[\[.*\]\])\s*(?:exp=([+-]?[0-9]+))?$", line)
         if not m:
             raise ValueError("bad representation line %r" % line)
         name, mattext, exptext = m.groups()
+        if name in named:
+            raise ValueError("%s: is given on two lines of the representation" % name)
+        named.add(name)
         rows = split_matrix_literal(mattext)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix for %s is not square: row lengths %s"
@@ -360,14 +365,14 @@ def alexander_setup(p: BasedPresentation, rep: Representation) -> AlexanderSetup
         if rep.rho_is_identity:
             holds = sum(s * rep.exps[g] for g, s in r.letters) == 0
         else:
-            holds = apply_phi(GroupRingElt.from_word(r), rep) == one
+            holds = apply_phi(GroupRingElt({r: 1}), rep) == one
         if not holds:
             raise ValueError("rep violates relation %d (%s): Phi(r) != I"
                              % (i, r.display(p.names())))
     entries = check_assumption(p, rep)
     if not all(ok for _, ok, _ in entries):
         raise ValueError("presentation not certified: %s" % entries)
-    phi1 = PolyMatrix(rep.dim, rep.dim, [LaurentPoly.monomial(x, rep.exps[0]) for x in rep.rho[0][0]])
+    phi1 = PolyMatrix(rep.dim, rep.dim, [LaurentPoly({rep.exps[0]: x}) for x in rep.rho[0][0]])
     denom = (PolyMatrix.identity(rep.dim) - phi1).det()
     return AlexanderSetup(p, denom)
 

@@ -63,20 +63,6 @@ class LaurentPoly:
         }
         return p
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
-    @staticmethod
-    def monomial(c, k: int) -> "LaurentPoly":
-        return LaurentPoly({k: c})
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -350,7 +336,7 @@ class LaurentCells:
     """The interface of `PackedCells` on `LaurentPoly` cells themselves, for
     cells too wide to pack."""
 
-    zero, one = LaurentPoly(), LaurentPoly.one()
+    zero, one = LaurentPoly(), LaurentPoly({0: 1})
 
     @staticmethod
     def pack(p: LaurentPoly) -> LaurentPoly:
@@ -449,16 +435,16 @@ def cell_rows(x, n: int) -> list:
     return [{j: c for j, c in enumerate(x[i * n:i * n + n]) if c} for i in range(n)]
 
 
-def det_one_minus_x_cells(m, n: int, top: int, ring) -> list:
+def det_one_minus_x_cells(m, top: int, ring) -> list:
     """The coefficients c_0..c_top of det(I - x*M) = sum_j c_j x^j, in
-    `ring`, for the n x n matrix M given as n row maps {column: cell} of
+    `ring`, for the square matrix M given as its row maps {column: cell} of
     its stored cells in `ring` (`cell_rows`).  c_j = (-1)^j e_j, and the e_j
     come from Newton's identities on the power traces p_k = tr(M^k),
     k <= top.  Each p_k with k > 1 is the inner product
     sum_(i,j) (M^a)_ij (M^b)_ji over the stored (i,j) of M^a, a = ceil(k/2),
     b = floor(k/2), so only M^2..M^ceil(top/2) are formed, each as row maps
     M^(a-1) M over stored cells only: an adjacency matrix stores at most a
-    few cells per row, and the work is then linear in n.  Dividing j*e_j
+    few cells per row, and the work is then linear in dim M.  Dividing j*e_j
     by j is exact in either ring: packed, j*e_j(2^bits) is (j*e_j)(2^bits)."""
     zero = ring.zero
     powers = [None, m]  # powers[a] = M^a
@@ -500,7 +486,7 @@ def _fraction_free(rows: list, jordan: bool):
     times its row of (first n columns)^-1 times the rest.  (1, 0) as soon
     as a column has no pivot; n = 0 gives (1, 1)."""
     n = len(rows)
-    one = LaurentPoly.one()
+    one = LaurentPoly({0: 1})
     sign, prev = 1, one
     for k in range(n):
         live = [i for i in range(k, n) if rows[i][k].terms]
@@ -551,7 +537,7 @@ class PolyMatrix:
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly()
+        one, zero = LaurentPoly({0: 1}), LaurentPoly()
         return PolyMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     @staticmethod
@@ -618,7 +604,7 @@ class PolyMatrix:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
         if n == 0:
-            return LaurentPoly.one()
+            return LaurentPoly({0: 1})
         if n == 1:
             return self[0, 0]
         minors = {0: {0: 1}}  # column set of the first k rows -> its minor's terms
@@ -764,7 +750,7 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
-        one, zero = LaurentPoly.one(), LaurentPoly()
+        one, zero = LaurentPoly({0: 1}), LaurentPoly()
         rows = [list(self.row(i)) + [one if j == i else zero for j in range(n)] for i in range(n)]
         _, d = _fraction_free(rows, True)
         if not d.is_unit():
@@ -853,7 +839,7 @@ class TruncatedSeries:
         if not self.coeffs[0].is_zero():
             raise ValueError("exp needs zero constant term")
         ka = [(k, a.scale(k)) for k, a in enumerate(self.coeffs) if a.terms]
-        out = [LaurentPoly.one()]
+        out = [LaurentPoly({0: 1})]
         for n in range(1, self.order + 1):
             acc = LaurentPoly()
             for k, a in ka:
@@ -886,7 +872,7 @@ def series_det(m: PolyMatrix, order: int) -> TruncatedSeries:
     top = min(m.rows, order)
     ring = cell_ring(m.entries, top, (1,), m.rows)
     rows = cell_rows([ring.pack(p) for p in m.entries], m.rows)
-    coeffs = [ring.unpack(c, j) for j, c in enumerate(det_one_minus_x_cells(rows, m.rows, top, ring))]
+    coeffs = [ring.unpack(c, j) for j, c in enumerate(det_one_minus_x_cells(rows, top, ring))]
     return TruncatedSeries(order, coeffs + [LaurentPoly()] * (order - top))
 
 

@@ -35,13 +35,17 @@ class BasedPresentation:
         names = [g.display_name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        idxs = [g.index for g in self.generators]
-        if len(set(idxs)) != len(idxs):
+        idxs = {g.index for g in self.generators}
+        if len(idxs) != len(self.generators):
             raise ValueError("duplicate generator indices")
         used = set()
         for i, r in enumerate(self.relations):
             if r.is_identity():
                 raise ValueError("relation %d is empty" % i)
+            for g, _ in r.letters:
+                if g not in idxs:
+                    raise ValueError("relation %d uses generator index %d, which is not a generator"
+                                     % (i, g))
         for i, (g, occ) in self.base.items():
             if not (0 <= i < len(self.relations)):
                 raise ValueError("base map refers to missing relation %d" % i)
@@ -349,37 +353,34 @@ def build_group_weighted_graph(p: BasedPresentation):
 # -- text format -------------------------------------------------------
 
 def parse_presentation(text: str) -> BasedPresentation:
-    """Parse the `gens:` / `rel: ... base: x@k` text format."""
-    generators = None
+    """Parse the `gens:` / `rel: ... base: x@k` text format: one `gens:`
+    line, then the `rel:` lines, each read through the one name map."""
+    lines = list(content_lines(text))
+    if not lines:
+        raise ValueError("missing gens: line")
+    if not lines[0].startswith("gens:"):
+        raise ValueError("gens: line must come first" if lines[0].startswith("rel:")
+                         else "unrecognized line %r" % lines[0])
+    names = lines[0][len("gens:"):].split()
+    nmap = {n: i for i, n in enumerate(names)}
     relations = []
     base = {}
-    for line in content_lines(text):
+    for line in lines[1:]:
         if line.startswith("gens:"):
-            names = line[len("gens:"):].split()
-            generators = tuple([Generator(i, n) for i, n in enumerate(names)])
-        elif line.startswith("rel:"):
-            if generators is None:
-                raise ValueError("gens: line must come first")
-            body = line[len("rel:"):]
-            bp = None
-            if "base:" in body:
-                body, bptext = body.split("base:", 1)
-                bptext = bptext.strip()
-                if "@" not in bptext:
-                    raise ValueError("base point must look like name@ordinal")
-                name, occ = bptext.split("@", 1)
-                nmap = {g.display_name: g.index for g in generators}
-                if name not in nmap:
-                    raise ValueError("unknown base generator %r" % name)
-                bp = (nmap[name], parse_int(occ))
-            w = parse_word(body, {g.display_name: g.index for g in generators})
-            relations.append(w)
-            if bp is not None:
-                base[len(relations) - 1] = bp
-        else:
+            raise ValueError("second gens: line %r: a presentation has exactly one" % line)
+        if not line.startswith("rel:"):
             raise ValueError("unrecognized line %r" % line)
-    if generators is None:
-        raise ValueError("missing gens: line")
+        body = line[len("rel:"):]
+        if "base:" in body:
+            body, bptext = body.split("base:", 1)
+            name, at, occ = bptext.strip().partition("@")
+            if not at:
+                raise ValueError("base point must look like name@ordinal")
+            if name not in nmap:
+                raise ValueError("unknown base generator %r" % name)
+            base[len(relations)] = (nmap[name], parse_int(occ))
+        relations.append(parse_word(body, nmap))
+    generators = tuple([Generator(i, n) for i, n in enumerate(names)])
     return BasedPresentation(generators, tuple(relations), base)
 
 

@@ -105,7 +105,7 @@ def alexander_pair_check(q: FiniteQuandle, f1, f2) -> AlexanderPairTable:
     n = q.n
     f1 = _as_poly_table(f1, n, "f1")
     f2 = _as_poly_table(f2, n, "f2")
-    one = LaurentPoly.one()
+    one = LaurentPoly({0: 1})
     for a in range(n):
         if f1[a][a] + f2[a][a] != one:
             raise PairConditionError("1", (a,))
@@ -183,7 +183,7 @@ def _holonomy_ring(g: CrossingWeights, extra):
     its own balanced digits: two sides are equal exactly when their ring
     values are.  The cells `extra` are in the ring too, so this holds with
     any one cell of g replaced by one of them."""
-    one = LaurentPoly.one()
+    one = LaurentPoly({0: 1})
     cells = [p for which in WEIGHT_TABLES for row in getattr(g, which) for p in row]
     ring = cell_ring([*cells, one, *extra], 2, (1,), 2)
     tables = [[[ring.pack(p) for p in row] for row in getattr(g, which)]
@@ -257,7 +257,7 @@ def perturbations_rejected(q: FiniteQuandle, g: CrossingWeights, edits) -> int:
     each edited cell + 1; an edit swaps its packed cell and its lone value
     in, runs the identities to the first failure, formatting nothing, and
     swaps them back."""
-    bumped = [getattr(g, which)[a][b] + LaurentPoly.one() for which, a, b in edits]
+    bumped = [getattr(g, which)[a][b] + LaurentPoly({0: 1}) for which, a, b in edits]
     ring, one, tables, lone = _holonomy_ring(g, bumped)
     rejected = 0
     for (which, a, b), cell in zip(edits, bumped):
@@ -435,7 +435,8 @@ def _read_tables(text: str, what: str, blocks: int, read_row):
         raise ValueError("empty %s file" % what)
     n = parse_int(lines[0])
     if len(lines) != blocks * n + 1:
-        raise ValueError("expected %d rows, got %d" % (blocks * n, len(lines) - 1))
+        raise ValueError("expected %d rows after the size line %r, got %d"
+                         % (blocks * n, lines[0], len(lines) - 1))
     rows = [read_row(line, n) for line in lines[1:]]
     return n, [tuple(rows[k * n : (k + 1) * n]) for k in range(blocks)]
 

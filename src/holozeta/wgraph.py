@@ -63,7 +63,11 @@ class WeightedDigraph:
             raise ValueError("kind must be matrix or group")
         dims = dict(self.vertices)
         if len(dims) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
+            seen = set()
+            for vid, _ in self.vertices:
+                if vid in seen:
+                    raise ValueError("duplicate vertex id %r" % vid)
+                seen.add(vid)
         for vid, d in self.vertices:
             _check_id("vertex", vid)
             if d < 0:
@@ -404,7 +408,7 @@ def _euler_product(tree, weight, max_len: int, ring) -> list:
                 up[0], rational_matmul(up[1], w, up[0], k, cols, zero))
         if whole:
             rows, p = products[node]
-            poly = det_one_minus_x_cells(cell_rows(p, rows), rows, min(rows, max_len // n), ring)
+            poly = det_one_minus_x_cells(cell_rows(p, rows), min(rows, max_len // n), ring)
             factors.append([(n * j, cj) for j, cj in enumerate(poly) if j and cj])
         else:
             rows, p = products[parent[node]]
@@ -456,8 +460,7 @@ def _adjacency_det(g: WeightedDigraph, weight, top: int, ring) -> list:
     for i, j, c in cells:
         row = rows[i]
         row[j] = row[j] + c if j in row else c
-    return det_one_minus_x_cells([{j: c for j, c in row.items() if c} for row in rows],
-                                 n, top, ring)
+    return det_one_minus_x_cells([{j: c for j, c in row.items() if c} for row in rows], top, ring)
 
 
 def euler_check(g: WeightedDigraph, order: int) -> tuple:

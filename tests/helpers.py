@@ -41,7 +41,7 @@ def assert_canonical(coeffs):
 
 def random_unit(rng) -> LaurentPoly:
     q = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
-    return LaurentPoly.monomial(q, rng.randint(-2, 2))
+    return LaurentPoly({rng.randint(-2, 2): q})
 
 
 def random_matrix(rng, r: int, c: int, max_deg: int = 1) -> PolyMatrix:
@@ -105,7 +105,7 @@ def apply_phi_by_products(e, rep) -> PolyMatrix:
 
     def phi(g, s):
         m = rep.rho[g][0 if s == 1 else 1]
-        return PolyMatrix(k, k, [LaurentPoly.monomial(x, s * rep.exps[g]) for x in m])
+        return PolyMatrix(k, k, [LaurentPoly({s * rep.exps[g]: x}) for x in m])
 
     acc = PolyMatrix.zeros(k, k)
     for w, c in e.terms.items():
@@ -134,7 +134,7 @@ def det_by_permutations(m: PolyMatrix) -> LaurentPoly:
                 length += 1
             if length % 2 == 0:
                 sign = -sign
-        term = LaurentPoly.const(sign)
+        term = LaurentPoly({0: sign})
         for i in range(n):
             term = term * m[i, perm[i]]
         total = total + term
@@ -170,11 +170,14 @@ def unimodular_matrix(rng, n: int, exps=(-1, 0, 1)) -> PolyMatrix:
     def entry():
         return LaurentPoly({e: rng.randint(-2, 2) for e in exps})
 
+    def diagonal():
+        c = rng.choice((1, -1))
+        return LaurentPoly({rng.choice(exps): c})
+
     zero = LaurentPoly()
-    lower = PolyMatrix.from_rows([[LaurentPoly.one() if i == j else entry() if j < i else zero
+    lower = PolyMatrix.from_rows([[LaurentPoly({0: 1}) if i == j else entry() if j < i else zero
                                    for j in range(n)] for i in range(n)])
-    upper = PolyMatrix.from_rows([[LaurentPoly.monomial(rng.choice((1, -1)), rng.choice(exps))
-                                   if i == j else entry() if j > i else zero
+    upper = PolyMatrix.from_rows([[diagonal() if i == j else entry() if j > i else zero
                                    for j in range(n)] for i in range(n)])
     product = lower * upper
     rows = [list(product.row(i)) for i in range(n)]
@@ -184,7 +187,7 @@ def unimodular_matrix(rng, n: int, exps=(-1, 0, 1)) -> PolyMatrix:
 
 def series_one(order: int) -> TruncatedSeries:
     """The series 1, truncated at u^order."""
-    return TruncatedSeries(order, [LaurentPoly.one()] + [LaurentPoly()] * order)
+    return TruncatedSeries(order, [LaurentPoly({0: 1})] + [LaurentPoly()] * order)
 
 
 def series_det_inverse_by_exp(m: PolyMatrix, order: int) -> TruncatedSeries:
@@ -228,7 +231,7 @@ def packing_cells(draw, count: int) -> list:
     exps = st.integers(-40, 90)
     if draw(st.integers(0, 3)) == 0:
         c = Fraction(-draw(_PACK_NORMS), draw(st.sampled_from([1, 1, 2, 6])))
-        return [LaurentPoly.monomial(c, draw(exps)) for _ in range(count)]
+        return [LaurentPoly({draw(exps): c}) for _ in range(count)]
     return [LaurentPoly(draw(st.dictionaries(exps, _PACK_COEFFS, max_size=3)))
             for _ in range(count)]
 
@@ -270,7 +273,7 @@ def det_one_minus_x_by_laurent(m: PolyMatrix, top: int) -> list:
             for j in range(n):
                 acc = acc + x[i, j] * y[j, i]
         p.append(acc)
-    e = [LaurentPoly.one()]
+    e = [LaurentPoly({0: 1})]
     for j in range(1, top + 1):
         acc = zero
         for i in range(1, j + 1):
@@ -366,11 +369,11 @@ def rep_conjugate(r: Representation, p) -> Representation:
     k = r.dim
     if len(p) != k or any(len(row) != k for row in p):
         raise ValueError("conjugating matrix must be %dx%d" % (k, k))
-    pm = PolyMatrix.from_rows([[LaurentPoly.const(x) for x in row] for row in p])
+    pm = PolyMatrix.from_rows([[LaurentPoly({0: x}) for x in row] for row in p])
     pinv = pm.inverse_unit_det()
     mats = {}
     for i, (m, _) in r.rho.items():
-        rho = PolyMatrix(k, k, [LaurentPoly.const(x) for x in m])
+        rho = PolyMatrix(k, k, [LaurentPoly({0: x}) for x in m])
         mats[i] = [c.coeff(0) for c in (pm * rho * pinv).entries]
     return Representation(k, mats, r.exps)
 
@@ -398,11 +401,11 @@ def random_alexander_pair(q: FiniteQuandle, rng) -> AlexanderPairTable:
     def unit():
         num = rng.choice([-3, -2, -1, 1, 2, 3])
         den = rng.choice([1, 1, 2])
-        return LaurentPoly.monomial(Fraction(num, den), rng.randint(-2, 2))
+        return LaurentPoly({rng.randint(-2, 2): Fraction(num, den)})
 
     u = unit()
     tw = [unit() for _ in range(q.n)]
-    one = LaurentPoly.one()
+    one = LaurentPoly({0: 1})
     f1 = [
         [u * tw[q.star(a, b)] * tw[a].unit_inverse() for b in range(q.n)]
         for a in range(q.n)

@@ -9,9 +9,9 @@ a comment or a string, not on its own `def` or `class` line, and not in
 or in the code spans and blocks of `README.md`, which documents the public
 names a user calls.  Dunder methods are called by Python itself.  A static
 method `C.m` counts as called only as `C.m`, or as a call `x.m(` through a
-receiver x that is not another library class: `LaurentPoly.one()` does not
-call `TruncatedSeries.one`, while `ring.divide(...)` calls the `divide` of
-either cell ring.
+receiver x that is not another library class: `LaurentCells.divide(...)`
+does not call `PackedCells.divide`, while `ring.divide(...)` calls the
+`divide` of either cell ring.
 
 Every name a library module imports is used in it, `fixtures.py` included;
 `__init__.py` is exempt, since its imports are the public names it exports.
@@ -28,9 +28,21 @@ caller overrides is a constant.  The calls read are those of the library
 (`fixtures.py` included), of `perfbench/*.py` and of the README's code
 blocks and spans, each parsed as Python and skipped when it does not parse;
 a call passes a parameter by position or by keyword, and calls that
-unpack `*args` or `**kwargs` are not counted.  And no static method without
-parameters returns its own class built with no arguments: `Cls()` is the
-one spelling of that value.
+unpack `*args` or `**kwargs` are not counted.
+
+No static method respells a constructor of one term: none has for its
+whole body (docstring aside) `return Cls()`, `return Cls({})` or
+`return Cls({k: v})`, its own class built from nothing or from a dict
+display of at most one entry.  The constructor is the one spelling of
+that value.
+
+Every parameter of a library def, `self` included and nested defs too, is
+read in its body.  A positional parameter that fills a protocol slot is
+exempt when another member of the protocol reads its parameter in the same
+position: the protocols are the methods of one name across the library's
+classes (`LaurentCells.unpack` beside `PackedCells.unpack`), and the module
+functions that one module-level assignment names as values (the rules of
+`wgraph._STEPS`).  Lambdas are not defs and are not read.
 """
 import ast
 import io
@@ -210,25 +222,84 @@ def test_every_default_is_both_set_and_left():
     assert unset_parameters() == []
 
 
-def second_spellings() -> list:
-    """`module:line Cls.name` for each static method without parameters that
-    returns `Cls()`."""
+def one_term_respellings() -> list:
+    """`module:line Cls.name` for each static method whose body, docstring
+    aside, is `return Cls()` or `return Cls(d)`, d a dict display of at
+    most one entry."""
     found = []
     for module, text in _library_sources().items():
         for cls in ast.parse(text).body:
             if not isinstance(cls, ast.ClassDef):
                 continue
             for fn in cls.body:
-                if not (isinstance(fn, ast.FunctionDef) and _is_static(fn)) or (
-                        fn.args.posonlyargs or fn.args.args or fn.args.kwonlyargs):
+                if not (isinstance(fn, ast.FunctionDef) and _is_static(fn)):
                     continue
-                for node in ast.walk(fn):
-                    v = node.value if isinstance(node, ast.Return) else None
-                    if (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
-                            and v.func.id == cls.name and not v.args and not v.keywords):
-                        found.append("%s:%d %s.%s" % (module, fn.lineno, cls.name, fn.name))
+                body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+                v = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+                if not (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                        and v.func.id == cls.name and not v.keywords and len(v.args) <= 1):
+                    continue
+                d = v.args[0] if v.args else None
+                if d is None or isinstance(d, ast.Dict) and len(d.keys) <= 1 and None not in d.keys:
+                    found.append("%s:%d %s.%s" % (module, fn.lineno, cls.name, fn.name))
     return found
 
 
-def test_no_static_method_respells_the_bare_constructor():
-    assert second_spellings() == []
+def test_no_static_method_respells_a_one_term_constructor():
+    assert one_term_respellings() == []
+
+
+def _positional(fn, method: bool) -> list:
+    """The parameters a call of `fn` fills by position; a method's `self`
+    is bound by the call and is not one of them."""
+    names = [x.arg for x in fn.args.posonlyargs + fn.args.args]
+    return names[1:] if method and not _is_static(fn) else names
+
+
+def unread_parameters() -> list:
+    """`module:line def(parameter)` for each parameter of a library def that
+    its body never reads and that fills no protocol slot another member of
+    the protocol reads."""
+    trees = {module: ast.parse(text) for module, text in _library_sources().items()}
+    methods, protocols = set(), []
+    by_name = {}
+    for tree in trees.values():
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        methods.add(sub)
+                        by_name.setdefault(sub.name, []).append(sub)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                called = {id(c.func) for c in ast.walk(node.value) if isinstance(c, ast.Call)}
+                protocols.append([functions[n.id] for n in ast.walk(node.value) if isinstance(
+                    n, ast.Name) and n.id in functions and id(n) not in called])
+    protocols += by_name.values()
+
+    def reads(fn) -> set:
+        return {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+    def slot_read(fn, i: int) -> bool:
+        names = _positional(fn, fn in methods)
+        return i < len(names) and names[i] in reads(fn)
+
+    found = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a, read = fn.args, reads(fn)
+            positional = _positional(fn, fn in methods)
+            for x in a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]:
+                if x.arg in read or x.arg in positional and any(
+                        slot_read(other, positional.index(x.arg)) for group in protocols
+                        if fn in group for other in group if other is not fn):
+                    continue
+                found.append("%s:%d %s(%s)" % (module, fn.lineno, fn.name, x.arg))
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

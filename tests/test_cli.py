@@ -135,7 +135,7 @@ def test_euler_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
         for at in (0, -1):
             def off_by_one_term(*args, fn=getattr(wgraph, seam), at=at):
                 coeffs, ring = fn(*args), args[-1]
-                coeffs[at] = coeffs[at] + ring.pack(LaurentPoly.monomial(1, 3))
+                coeffs[at] = coeffs[at] + ring.pack(LaurentPoly({3: 1}))
                 return coeffs
 
             monkeypatch.setattr(wgraph, seam, off_by_one_term)
@@ -281,7 +281,7 @@ def test_route_mismatch_exits_1_with_a_witness(tmp_path, capsys, monkeypatch):
     def direct_off_by_one(d, rep, route, setup=None):
         res = real(d, rep, route, setup=setup)
         if route == "direct":
-            res.numerator = res.numerator + LaurentPoly.one()
+            res.numerator = res.numerator + LaurentPoly({0: 1})
         return res
 
     monkeypatch.setattr(cli, "twisted_alexander", direct_off_by_one)
@@ -392,7 +392,7 @@ def test_perturb_above_the_limit_exits_2_at_once(tmp_path):
     # in a subprocess: without the check, 10^9 perturbations take about a day
     d3 = dihedral_quandle(3)
     q3 = _write(tmp_path, "q3.txt", format_quandle(d3))
-    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly()), d3)
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly({0: 1}), LaurentPoly()), d3)
     weights = _write(tmp_path, "w.txt", format_weights_file(identity))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-m", "holozeta.cli", "holonomy-check", "--quandle", q3,
@@ -588,7 +588,7 @@ def test_holonomy_check_perturbs_a_failing_base(tmp_path, capsys):
     witness is the first failure of the exhaustive check."""
     q = dihedral_quandle(3)
     f = constant_pair(q, parse_laurent("t"), parse_laurent("1 - t"))
-    g = perturbed(f_twisted_weights(f, q), "g2_neg", 0, 1, LaurentPoly.one())
+    g = perturbed(f_twisted_weights(f, q), "g2_neg", 0, 1, LaurentPoly({0: 1}))
     assert holonomy_check(q, g) == [
         ("B-1", (1, 0), "1 != 0"), ("B-1", (2, 1), "t^-1 != 0"), ("B-2", (0, 1), "1 != 0")]
     argv = ["holonomy-check", "--quandle", _write(tmp_path, "q3.txt", format_quandle(q)),
@@ -771,7 +771,7 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys):
     d3 = dihedral_quandle(3)
     q3_text = format_quandle(d3)
     q3 = _write(tmp_path, "q3.txt", q3_text)
-    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly()), d3)
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly({0: 1}), LaurentPoly()), d3)
     weights = _write(tmp_path, "w.txt", format_weights_file(identity))
     noop = _write(tmp_path, "noop.tz", "# no moves\n")
     cases += [
@@ -814,9 +814,9 @@ def test_witness_line_is_json(tmp_path, capsys):
     lines = format_pair_file(f).splitlines()
     lines[4] = ", ".join(["7"] * 3)
     bad_pair = _write(tmp_path, "badpair.txt", "\n".join(lines))
-    identity = f_twisted_weights(constant_pair(d3, LaurentPoly.one(), LaurentPoly()), d3)
+    identity = f_twisted_weights(constant_pair(d3, LaurentPoly({0: 1}), LaurentPoly()), d3)
     bad_w = _write(tmp_path, "w.txt", format_weights_file(
-        perturbed(identity, "g1_pos", 0, 1, LaurentPoly.one())))
+        perturbed(identity, "g1_pos", 0, 1, LaurentPoly({0: 1}))))
     graph = _graph_file(tmp_path)
     bad_gs = _write(tmp_path, "bad.gs", "null_remove e1\n")
     runs = [
@@ -1112,6 +1112,35 @@ def test_each_reachable_rejection_keeps_the_exit_contract(contract_dir, reader, 
         assert json.loads(out.splitlines()[-1]) == expected and err == ""
     else:
         assert out == expected and err == ""
+
+
+# -- a repeated line is bad input in every line format -----------------------
+
+# (format, text read as its `_CONTRACT` argv's {}, the reason on stderr, which
+# quotes the line or the name)
+_REPEATED_LINES = [
+    ("graph", _GRAPH + "vertex u dim=2\n", "duplicate vertex id 'u'"),
+    ("graph", _GRAPH + "edge e1 v -> u weight=[[1]]\n", "duplicate edge id 'e1'"),
+    # a second gens: line that renames the generators, then one that drops z
+    ("presentation", "gens: x y\nrel: x y^-1  base: x@0\ngens: y x\n",
+     "second gens: line 'gens: y x': a presentation has exactly one"),
+    ("presentation", "gens: x y z\nrel: z x z^-1 y^-1  base: y@0\ngens: x y\n",
+     "second gens: line 'gens: x y': a presentation has exactly one"),
+    ("rep", "x1: [[1]] exp=5\nx1: [[1]] exp=1\nall: [[1]]\n",
+     "x1: is given on two lines of the representation"),
+    ("rep", "all: [[1]] exp=2\nall: [[1]]\n", "all: is given on two lines of the representation"),
+    ("quandle", "3\n" + _CONTRACT["quandle"][0], "expected 3 rows after the size line '3', got 4"),
+    ("pair", "3\n" + _CONTRACT["pair"][0], "expected 6 rows after the size line '3', got 7"),
+    ("weights", "3\n" + _CONTRACT["weights"][0], "expected 12 rows after the size line '3', got 13"),
+]
+
+
+@pytest.mark.parametrize("name, text, reason", _REPEATED_LINES,
+                         ids=["%s-%d" % (row[0], k) for k, row in enumerate(_REPEATED_LINES)])
+def test_a_repeated_line_exits_2_naming_it(contract_dir, name, text, reason):
+    """A line that repeats one the format allows once exits 2, prints
+    nothing, and gives the one-line reason on stderr, with no traceback."""
+    assert _run_argv(contract_dir, _CONTRACT[name][1], text) == (2, "", "error: %s\n" % reason)
 
 
 # -- one parse per command --------------------------------------------------

@@ -146,7 +146,7 @@ def _laurent_texts(draw):
                 text += draw(st.sampled_from(("*", " * ", " ", "")))
         e = draw(st.integers(-9, 9))
         text += power.replace("e", str(e))
-        total = total + LaurentPoly.monomial(value, {"": 0, "t": 1}.get(power, e))
+        total = total + LaurentPoly({{"": 0, "t": 1}.get(power, e): value})
         pieces.append(text)
     sep = draw(st.sampled_from(("", " ", "\t")))
     return sep.join(pieces), total

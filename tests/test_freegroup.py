@@ -46,12 +46,12 @@ def test_exponent_sum_and_occurrences():
 
 def test_fox_derivative_base_cases():
     x, y = Word.gen(0), Word.gen(1)
-    assert fox_derivative(x, 0) == GroupRingElt.one()
+    assert fox_derivative(x, 0) == GroupRingElt({Word(): 1})
     assert fox_derivative(x, 1) == GroupRingElt()
     # d(x^-1)/dx = -x^-1
     assert fox_derivative(x.inv(), 0) == GroupRingElt({x.inv(): -1})
     # d(xy)/dy = x
-    assert fox_derivative(x * y, 1) == GroupRingElt.from_word(x)
+    assert fox_derivative(x * y, 1) == GroupRingElt({x: 1})
 
 
 def test_fox_product_rule():
@@ -61,7 +61,7 @@ def test_fox_product_rule():
         q = random_word(rng, 3, 6)
         for j in range(3):
             lhs = fox_derivative(p * q, j)
-            rhs = fox_derivative(p, j) + GroupRingElt.from_word(p) * fox_derivative(q, j)
+            rhs = fox_derivative(p, j) + GroupRingElt({p: 1}) * fox_derivative(q, j)
             assert lhs == rhs
 
 
@@ -71,9 +71,9 @@ def test_fox_fundamental_identity():
         w = random_word(rng, 3, 12)
         total = GroupRingElt()
         for j in range(3):
-            xj = GroupRingElt.from_word(Word.gen(j))
-            total = total + fox_derivative(w, j) * (xj - GroupRingElt.one())
-        assert total == GroupRingElt.from_word(w) - GroupRingElt.one()
+            xj = GroupRingElt({Word.gen(j): 1})
+            total = total + fox_derivative(w, j) * (xj - GroupRingElt({Word(): 1}))
+        assert total == GroupRingElt({w: 1}) - GroupRingElt({Word(): 1})
 
 
 def test_apply_phi_is_multiplicative_on_words():
@@ -83,9 +83,9 @@ def test_apply_phi_is_multiplicative_on_words():
     for _ in range(50):
         a = random_word(rng, 3, 6)
         b = random_word(rng, 3, 6)
-        pa = apply_phi(GroupRingElt.from_word(a), rep)
-        pb = apply_phi(GroupRingElt.from_word(b), rep)
-        pab = apply_phi(GroupRingElt.from_word(a * b), rep)
+        pa = apply_phi(GroupRingElt({a: 1}), rep)
+        pb = apply_phi(GroupRingElt({b: 1}), rep)
+        pab = apply_phi(GroupRingElt({a * b: 1}), rep)
         assert pab == pa * pb
 
 
@@ -134,7 +134,7 @@ def _reps(draw):
 @given(rep=_reps(), terms=st.dictionaries(_WORDS, _COEFFS, max_size=4))
 def test_apply_phi_matches_the_product_route(rep, terms):
     k = rep.dim
-    zero, empty = GroupRingElt(), GroupRingElt.one()
+    zero, empty = GroupRingElt(), GroupRingElt({Word(): 1})
     assert apply_phi(zero, rep) == PolyMatrix.zeros(k, k) == apply_phi_by_products(zero, rep)
     assert apply_phi(empty, rep) == PolyMatrix.identity(k) == apply_phi_by_products(empty, rep)
     e = GroupRingElt(terms)
@@ -203,7 +203,7 @@ def test_the_prefix_pass_reads_a_missing_generator_only_where_a_derivative_does(
     # rho(x2); x2^-1 x0 has the derivative -x2^-1
     rep = Representation.trivial((0, 1))
     x0, x2 = Word.gen(0), Word.gen(2)
-    assert phi_fox_derivatives(x0 * x2, rep) == {0: [LaurentPoly.one()], 2: [LaurentPoly.monomial(1, 1)]}
+    assert phi_fox_derivatives(x0 * x2, rep) == {0: [LaurentPoly({0: 1})], 2: [LaurentPoly({1: 1})]}
     for w in (x2.inv() * x0, x2 * x0):
         with pytest.raises(KeyError, match="generator 2 not defined in representation"):
             phi_fox_derivatives(w, rep)
@@ -212,12 +212,12 @@ def test_the_prefix_pass_reads_a_missing_generator_only_where_a_derivative_does(
 def test_apply_phi_names_a_missing_generator():
     rep = Representation.trivial((0, 1))
     with pytest.raises(KeyError, match="generator 2 not defined in representation"):
-        apply_phi(GroupRingElt.from_word(Word.gen(2)), rep)
+        apply_phi(GroupRingElt({Word.gen(2): 1}), rep)
 
 
 def test_augmentation():
-    e = GroupRingElt({Word.gen(0): 2}) - GroupRingElt.one()
-    assert apply_phi(e, AUGMENTATION).entries == (LaurentPoly.const(1),)
+    e = GroupRingElt({Word.gen(0): 2}) - GroupRingElt({Word(): 1})
+    assert apply_phi(e, AUGMENTATION).entries == (LaurentPoly({0: 1}),)
 
 
 def test_group_ring_coefficients_have_one_canonical_form():

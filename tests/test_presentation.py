@@ -178,6 +178,14 @@ def test_rebase_validation():
         rebase(p, 0, (X, 2))
 
 
+def test_a_relation_letter_must_be_a_generator():
+    # z is index 2, and only x and y are generators
+    rel = parse_word("z x z^-1 y^-1", NMAP)
+    with pytest.raises(ValueError, match="^relation 0 uses generator index 2, which is not a generator$"):
+        BasedPresentation(GENS[:2], (rel,), {0: (Y, 0)})
+    assert BasedPresentation(GENS, (rel,), {0: (Y, 0)}).relations == (rel,)
+
+
 def test_presentations_equal_ignores_indexing_and_order():
     p = _pres(["x y x^-1 y^-1", "z y z^-1 y^-1"], {0: (X, 0), 1: (Z, 0)})
     gens2 = (Generator(5, "z"), Generator(7, "x"), Generator(9, "y"))
