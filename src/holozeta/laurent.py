@@ -28,7 +28,15 @@ def rational_matmul(a, b, r: int, k: int, c: int, zero=0) -> list:
     """The r x c product of an r x k and a k x c matrix, each a flat
     row-major sequence.  The entries are `int` and `Fraction`, or the cells
     of a `cell_ring` or `LaurentPoly`, whose zero is then `zero`; they are not
-    canonicalised.  With k = 0 the product is r x c zeros."""
+    canonicalised.  With k = 0 the product is r x c zeros.  An inner
+    dimension of 1 or 2, that of every product of 1- and 2-dim weights,
+    writes each entry out as one product or the sum of two, with no list
+    and no `sum`; every cell is multiplied, zero or not (skipping zero
+    cells ran 10-20% slower on the Euler oracle's products)."""
+    if k == 1:
+        return [x * y for x in a for y in b]
+    if k == 2:
+        return [a[i] * b[j] + a[i + 1] * b[j + c] for i in range(0, 2 * r, 2) for j in range(c)]
     if not k:
         return [zero] * (r * c)
     return [sum([a[i + m] * b[m * c + j] for m in range(k)], zero)
@@ -436,17 +444,26 @@ def cell_rows(x, n: int) -> list:
 
 
 def det_one_minus_x_cells(m, top: int, ring) -> list:
-    """The coefficients c_0..c_top of det(I - x*M) = sum_j c_j x^j, in
-    `ring`, for the square matrix M given as its row maps {column: cell} of
-    its stored cells in `ring` (`cell_rows`).  c_j = (-1)^j e_j, and the e_j
-    come from Newton's identities on the power traces p_k = tr(M^k),
-    k <= top.  Each p_k with k > 1 is the inner product
+    """The coefficients c_0..c_top, top <= dim M, of det(I - x*M) =
+    sum_j c_j x^j, in `ring`, for the square matrix M given as its row maps
+    {column: cell} of its stored cells in `ring` (`cell_rows`).  Up to 2 x 2
+    they are written out: 1, -tr M and det M.  These are the values Newton's
+    identities give, packed too, since tr(M)^2 - tr(M^2) = 2 det M and
+    evaluation at 2^bits is a ring homomorphism.  From 3 x 3 up,
+    c_j = (-1)^j e_j, and the e_j come from Newton's identities on the power
+    traces p_k = tr(M^k), k <= top.  Each p_k with k > 1 is the inner product
     sum_(i,j) (M^a)_ij (M^b)_ji over the stored (i,j) of M^a, a = ceil(k/2),
     b = floor(k/2), so only M^2..M^ceil(top/2) are formed, each as row maps
     M^(a-1) M over stored cells only: an adjacency matrix stores at most a
     few cells per row, and the work is then linear in dim M.  Dividing j*e_j
     by j is exact in either ring: packed, j*e_j(2^bits) is (j*e_j)(2^bits)."""
     zero = ring.zero
+    if len(m) == 2:
+        r0, r1 = m
+        a, d = r0.get(0, zero), r1.get(1, zero)
+        return [ring.one, -(a + d), a * d - r0.get(1, zero) * r1.get(0, zero)][:top + 1]
+    if len(m) < 2:
+        return [ring.one, -m[0].get(0, zero)][:top + 1] if m else [ring.one]
     powers = [None, m]  # powers[a] = M^a
     for _ in range(2, (top + 1) // 2 + 1):
         rows = []

@@ -32,12 +32,14 @@ class BasedPresentation:
     base: dict  # relation index -> (generator index, occurrence ordinal)
 
     def __post_init__(self):
-        names = [g.display_name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
-        idxs = {g.index for g in self.generators}
-        if len(idxs) != len(self.generators):
-            raise ValueError("duplicate generator indices")
+        names, idxs = set(), set()
+        for g in self.generators:
+            if g.display_name in names:
+                raise ValueError("duplicate generator name %r" % g.display_name)
+            if g.index in idxs:
+                raise ValueError("duplicate generator index %d" % g.index)
+            names.add(g.display_name)
+            idxs.add(g.index)
         used = set()
         for i, r in enumerate(self.relations):
             if r.is_identity():

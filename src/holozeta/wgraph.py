@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .laurent import (
@@ -388,9 +389,12 @@ def _euler_product(tree, weight, max_len: int, ring) -> list:
     prime classes of det(I - u^|C| w(C)), `tree` and `weight` as
     `_euler_setup` gives them (see `euler_product_oracle`).  The weight
     product P of a node's walk is P(parent) w(last edge), formed once and
-    only for the nodes a prime class reads and their ancestors."""
+    only for the nodes a prime class reads and their ancestors.  The trace
+    of a long class's P w is sum_(i,m) P_im w_mi, the cells of P times those
+    of w transposed, each weight transposed once."""
     parent, last, primes = tree
     zero = ring.zero
+    transposed = [[x for i in range(cols) for x in w[i::cols]] for _, cols, w in weight]
     traces = [zero] * (max_len + 1)  # traces[l] = S_l
     factors = []  # each a list of (degree in u, nonzero coefficient)
     products = {-1: None}  # node -> (rows, cells of P)
@@ -411,10 +415,8 @@ def _euler_product(tree, weight, max_len: int, ring) -> list:
             poly = det_one_minus_x_cells(cell_rows(p, rows), min(rows, max_len // n), ring)
             factors.append([(n * j, cj) for j, cj in enumerate(poly) if j and cj])
         else:
-            rows, p = products[parent[node]]
-            k, _, w = weight[last[node]]
-            traces[n] = traces[n] + sum([p[i * k + m] * w[m * rows + i]
-                                         for i in range(rows) for m in range(k)], zero)
+            traces[n] = traces[n] + sum(map(mul, products[parent[node]][1],
+                                            transposed[last[node]]), zero)
     factors.append([(n, -s) for n, s in enumerate(traces) if s])
     coeffs = [ring.one] + [zero] * max_len
     for factor in factors:

@@ -256,6 +256,21 @@ def packing_graphs(draw) -> WeightedDigraph:
     return WeightedDigraph("matrix", vertices, tuple(edges))
 
 
+def matmul_by_loops(a, b, r: int, k: int, c: int, zero) -> list:
+    """The r x c product of the flat row-major r x k matrix a and k x c
+    matrix b by a plain triple loop, each entry zero plus its k products in
+    turn: an oracle for `laurent.rational_matmul` that shares none of its
+    code."""
+    out = []
+    for i in range(r):
+        for j in range(c):
+            acc = zero
+            for m in range(k):
+                acc = acc + a[i * k + m] * b[m * c + j]
+            out.append(acc)
+    return out
+
+
 def det_one_minus_x_by_laurent(m: PolyMatrix, top: int) -> list:
     """The coefficients c_0..c_top of det(I - x*M) by Newton's identities on
     the power traces tr(M^k), with every product a `LaurentPoly` one: an

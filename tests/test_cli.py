@@ -1132,6 +1132,7 @@ _REPEATED_LINES = [
     ("quandle", "3\n" + _CONTRACT["quandle"][0], "expected 3 rows after the size line '3', got 4"),
     ("pair", "3\n" + _CONTRACT["pair"][0], "expected 6 rows after the size line '3', got 7"),
     ("weights", "3\n" + _CONTRACT["weights"][0], "expected 12 rows after the size line '3', got 13"),
+    ("presentation", "gens: x y x\nrel: x y^-1  base: x@0\n", "duplicate generator name 'x'"),
 ]
 
 

@@ -15,6 +15,7 @@ from holozeta.laurent import (
     cell_rows,
     det_one_minus_x_cells,
     parse_laurent,
+    rational_matmul,
     series_det,
     series_det_inverse,
 )
@@ -24,6 +25,7 @@ from helpers import (
     det_by_permutations,
     det_one_minus_x_by_laurent,
     inverse_by_adjugate,
+    matmul_by_loops,
     pack_width_limit,
     packing_cells,
     random_laurent,
@@ -516,6 +518,38 @@ def test_series_det_inverse_matches_the_exp_route():
 
 
 @st.composite
+def _matmul_operands(draw):
+    """(a, b, r, k, c, zero) for an r x k times k x c product, r, k, c in
+    0..3, of one kind of entry: ints, ints mixed with Fractions, LaurentPoly
+    cells, or the packed ints of those cells."""
+    r, k, c = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["int", "Fraction", "LaurentPoly", "packed"]))
+    if kind in ("int", "Fraction"):
+        entries = st.integers(-9, 9)
+        if kind == "Fraction":
+            entries = st.one_of(entries, st.fractions(-9, 9, max_denominator=6))
+        cells, zero = draw(st.lists(entries, min_size=r * k + k * c, max_size=r * k + k * c)), 0
+    else:
+        cells, zero = draw(packing_cells(r * k + k * c)), LaurentPoly()
+        if kind == "packed":
+            with pack_width_limit(10 ** 9):
+                ring = cell_ring(cells, 2, (1,), 3)
+            assert isinstance(ring, PackedCells)
+            cells, zero = [ring.pack(p) for p in cells], ring.zero
+    return cells[:r * k], cells[r * k:], r, k, c, zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=_matmul_operands())
+@example(operands=([1, 2, 3, 4], [5, 6, 7, 8, 9, 10], 2, 2, 3, 0))
+def test_rational_matmul_matches_a_triple_loop(operands):
+    # the same values of the same types: an int entry stays an int
+    got, want = rational_matmul(*operands), matmul_by_loops(*operands)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@st.composite
 def _packing_matrices(draw):
     n = draw(st.integers(1, 3))
     return PolyMatrix(n, n, draw(packing_cells(n * n)))
@@ -557,6 +591,23 @@ def test_det_one_minus_x_on_sparse_row_maps():
             for limit in (10 ** 9, 0):
                 with pack_width_limit(limit):
                     assert list(series_det(m, top).coeffs) == expect
+    # 1 x 1 and 2 x 2, whose coefficients are written out: a full matrix, a
+    # missing cell, an empty row and a zero diagonal, at top 0..2
+    t, s, o = LaurentPoly({1: 1}), LaurentPoly({-1: Fraction(1, 2), 2: 3}), LaurentPoly()
+    for cells in ([s], [o], [t, s, s, t], [t, o, s, t], [t, s, o, s], [o, o, s, t], [t, s, o, o],
+                  [o, s, t, o], [o, t, o, s]):
+        n = 2 if len(cells) == 4 else 1
+        m = PolyMatrix(n, n, cells)
+        for top in range(3):
+            low = min(top, n)
+            expect = det_one_minus_x_by_laurent(m, low)
+            for limit in (10 ** 9, 0):
+                with pack_width_limit(limit):
+                    ring = cell_ring(cells, low, (1,), n)
+                    rows = cell_rows([ring.pack(p) for p in cells], n)
+                    coeffs = det_one_minus_x_cells(rows, low, ring)
+                    assert [ring.unpack(c, j) for j, c in enumerate(coeffs)] == expect
+                    assert list(series_det(m, top).coeffs) == expect + [o] * (top - low)
 
 
 def test_det_one_minus_x_works_over_stored_cells_only(monkeypatch):

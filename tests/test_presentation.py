@@ -186,6 +186,17 @@ def test_a_relation_letter_must_be_a_generator():
     assert BasedPresentation(GENS, (rel,), {0: (Y, 0)}).relations == (rel,)
 
 
+def test_a_repeated_generator_is_named():
+    rel = parse_word("x y^-1", NMAP)
+    with pytest.raises(ValueError, match="^duplicate generator name 'x'$"):
+        BasedPresentation(GENS[:2] + (Generator(Z, "x"),), (rel,), {0: (X, 0)})
+    # z repeats the index 1 of y before the last generator repeats the name x:
+    # the first repeat is the one named
+    gens = (Generator(X, "x"), Generator(Y, "y"), Generator(Y, "z"), Generator(Z, "x"))
+    with pytest.raises(ValueError, match="^duplicate generator index 1$"):
+        BasedPresentation(gens, (rel,), {0: (X, 0)})
+
+
 def test_presentations_equal_ignores_indexing_and_order():
     p = _pres(["x y x^-1 y^-1", "z y z^-1 y^-1"], {0: (X, 0), 1: (Z, 0)})
     gens2 = (Generator(5, "z"), Generator(7, "x"), Generator(9, "y"))
